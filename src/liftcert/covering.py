@@ -203,9 +203,12 @@ def find_certificate(
 ) -> Optional[CoveringCertificate]:
     """Injective assignment of every support pair to a containing rectangle.
 
-    Augmenting-path maximum bipartite matching; pairs are processed and
-    adjacency scanned in lex order, so the result is deterministic.  Returns
-    None when no assignment saturates the support.
+    Augmenting-path maximum bipartite matching, searched depth-first with an
+    explicit stack.  Pairs are processed in lex order and each pair's
+    adjacency list is in family order, so the result is deterministic.  The
+    adjacency is built in one pass over the rectangles' pairs, so the cost is
+    O(sum_i |R_i| + augmentation).  Returns None when no assignment
+    saturates the support.
     """
     pairs = sorted(set(support))
     for x, y in pairs:
@@ -213,26 +216,37 @@ def find_certificate(
             raise ValueError(f"pair ({x}, {y}) has width != {family.d}")
         if intersection_size(x, y) != 0:
             raise ValueError(f"non-disjoint pair ({x}, {y}) in support")
-    adjacency = {
-        p: [i for i, r in enumerate(family.rectangles) if r.contains(*p)]
-        for p in pairs
-    }
+    adjacency: dict[Pair, list[int]] = {p: [] for p in pairs}
+    for i, r in enumerate(family.rectangles):
+        for x in r.rows:
+            for y in r.cols:
+                if (x, y) in adjacency:
+                    adjacency[(x, y)].append(i)
     owner: dict[int, Pair] = {}
     assigned: dict[Pair, int] = {}
-
-    def augment(p: Pair, seen: set[int]) -> bool:
-        for i in adjacency[p]:
-            if i in seen:
+    for root in pairs:
+        # path[j] takes rectangle via[j]; the owner of via[j] is path[j + 1]
+        seen: set[int] = set()
+        path, via, frontier = [root], [], [iter(adjacency[root])]
+        while frontier:
+            i = next((i for i in frontier[-1] if i not in seen), None)
+            if i is None:
+                frontier.pop()
+                path.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(i)
-            if i not in owner or augment(owner[i], seen):
-                owner[i] = p
-                assigned[p] = i
-                return True
-        return False
-
-    for p in pairs:
-        if not augment(p, set()):
+            via.append(i)
+            if i in owner:
+                path.append(owner[i])
+                frontier.append(iter(adjacency[owner[i]]))
+                continue
+            for p, j in zip(path, via):
+                owner[j] = p
+                assigned[p] = j
+            break
+        else:
             return None
     return CoveringCertificate(assigned)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +48,43 @@ from liftcert.covering import (
 def drop_rectangle(family: CoveringFamily, index: int) -> CoveringFamily:
     rects = family.rectangles[:index] + family.rectangles[index + 1 :]
     return CoveringFamily(family.d, rects, label=family.label + "-dropped")
+
+
+def spare_recursion_depth() -> int:
+    """Nested calls still possible here; C-level calls count against the limit too."""
+
+    def down(n: int) -> int:
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+
+    return down(0)
+
+
+def scan_certificate(support, family: CoveringFamily):
+    """Reference matcher: tests every rectangle against every pair, recursing."""
+    pairs = sorted(set(support))
+    adjacency = {
+        p: [i for i, r in enumerate(family.rectangles) if r.contains(*p)] for p in pairs
+    }
+    owner, assigned = {}, {}
+
+    def augment(p, seen):
+        for i in adjacency[p]:
+            if i in seen:
+                continue
+            seen.add(i)
+            if i not in owner or augment(owner[i], seen):
+                owner[i] = p
+                assigned[p] = i
+                return True
+        return False
+
+    for p in pairs:
+        if not augment(p, set()):
+            return None
+    return CoveringCertificate(assigned)
 
 
 class TestRectangle:
@@ -133,9 +172,41 @@ class TestFindCertificate:
         assert cert is not None
         cert.validate_against(fam, support=set(support))
 
+    def test_d6_certified_without_recursion(self):
+        # the longest augmenting path at d = 6 is 13 pairs deep, so a matcher
+        # that recursed per path step would exceed this limit
+        family = recursive_covering(6)
+        supports = [maximal_support(6, alpha) for alpha in all_strings(6)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit - spare_recursion_depth() + 10)
+        try:
+            certs = [find_certificate(support, family) for support in supports]
+        finally:
+            sys.setrecursionlimit(limit)
+        for support, cert in zip(supports, certs):
+            assert cert is not None
+            cert.validate_against(family, support=support)
+
+    @given(st.data())
+    def test_matches_all_rectangles_scan(self, data):
+        d = data.draw(st.integers(1, 3))
+        strings = all_strings(d)
+        rects = []
+        for _ in range(data.draw(st.integers(0, 3**d))):
+            rows = data.draw(st.sets(st.sampled_from(strings), min_size=1, max_size=3))
+            mask = 0
+            for x in rows:
+                mask |= x.value
+            free = [y for y in strings if y.value & mask == 0]
+            cols = data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=3))
+            rects.append(Rectangle(d, frozenset(rows), frozenset(cols)))
+        family = CoveringFamily(d, tuple(rects))
+        support = data.draw(st.sets(st.sampled_from(enumerate_disjoint_pairs(d))))
+        assert find_certificate(support, family) == scan_certificate(support, family)
+
 
 class TestMaximalVerification:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_recursive_passes(self, d):
         certs = maximal_certificates(recursive_covering(d))
         assert len(certs) == 2**d
