@@ -1,0 +1,120 @@
+"""Golden digests of the oracle reports (``atom sample`` and ``induction``).
+
+Each row is an invocation, its exit code and the sha256 of its stdout.  The
+digests pin the reports byte for byte: the trial order, the seeds, every
+report field and the falsifier payload.  ``{name}`` in an invocation is
+replaced by the path of the family file of that name.  Rows that name the
+non-atom sampler replace ``liftcert.cli.sample_atom`` with one returning the
+constant identity factorization, which no check accepts, to reach the
+falsifier paths of the pattern and antidiagonal checks.  Invalid
+configurations exit 2 with an empty stdout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from liftcert import cli
+from liftcert.atoms import PsdFactorization
+from liftcert.bitcore import all_strings
+from liftcert.covering import CoveringFamily, Rectangle, family_to_json, recursive_covering
+from liftcert.linalg import PsdMatrix
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+FAMILIES = {
+    "rec3": recursive_covering(3),
+    "one_rect_d1": CoveringFamily(
+        1, (Rectangle.from_text(1, ["0"], ["0"]),), label="one-rect-d1"
+    ),
+}
+
+
+def non_atom_sampler(n, d, rank_profile="uniform", rng=0, direction="u-first"):
+    side = {s: PsdMatrix.identity(d) for s in all_strings(n)}
+    return PsdFactorization(n, d, side, dict(side))
+
+
+CASES = [
+    pytest.param(
+        "atom sample --n 2 --d 2 --trials 200 --check patterns", None, 0,
+        "d43d4b6e82699bc7f9838e6fa7bf187705838a51593c80edab4723be6f4d11db",
+        id="patterns-200",
+    ),
+    pytest.param(
+        "atom sample --n 2 --d 2 --trials 60 --seed 5 --check patterns"
+        " --direction v-first --rank-profile full", None, 0,
+        "afa1f95a06ded6bb83fa8291b6f30b75459a6ea2b58deaf0667ca96000219d3c",
+        id="patterns-v-first-full",
+    ),
+    pytest.param(
+        "atom sample --n 3 --d 3 --trials 40 --seed 11 --check antidiagonal", None, 0,
+        "33491d0010a0efdf5a486f548e04be287de8a38921000a1140bc41363a43abc8",
+        id="antidiagonal-d3",
+    ),
+    pytest.param(
+        "atom sample --n 2 --d 2 --trials 40 --check antidiagonal --epsilon 1e-6",
+        None, 0,
+        "b3698d50c371ae2fb16c95a5d52e5317b20755c908a3ff4900072e94c1ae86b5",
+        id="antidiagonal-d2-epsilon",
+    ),
+    pytest.param(
+        "atom sample --n 4 --d 2 --trials 15 --seed 3 --check induction", None, 0,
+        "24a5da430d74c1869d92a857d86aaf48abdb9426b4e118365078d4c3e60f2a69",
+        id="atom-sample-induction",
+    ),
+    pytest.param(
+        "induction --n 4 --d 2 --trials 15 --seed 3", None, 0,
+        "30eb83d4611657e7179a1c3ea90bb934ef7c07247dda4042a092311ae32b0973",
+        id="induction-default-family",
+    ),
+    pytest.param(
+        "induction --n 2 --d 1 --trials 10 --family {one_rect_d1}", None, 1,
+        "a3929afc970eb29f5bc87e2cf089c61f61b9647105e0898dda572850a7d343f8",
+        id="induction-one-rect-falsified",
+    ),
+    pytest.param(
+        "atom sample --n 2 --d 2 --trials 5 --seed 7 --check patterns",
+        non_atom_sampler, 1,
+        "b4f53d509b5cd95bc1f87301d867500a745b3c577e0d472333cf6ee8c5c86b1c",
+        id="patterns-falsified",
+    ),
+    pytest.param(
+        "atom sample --n 2 --d 2 --trials 5 --seed 7 --check antidiagonal",
+        non_atom_sampler, 1,
+        "b500603410c2f8408d0a2bab64ad00eaea52dc29b2e84823f9408fa4f65ca0cd",
+        id="antidiagonal-falsified",
+    ),
+    pytest.param(
+        "atom sample --n 3 --d 2 --trials 1 --check patterns", None, 2,
+        EMPTY, id="patterns-wrong-size",
+    ),
+    pytest.param(
+        "atom sample --n 3 --d 2 --trials 1 --check antidiagonal", None, 2,
+        EMPTY, id="antidiagonal-not-square",
+    ),
+    pytest.param(
+        "induction --n 4 --d 2 --trials 1 --family {rec3}", None, 2,
+        EMPTY, id="induction-width-mismatch",
+    ),
+]
+
+
+def report_digest(tmp_path, capsys, invocation: str) -> tuple[int, str]:
+    paths = {}
+    for name, family in FAMILIES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(family_to_json(family))
+    code = cli.main(invocation.format(**paths).split())
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("invocation, sampler, exit_code, digest", CASES)
+def test_oracle_report(tmp_path, capsys, monkeypatch, invocation, sampler,
+                       exit_code, digest):
+    if sampler is not None:
+        monkeypatch.setattr(cli, "sample_atom", sampler)
+    assert report_digest(tmp_path, capsys, invocation) == (exit_code, digest)
