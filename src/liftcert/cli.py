@@ -14,14 +14,14 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .atoms import (
     FalsificationError,
     NoPatternMatches,
+    PsdFactorization,
     antidiagonal_witness,
     classify_pattern_d2,
     evaluate,
@@ -50,47 +50,37 @@ EXIT_FALSIFIED = 1
 EXIT_BAD_CONFIG = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation parameters; the seed defaults to a fixed constant."""
+def _run_trials(
+    trials: int,
+    seed: int,
+    directions: Sequence[str],
+    sample: Callable[[int, str], PsdFactorization],
+    check: Callable[[PsdFactorization], Optional[str]],
+) -> tuple[int, Optional[dict]]:
+    """Trial i checks ``sample(seed + i, directions[i % len(directions)])``.
 
-    command: str
-    subcommand: str = ""
-    n: Optional[int] = None
-    d: Optional[int] = None
-    k: Optional[int] = None
-    seed: int = 0
-    trials: int = 1
-    family_path: Optional[str] = None
-    out_path: Optional[str] = None
-    format: str = "json"
-    epsilon: Optional[float] = None
-    mode: str = "maximal"
-    check: str = "patterns"
-    explicit_d2: bool = False
-    direction: str = "both"
-    rank_profile: str = "uniform"
-
-    @property
-    def eps(self) -> float:
-        return EPS_ZERO if self.epsilon is None else self.epsilon
-
-    def directions(self) -> tuple[str, ...]:
-        if self.direction == "both":
-            return ("u-first", "v-first")
-        return (self.direction,)
-
-
-def _falsifier(trial: int, seed: int, direction: str, factorization, matrix,
-               reason: str) -> dict:
-    return {
-        "trial": trial,
-        "seed": seed,
-        "direction": direction,
-        "reason": reason,
-        "factorization": json.loads(factorization_to_json(factorization)),
-        "matrix": json.loads(matrix_to_json(matrix)),
-    }
+    ``check`` returns None when a trial passes and a reason otherwise.  Stops
+    at the first reason; returns the number of passes and the falsifier (the
+    trial, its seed and direction, the reason, the factorization and its
+    evaluated matrix), or None when every trial passed.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for i in range(trials):
+        trial_seed = seed + i
+        direction = directions[i % len(directions)]
+        f = sample(trial_seed, direction)
+        reason = check(f)
+        if reason is not None:
+            return i, {
+                "trial": i,
+                "seed": trial_seed,
+                "direction": direction,
+                "reason": reason,
+                "factorization": json.loads(factorization_to_json(f)),
+                "matrix": json.loads(matrix_to_json(evaluate(f))),
+            }
+    return trials, None
 
 
 def run_pattern_oracle(
@@ -104,44 +94,30 @@ def run_pattern_oracle(
     patterns and check val <= 7.  Stops at the first falsification."""
     counts: Counter[int] = Counter()
     max_val = 0
-    for i in range(trials):
-        trial_seed = seed + i
-        direction = directions[i % len(directions)]
-        f = sample_atom(2, 2, rank_profile, rng=trial_seed, direction=direction)
+
+    def check(f: PsdFactorization) -> Optional[str]:
+        nonlocal max_val
         m = evaluate(f)
         try:
             pid = classify_pattern_d2(m, eps)
         except NoPatternMatches:
-            return {
-                "seed": seed,
-                "trials": trials,
-                "passes": i,
-                "pattern_counts": dict(sorted(counts.items())),
-                "falsifier": _falsifier(
-                    i, trial_seed, direction, f, m, "support fits no pattern"
-                ),
-            }
+            return "support fits no pattern"
         v = val(m, eps)
         max_val = max(max_val, v)
         if v > 7:
-            return {
-                "seed": seed,
-                "trials": trials,
-                "passes": i,
-                "pattern_counts": dict(sorted(counts.items())),
-                "falsifier": _falsifier(
-                    i, trial_seed, direction, f, m, f"val = {v} exceeds 7"
-                ),
-            }
+            return f"val = {v} exceeds 7"
         counts[int(pid)] += 1
-    return {
-        "seed": seed,
-        "trials": trials,
-        "passes": trials,
-        "max_val": max_val,
-        "pattern_counts": dict(sorted(counts.items())),
-        "falsifier": None,
-    }
+        return None
+
+    passes, falsifier = _run_trials(
+        trials, seed, directions,
+        lambda s, dr: sample_atom(2, 2, rank_profile, rng=s, direction=dr), check,
+    )
+    report = {"seed": seed, "trials": trials, "passes": passes,
+              "pattern_counts": dict(sorted(counts.items())), "falsifier": falsifier}
+    if falsifier is None:
+        report["max_val"] = max_val
+    return report
 
 
 def run_witness_oracle(
@@ -155,31 +131,23 @@ def run_witness_oracle(
     """Find the antidiagonal zero of each sampled square atom; every entry
     found must clear the relative zero threshold."""
     witness_rows: Counter[str] = Counter()
-    for i in range(trials):
-        trial_seed = seed + i
-        direction = directions[i % len(directions)]
-        f = sample_atom(d, d, rank_profile, rng=trial_seed, direction=direction)
+
+    def check(f: PsdFactorization) -> Optional[str]:
         try:
-            a = antidiagonal_witness(f, eps)
+            witness_rows[str(antidiagonal_witness(f, eps))] += 1
         except FalsificationError as exc:
-            return {
-                "seed": seed,
-                "d": d,
-                "trials": trials,
-                "passes": i,
-                "falsifier": _falsifier(
-                    i, trial_seed, direction, f, evaluate(f), str(exc)
-                ),
-            }
-        witness_rows[str(a)] += 1
-    return {
-        "seed": seed,
-        "d": d,
-        "trials": trials,
-        "passes": trials,
-        "witness_rows": dict(sorted(witness_rows.items())),
-        "falsifier": None,
-    }
+            return str(exc)
+        return None
+
+    passes, falsifier = _run_trials(
+        trials, seed, directions,
+        lambda s, dr: sample_atom(d, d, rank_profile, rng=s, direction=dr), check,
+    )
+    report = {"seed": seed, "d": d, "trials": trials, "passes": passes,
+              "falsifier": falsifier}
+    if falsifier is None:
+        report["witness_rows"] = dict(sorted(witness_rows.items()))
+    return report
 
 
 def run_induction_oracle(
@@ -199,120 +167,78 @@ def run_induction_oracle(
     if family.d != d:
         raise ValueError(f"family width {family.d} does not match d = {d}")
     max_val = 0
-    for i in range(trials):
-        trial_seed = seed + i
-        direction = directions[i % len(directions)]
-        f = sample_atom(n, d, rank_profile, rng=trial_seed, direction=direction)
+
+    def check(f: PsdFactorization) -> Optional[str]:
+        nonlocal max_val
         rep = check_induction_inequality(f, family, eps)
         max_val = max(max_val, rep.val_total)
-        if not (rep.holds and rep.aggregates_are_atoms):
-            reason = (
-                f"val {rep.val_total} > bound {rep.bound}"
-                if not rep.holds
-                else "an aggregate has a positive intersection-one entry"
-            )
-            return {
-                "seed": seed,
-                "n": n,
-                "d": d,
-                "family": family.label,
-                "trials": trials,
-                "passes": i,
-                "falsifier": _falsifier(
-                    i, trial_seed, direction, f, evaluate(f), reason
-                ),
-            }
-    return {
-        "seed": seed,
-        "n": n,
-        "d": d,
-        "family": family.label,
-        "trials": trials,
-        "passes": trials,
-        "max_val": max_val,
-        "falsifier": None,
-    }
-
-
-def _resolve_out(path: Optional[str]) -> Optional[Path]:
-    if path is None:
+        if not rep.holds:
+            return f"val {rep.val_total} > bound {rep.bound}"
+        if not rep.aggregates_are_atoms:
+            return "an aggregate has a positive intersection-one entry"
         return None
-    p = Path(path)
+
+    passes, falsifier = _run_trials(
+        trials, seed, directions,
+        lambda s, dr: sample_atom(n, d, rank_profile, rng=s, direction=dr), check,
+    )
+    report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
+              "passes": passes, "falsifier": falsifier}
+    if falsifier is None:
+        report["max_val"] = max_val
+    return report
+
+
+def _emit(report: str | dict, args: argparse.Namespace) -> None:
+    """Write a text report, or a dict as sorted indented JSON, to stdout or to
+    ``--out`` (a relative path is taken under $LIFTCERT_OUT_DIR when set)."""
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, sort_keys=True)
+    text = report if report.endswith("\n") else report + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    target = Path(args.out)
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
+    if base and not target.is_absolute():
+        target = Path(base) / target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    target = _resolve_out(cfg.out_path)
-    if target is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _cmd_udisj(args: argparse.Namespace) -> int:
+    m = udisj(args.n)
+    v = val(m, args.epsilon)
+    if args.format == "csv":
+        _emit(matrix_to_csv(m), args)
+    elif args.format == "text":
+        _emit(matrix_to_csv(m) + f"val = {v} (expected 3^{args.n} = {3 ** args.n})\n",
+              args)
     else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text if text.endswith("\n") else text + "\n")
+        _emit({"command": "udisj", "n": args.n, "val": v, "expected_val": 3**args.n,
+               "matrix": json.loads(matrix_to_json(m, args.epsilon))}, args)
+    return EXIT_OK if v == 3**args.n else EXIT_FALSIFIED
 
 
-def _emit_json(obj: dict, cfg: RunConfig) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), cfg)
-
-
-def _load_family(cfg: RunConfig) -> CoveringFamily:
-    if cfg.family_path is None:
-        raise ValueError("a --family file is required")
-    return family_from_json(Path(cfg.family_path).read_text())
-
-
-def _cmd_udisj(cfg: RunConfig) -> int:
-    m = udisj(cfg.n)
-    v = val(m, cfg.eps)
-    if cfg.format == "csv":
-        _emit(matrix_to_csv(m), cfg)
-    elif cfg.format == "text":
-        _emit(
-            matrix_to_csv(m) + f"val = {v} (expected 3^{cfg.n} = {3 ** cfg.n})\n", cfg
-        )
-    else:
-        _emit_json(
-            {
-                "command": "udisj",
-                "n": cfg.n,
-                "val": v,
-                "expected_val": 3**cfg.n,
-                "matrix": json.loads(matrix_to_json(m, cfg.eps)),
-            },
-            cfg,
-        )
-    return EXIT_OK if v == 3**cfg.n else EXIT_FALSIFIED
-
-
-def _cmd_covering_build(cfg: RunConfig) -> int:
-    family = explicit_covering_d2() if cfg.explicit_d2 else recursive_covering(cfg.d)
-    _emit(family_to_json(family), cfg)
+def _cmd_covering_build(args: argparse.Namespace) -> int:
+    family = explicit_covering_d2() if args.explicit_d2 else recursive_covering(args.d)
+    _emit(family_to_json(family), args)
     return EXIT_OK
 
 
-def _cmd_covering_verify(cfg: RunConfig) -> int:
-    family = _load_family(cfg)
-    report: dict = {
-        "command": "covering-verify",
-        "mode": cfg.mode,
-        "d": family.d,
-        "k": family.k,
-        "label": family.label,
-    }
-    if cfg.mode == "maximal":
+def _cmd_covering_verify(args: argparse.Namespace) -> int:
+    family = family_from_json(Path(args.family).read_text())
+    report: dict = {"command": "covering-verify", "mode": args.mode, "d": family.d,
+                    "k": family.k, "label": family.label}
+    if args.mode == "maximal":
         certs = maximal_certificates(family)
         report["certificates"] = {
             str(alpha): json.loads(certificate_to_json(c)) if c else None
             for alpha, c in certs.items()
         }
         report["failures"] = [
-            {
-                "alpha": str(alpha),
-                "support_size": len(maximal_support(family.d, alpha)),
-                "k": family.k,
-            }
+            {"alpha": str(alpha), "support_size": len(maximal_support(family.d, alpha)),
+             "k": family.k}
             for alpha, c in certs.items()
             if c is None
         ]
@@ -323,72 +249,50 @@ def _cmd_covering_verify(cfg: RunConfig) -> int:
             for pid, c in certs.items()
         }
         report["failures"] = [
-            {"pattern": int(pid), "k": family.k}
-            for pid, c in certs.items()
-            if c is None
+            {"pattern": int(pid), "k": family.k} for pid, c in certs.items() if c is None
         ]
     report["passed"] = not report["failures"]
-    _emit_json(report, cfg)
+    _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_FALSIFIED
 
 
-def _cmd_atom_sample(cfg: RunConfig) -> int:
-    if cfg.check == "patterns":
-        if (cfg.n, cfg.d) != (2, 2):
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    """``atom sample --check ...`` and ``induction`` (the induction check)."""
+    directions = ("u-first", "v-first") if args.direction == "both" else (args.direction,)
+    if args.check == "patterns":
+        if (args.n, args.d) != (2, 2):
             raise ValueError("pattern classification is defined for n = d = 2")
         result = run_pattern_oracle(
-            cfg.trials, cfg.seed, cfg.rank_profile, cfg.directions(), cfg.eps
+            args.trials, args.seed, args.rank_profile, directions, args.epsilon
         )
-    elif cfg.check == "antidiagonal":
-        if cfg.n != cfg.d:
+    elif args.check == "antidiagonal":
+        if args.n != args.d:
             raise ValueError("the antidiagonal witness needs n = d")
         result = run_witness_oracle(
-            cfg.d, cfg.trials, cfg.seed, cfg.rank_profile, cfg.directions(), cfg.eps
+            args.d, args.trials, args.seed, args.rank_profile, directions, args.epsilon
         )
     else:
+        family = family_from_json(Path(args.family).read_text()) if args.family else None
         result = run_induction_oracle(
-            cfg.n,
-            cfg.d,
-            cfg.trials,
-            cfg.seed,
-            rank_profile=cfg.rank_profile,
-            directions=cfg.directions(),
-            eps=cfg.eps,
+            args.n, args.d, args.trials, args.seed, family, args.rank_profile,
+            directions, args.epsilon,
         )
-    report = {"command": "atom-sample", "check": cfg.check, "n": cfg.n, "d": cfg.d}
-    report.update(result)
-    _emit_json(report, cfg)
-    return EXIT_OK if result["falsifier"] is None else EXIT_FALSIFIED
-
-
-def _cmd_bound(cfg: RunConfig) -> int:
-    report = bound_report(cfg.n, cfg.d, cfg.k)
-    if cfg.format == "text":
-        _emit(report_to_text(report), cfg)
+    if args.command == "induction":
+        report = {"command": "induction"}
     else:
-        _emit(
-            json.dumps(json.loads(report_to_json(report)), indent=2, sort_keys=True),
-            cfg,
-        )
-    return EXIT_OK
-
-
-def _cmd_induction(cfg: RunConfig) -> int:
-    family = _load_family(cfg) if cfg.family_path else None
-    result = run_induction_oracle(
-        cfg.n,
-        cfg.d,
-        cfg.trials,
-        cfg.seed,
-        family=family,
-        rank_profile=cfg.rank_profile,
-        directions=cfg.directions(),
-        eps=cfg.eps,
-    )
-    report = {"command": "induction"}
+        report = {"command": "atom-sample", "check": args.check, "n": args.n, "d": args.d}
     report.update(result)
-    _emit_json(report, cfg)
+    _emit(report, args)
     return EXIT_OK if result["falsifier"] is None else EXIT_FALSIFIED
+
+
+def _cmd_bound(args: argparse.Namespace) -> int:
+    report = bound_report(args.n, args.d, args.k)
+    if args.format == "text":
+        _emit(report_to_text(report), args)
+    else:
+        _emit(json.loads(report_to_json(report)), args)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,100 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("udisj", help="emit UDISJ(n) and report val = 3^n")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    oracle = argparse.ArgumentParser(add_help=False, parents=[out])
+    oracle.add_argument("--n", type=int, required=True)
+    oracle.add_argument("--d", type=int, required=True)
+    oracle.add_argument("--seed", type=int, default=0)
+    oracle.add_argument("--trials", type=int, default=1, help="at least 1")
+    oracle.add_argument("--direction", choices=["both", "u-first", "v-first"],
+                        default="both")
+    oracle.add_argument("--rank-profile", choices=["uniform", "full"], default="uniform")
+    oracle.add_argument("--epsilon", type=float, default=EPS_ZERO)
+
+    p = sub.add_parser("udisj", parents=[out], help="emit UDISJ(n) and report val = 3^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--out")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=float, default=EPS_ZERO)
+    p.set_defaults(handler=_cmd_udisj)
 
     cov = sub.add_parser("covering", help="build or verify rectangle families")
     cov_sub = cov.add_subparsers(dest="subcommand", required=True)
-    p = cov_sub.add_parser("build", help="emit a covering family as JSON")
+    p = cov_sub.add_parser("build", parents=[out], help="emit a covering family as JSON")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--explicit-d2", action="store_true",
                    help="emit the 7-rectangle width-2 family instead")
-    p.add_argument("--out")
-    p = cov_sub.add_parser("verify", help="certify a family by exact matchings")
+    p.set_defaults(handler=_cmd_covering_build)
+    p = cov_sub.add_parser("verify", parents=[out],
+                           help="certify a family by exact matchings")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=["maximal", "patterns-d2"], default="maximal")
-    p.add_argument("--out")
+    p.set_defaults(handler=_cmd_covering_verify)
 
     atom = sub.add_parser("atom", help="randomized oracles over sampled atoms")
     atom_sub = atom.add_subparsers(dest="subcommand", required=True)
-    p = atom_sub.add_parser("sample", help="sample atoms and run a check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p = atom_sub.add_parser("sample", parents=[oracle],
+                            help="sample atoms and run a check")
     p.add_argument("--check", choices=["antidiagonal", "patterns", "induction"],
                    default="patterns")
-    p.add_argument("--direction", choices=["both", "u-first", "v-first"],
-                   default="both")
-    p.add_argument("--rank-profile", choices=["uniform", "full"], default="uniform")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--out")
+    p.set_defaults(handler=_cmd_oracle, family=None)
 
-    p = sub.add_parser("bound", help="emit the bound report for (n, d)")
+    p = sub.add_parser("bound", parents=[out], help="emit the bound report for (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
+    p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("induction", help="block-induction inequality over samples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p = sub.add_parser("induction", parents=[oracle],
+                       help="block-induction inequality over samples")
     p.add_argument("--family", help="family JSON (defaults to the recursive family)")
-    p.add_argument("--direction", choices=["both", "u-first", "v-first"],
-                   default="both")
-    p.add_argument("--rank-profile", choices=["uniform", "full"], default="uniform")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--out")
+    p.set_defaults(handler=_cmd_oracle, check="induction")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    def get(name, default=None):
-        return getattr(args, name, default)
-
-    return RunConfig(
-        command=args.command,
-        subcommand=get("subcommand", "") or "",
-        n=get("n"),
-        d=get("d"),
-        k=get("k"),
-        seed=get("seed", 0) or 0,
-        trials=get("trials", 1) or 1,
-        family_path=get("family"),
-        out_path=get("out"),
-        format=get("format", "json") or "json",
-        epsilon=get("epsilon"),
-        mode=get("mode", "maximal") or "maximal",
-        check=get("check", "patterns") or "patterns",
-        explicit_d2=bool(get("explicit_d2", False)),
-        direction=get("direction", "both") or "both",
-        rank_profile=get("rank_profile", "uniform") or "uniform",
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    handlers = {
-        ("udisj", ""): _cmd_udisj,
-        ("covering", "build"): _cmd_covering_build,
-        ("covering", "verify"): _cmd_covering_verify,
-        ("atom", "sample"): _cmd_atom_sample,
-        ("bound", ""): _cmd_bound,
-        ("induction", ""): _cmd_induction,
-    }
-    handler = handlers[(cfg.command, cfg.subcommand)]
     try:
-        return handler(cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

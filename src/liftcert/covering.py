@@ -261,7 +261,12 @@ def maximal_support(d: int, alpha: BitString) -> set[Pair]:
 def maximal_certificates(
     family: CoveringFamily,
 ) -> dict[BitString, Optional[CoveringCertificate]]:
-    """One matching instance per maximal support of the antidiagonal-zero class."""
+    """One matching instance per maximal support of the antidiagonal-zero class.
+
+    Widths outside [1, MAX_COVER_D] are rejected: past the cap the 2^d
+    instances of 3^d - 1 pairs each take too long to finish."""
+    if not 1 <= family.d <= MAX_COVER_D:
+        raise ValueError(f"family width {family.d} outside [1, {MAX_COVER_D}]")
     return {
         alpha: find_certificate(maximal_support(family.d, alpha), family)
         for alpha in all_strings(family.d)
@@ -434,13 +439,33 @@ def family_to_json(family: CoveringFamily) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _json_field(obj: object, key: str, kind: type, where: str):
+    """obj[key] of a parsed JSON object, which must be of exactly type kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    value = obj.get(key)
+    if type(value) is not kind:
+        raise ValueError(f'{where} has no "{key}" field of type {kind.__name__}')
+    return value
+
+
+def _json_strings(obj: object, key: str, where: str) -> list[str]:
+    value = _json_field(obj, key, list, where)
+    if not all(isinstance(s, str) for s in value):
+        raise ValueError(f'{where} field "{key}" is not a list of strings')
+    return value
+
+
 def family_from_json(text: str) -> CoveringFamily:
-    """Parse and re-validate (widths, disjointness) a rectangle family."""
+    """Parse and re-validate (fields, widths, disjointness) a rectangle family;
+    a missing or ill-typed field raises ValueError naming it."""
     obj = json.loads(text)
-    rects = tuple(
-        Rectangle.from_text(obj["d"], r["rows"], r["cols"]) for r in obj["rectangles"]
-    )
-    return CoveringFamily(obj["d"], rects, label=obj.get("label", ""))
+    d = _json_field(obj, "d", int, "family")
+    rects = []
+    for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
+        rows, cols = (_json_strings(r, key, f"rectangle {i}") for key in ("rows", "cols"))
+        rects.append(Rectangle.from_text(d, rows, cols))
+    return CoveringFamily(d, tuple(rects), label=obj.get("label", ""))
 
 
 def certificate_to_json(cert: CoveringCertificate) -> str:

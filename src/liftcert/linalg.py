@@ -38,36 +38,6 @@ def _frozen_array(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymMatrix:
-    """A d x d real symmetric matrix storing only the upper triangle."""
-
-    d: int
-    upper: np.ndarray  # packed row-major upper triangle, length d(d+1)/2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.d <= MAX_DIM:
-            raise ValueError(f"d = {self.d} outside [1, {MAX_DIM}]")
-        if self.upper.shape != (self.d * (self.d + 1) // 2,):
-            raise ValueError("packed upper triangle has wrong length")
-        object.__setattr__(self, "upper", _frozen_array(self.upper))
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "SymMatrix":
-        a = np.asarray(a, dtype=float)
-        d = a.shape[0]
-        if a.shape != (d, d):
-            raise ValueError("not a square matrix")
-        iu = np.triu_indices(d)
-        return cls(d, 0.5 * (a + a.T)[iu])
-
-    def to_array(self) -> np.ndarray:
-        a = np.zeros((self.d, self.d))
-        iu = np.triu_indices(self.d)
-        a[iu] = self.upper
-        return a + np.triu(a, 1).T
-
-
-@dataclass(frozen=True)
 class PsdMatrix:
     """X = B B^T for a d x r Gram factor B with r <= d; PSD by construction."""
 
@@ -102,9 +72,6 @@ class PsdMatrix:
 
     def matrix(self) -> np.ndarray:
         return self.gram_factor @ self.gram_factor.T
-
-    def sym(self) -> SymMatrix:
-        return SymMatrix.from_array(self.matrix())
 
     def is_zero(self) -> bool:
         return self.rank_bound == 0 or not np.any(self.gram_factor)

@@ -10,9 +10,13 @@ import pytest
 
 from liftcert.cli import main
 from liftcert.covering import (
+    MAX_COVER_D,
+    CoveringFamily,
+    Rectangle,
     certificate_from_json,
     explicit_covering_d2,
     family_from_json,
+    family_to_json,
     recursive_covering,
 )
 
@@ -21,6 +25,14 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_error(capsys, *argv: str) -> tuple[int, str]:
+    """Exit code and stderr of an invocation that prints no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
 
 
 class TestUdisj:
@@ -89,6 +101,16 @@ class TestCoveringCommands:
         assert run_cli(capsys, "covering", "verify",
                        "--family", "/nonexistent.json")[0] == 2
 
+    def test_width_above_cap_exits_2(self, tmp_path, capsys):
+        d = MAX_COVER_D + 1
+        zero = "0" * d
+        fam_file = tmp_path / "wide.json"
+        fam_file.write_text(family_to_json(
+            CoveringFamily(d, (Rectangle.from_text(d, [zero], [zero]),), label="wide")
+        ))
+        code, err = run_cli_error(capsys, "covering", "verify", "--family", str(fam_file))
+        assert code == 2 and f"outside [1, {MAX_COVER_D}]" in err
+
 
 class TestAtomSample:
     def test_pattern_check_passes(self, capsys):
@@ -118,6 +140,13 @@ class TestAtomSample:
     def test_antidiagonal_needs_square(self, capsys):
         assert run_cli(capsys, "atom", "sample", "--n", "3", "--d", "2",
                        "--trials", "1", "--check", "antidiagonal")[0] == 2
+
+    @pytest.mark.parametrize("command", [["atom", "sample"], ["induction"]])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, capsys, command, trials):
+        code, err = run_cli_error(capsys, *command, "--n", "2", "--d", "2",
+                                  "--trials", trials)
+        assert code == 2 and "trials must be at least 1" in err
 
     def test_seed_in_report(self, capsys):
         _, out = run_cli(capsys, "atom", "sample", "--n", "2", "--d", "2",
@@ -155,6 +184,25 @@ class TestInductionCommand:
         run_cli(capsys, "covering", "build", "--d", "3", "--out", str(fam_file))
         assert run_cli(capsys, "induction", "--n", "4", "--d", "2",
                        "--trials", "1", "--family", str(fam_file))[0] == 2
+
+
+@pytest.mark.parametrize("command", [["covering", "verify"],
+                                     ["induction", "--n", "2", "--d", "1"]])
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        pytest.param("{}", '"d"', id="empty-object"),
+        pytest.param('{"d": 1, "rectangles": [{"rows": ["0"]}]}', '"cols"',
+                     id="rectangle-without-cols"),
+        pytest.param("[]", "family is not a JSON object", id="top-level-list"),
+    ],
+)
+def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, text,
+                                                   field):
+    fam_file = tmp_path / "fam.json"
+    fam_file.write_text(text)
+    code, err = run_cli_error(capsys, *command, "--family", str(fam_file))
+    assert code == 2 and field in err
 
 
 class TestDeterminism:

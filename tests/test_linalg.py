@@ -9,7 +9,6 @@ from liftcert.linalg import (
     ORTHO_TOL,
     PsdMatrix,
     Subspace,
-    SymMatrix,
     contains,
     image,
     inner,
@@ -24,19 +23,6 @@ def same_space(a: Subspace, b: Subspace) -> bool:
     return a.dim == b.dim and contains(a, b) and contains(b, a)
 
 
-class TestSymMatrix:
-    def test_round_trip_symmetrizes(self):
-        a = np.array([[1.0, 2.0], [0.0, 3.0]])
-        s = SymMatrix.from_array(a)
-        out = s.to_array()
-        assert np.allclose(out, out.T)
-        assert out[0, 1] == out[1, 0] == 1.0
-
-    def test_packed_length_checked(self):
-        with pytest.raises(ValueError):
-            SymMatrix(2, np.zeros(4))
-
-
 class TestPsdMatrix:
     def test_zero_and_identity(self):
         z = PsdMatrix.zero(3)
@@ -46,10 +32,6 @@ class TestPsdMatrix:
     def test_rank_bound_validated(self):
         with pytest.raises(ValueError):
             PsdMatrix(np.zeros((2, 3)))
-
-    def test_sym_view(self):
-        x = random_psd(3, 2, 7)
-        assert np.allclose(x.sym().to_array(), x.matrix())
 
 
 class TestInner:
