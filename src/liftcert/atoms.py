@@ -45,7 +45,6 @@ from .linalg import (
     PsdMatrix,
     Subspace,
     image,
-    inner,
     kernel,
     random_psd,
     subspace_intersect,
@@ -101,25 +100,35 @@ class PsdFactorization:
                     raise ValueError(f"{name} entry has dimension {mat.d} != {self.d}")
 
 
+def _stack(side: Mapping[BitString, PsdMatrix], n: int, d: int) -> np.ndarray:
+    """One side's Gram factors as a (2^n, d, d) stack, zero-padded to d columns."""
+    out = np.zeros((1 << n, d, d))
+    for s, mat in side.items():
+        out[s.value, :, : mat.rank_bound] = mat.gram_factor
+    return out
+
+
+def _sum_sq(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms over the last two axes."""
+    return (x * x).sum(axis=(-2, -1))
+
+
 def evaluate(f: PsdFactorization) -> SupportMatrix:
     """Dense matrix of pairwise trace inner products (all entries >= 0).
 
-    Entries at rounding-noise level relative to their Cauchy-Schwarz bound
-    (see NOISE_REL) are stored as exact zeros.
+    Entry (a, b) is ||U_a^T V_b||_F^2 over the Gram factors, a sum of
+    squares; all 4^n products come from one broadcast matmul over the two
+    stacks.  Entries at rounding-noise level relative to their
+    Cauchy-Schwarz bound (see NOISE_REL) are stored as exact zeros.
     """
     if f.n > MAX_DENSE_N:
         raise ValueError(f"n = {f.n} exceeds dense cap {MAX_DENSE_N}")
-    strings = all_strings(f.n)
-    u_norm = {a: inner(f.U[a], f.U[a]) ** 0.5 for a in strings}
-    v_norm = {b: inner(f.V[b], f.V[b]) ** 0.5 for b in strings}
-    entries: dict[tuple[BitString, BitString], float] = {}
-    for a in strings:
-        ua = f.U[a]
-        for b in strings:
-            v = inner(ua, f.V[b])
-            if v > NOISE_REL * u_norm[a] * v_norm[b]:
-                entries[(a, b)] = v
-    return SupportMatrix(f.n, entries)
+    u, v = _stack(f.U, f.n, f.d), _stack(f.V, f.n, f.d)
+    ut, vt = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+    m = _sum_sq(ut[:, None] @ v[None])
+    # ||U_a U_a^T||_F * ||V_b V_b^T||_F, with ||B B^T||_F^2 = ||B^T B||_F^2
+    bound = np.sqrt(np.outer(_sum_sq(ut @ u), _sum_sq(vt @ v)))
+    return SupportMatrix(f.n, np.where(m > NOISE_REL * bound, m, 0.0))
 
 
 def _draw_rank(profile: RankProfile, gen: np.random.Generator, d: int) -> int:
@@ -262,15 +271,19 @@ _TEMPLATE_GRIDS: dict[PatternId, tuple[str, str, str, str]] = {
 }
 
 
+#: Allowed-positive positions ('x' or '?') of each template as a 4 x 4 mask,
+#: in pattern id order.
+_TEMPLATE_MASKS = {
+    pid: np.array([[c in "x?" for c in row] for row in grid])
+    for pid, grid in _TEMPLATE_GRIDS.items()
+}
+
+
 def pattern_template(pid: PatternId) -> frozenset[tuple[BitString, BitString]]:
     """Allowed-positive positions of the pattern (including the '?' corner)."""
-    grid = _TEMPLATE_GRIDS[PatternId(pid)]
-    rows = all_strings(2)
     return frozenset(
-        (a, b)
-        for i, a in enumerate(rows)
-        for j, b in enumerate(rows)
-        if grid[i][j] in "x?"
+        (BitString(2, a), BitString(2, b))
+        for a, b in np.argwhere(_TEMPLATE_MASKS[PatternId(pid)]).tolist()
     )
 
 
@@ -291,15 +304,13 @@ def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
     if m.n != 2:
         raise ValueError(f"pattern classification needs n = 2, got {m.n}")
     support = m.support(eps)
-    for pid in PatternId:
-        if support <= pattern_template(pid):
+    for pid, allowed in _TEMPLATE_MASKS.items():
+        if not np.any(support & ~allowed):
             return pid
-    raise NoPatternMatches(
-        "support {"
-        + ", ".join(f"({a}, {b})" for a, b in sorted(support))
-        + "} fits none of the six patterns",
-        matrix=m,
+    pairs = ", ".join(
+        f"({BitString(2, a)}, {BitString(2, b)})" for a, b in np.argwhere(support).tolist()
     )
+    raise NoPatternMatches(f"support {{{pairs}}} fits none of the six patterns", matrix=m)
 
 
 def factorization_to_json(f: PsdFactorization) -> str:

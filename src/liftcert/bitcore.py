@@ -2,8 +2,10 @@
 
 Rows and columns of every matrix in this package are indexed by fixed-width
 bitstrings ordered lexicographically with the leftmost bit most significant,
-so lexicographic order coincides with numeric order of the underlying value
-and the leading bit selects the block row/column in block decompositions.
+so lexicographic order coincides with numeric order of the underlying value.
+A matrix is therefore a 2^n x 2^n array indexed by those values, with
+``BitString`` needed only at the text boundary, and the leading bits select
+the block row/column in block decompositions.
 
 The central object is UDISJ(n), the 2^n x 2^n matrix with entry
 (1 - a.b)^2 at the bitstring pair (a, b).  Its combinatorial statistic
@@ -13,9 +15,12 @@ val(UDISJ(n)) = 3^n.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 MAX_WIDTH = 16
 MAX_DENSE_N = 10
@@ -70,9 +75,6 @@ class BitString:
     def complement(self) -> "BitString":
         return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
-    def weight(self) -> int:
-        return self.value.bit_count()
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b") if self.width else ""
 
@@ -97,17 +99,6 @@ def concat(x: BitString, a: BitString) -> BitString:
     if x.width + a.width > MAX_WIDTH:
         raise ValueError(f"combined width {x.width + a.width} exceeds {MAX_WIDTH}")
     return BitString(x.width + a.width, (x.value << a.width) | a.value)
-
-
-def split(s: BitString, d: int) -> tuple[BitString, BitString]:
-    """Inverse of concat: the leading d bits and the trailing width-d bits."""
-    if not 0 <= d <= s.width:
-        raise ValueError(f"cannot split off {d} bits from width {s.width}")
-    tail_width = s.width - d
-    return (
-        BitString(d, s.value >> tail_width),
-        BitString(tail_width, s.value & ((1 << tail_width) - 1)),
-    )
 
 
 def iter_disjoint_pairs(n: int) -> Iterator[tuple[BitString, BitString]]:
@@ -141,52 +132,65 @@ def enumerate_disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
     return list(iter_disjoint_pairs(n))
 
 
-@dataclass(frozen=True)
-class SupportMatrix:
-    """A nonnegative matrix indexed by width-n bitstring pairs, stored sparsely.
+@functools.lru_cache(maxsize=None)
+def _intersection_table(n: int) -> np.ndarray:
+    """Read-only (2^n, 2^n) table of a.b = popcount(a & b) over values a, b."""
+    idx = np.arange(1 << n)
+    popcount = np.array([v.bit_count() for v in range(1 << n)], dtype=np.uint8)
+    table = popcount[idx[:, None] & idx[None, :]]
+    table.setflags(write=False)
+    return table
 
-    Absent entries are zero.  Stored entries may be positive numerical noise;
-    the *support* is the set of pairs whose value exceeds the relative
-    threshold eps * scale, where scale is the largest stored entry.  Exact
-    integer matrices (such as UDISJ) keep integer values so that support
-    questions are exact.
+
+@dataclass(frozen=True, eq=False)
+class SupportMatrix:
+    """A nonnegative 2^n x 2^n matrix, held as one read-only array.
+
+    Row and column i belong to the width-n string with value i, so entry
+    (a, b) sits at ``values[a.value, b.value]`` and row-major order is lex
+    order.  Entries may be positive numerical noise; the *support* is the
+    mask of entries above the relative threshold eps * scale, where scale is
+    the largest entry.  Exact integer matrices (such as UDISJ) keep an
+    integer dtype so that support questions are exact.
     """
 
     n: int
-    entries: dict[tuple[BitString, BitString], float] = field(default_factory=dict)
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_WIDTH:
-            raise ValueError(f"n = {self.n} outside [0, {MAX_WIDTH}]")
-        for (a, b), v in self.entries.items():
-            if a.width != self.n or b.width != self.n:
-                raise ValueError(f"index ({a}, {b}) has width != {self.n}")
-            if v < 0:
-                raise ValueError(f"negative entry {v} at ({a}, {b})")
+        if not 0 <= self.n <= MAX_DENSE_N:
+            raise ValueError(f"n = {self.n} outside [0, {MAX_DENSE_N}] (dense cap)")
+        arr = np.array(self.values)
+        side = 1 << self.n
+        if arr.shape != (side, side):
+            raise ValueError(f"shape {arr.shape} is not ({side}, {side})")
+        if (arr < 0).any():
+            i, j = np.argwhere(arr < 0)[0].tolist()
+            a, b = BitString(self.n, i), BitString(self.n, j)
+            raise ValueError(f"negative entry {arr[i, j]} at ({a}, {b})")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def value(self, a: BitString, b: BitString) -> float:
-        return self.entries.get((a, b), 0)
+        if a.width != self.n or b.width != self.n:
+            raise ValueError(f"index ({a}, {b}) has width != {self.n}")
+        return self.values[a.value, b.value].item()
 
     @property
     def scale(self) -> float:
         """Largest entry; 0 for the zero matrix."""
-        return max(self.entries.values(), default=0)
+        return self.values.max().item()
 
     def threshold(self, eps: float = EPS_ZERO) -> float:
+        """eps * scale, for a relative eps in [0, 1); anything else (NaN, a
+        negative eps, or one that hides the largest entry) raises ValueError."""
+        if not 0 <= eps < 1:
+            raise ValueError(f"epsilon {eps} outside [0, 1)")
         return eps * self.scale
 
-    def support(self, eps: float = EPS_ZERO) -> set[tuple[BitString, BitString]]:
-        """Pairs whose value exceeds the zero-classification threshold."""
-        thr = self.threshold(eps)
-        return {pair for pair, v in self.entries.items() if v > thr}
-
-    def __add__(self, other: "SupportMatrix") -> "SupportMatrix":
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: n = {self.n} vs {other.n}")
-        merged = dict(self.entries)
-        for pair, v in other.entries.items():
-            merged[pair] = merged.get(pair, 0) + v
-        return SupportMatrix(self.n, merged)
+    def support(self, eps: float = EPS_ZERO) -> np.ndarray:
+        """Boolean mask of the entries above the zero-classification threshold."""
+        return self.values > self.threshold(eps)
 
 
 def udisj(n: int) -> SupportMatrix:
@@ -197,13 +201,8 @@ def udisj(n: int) -> SupportMatrix:
     """
     if not 1 <= n <= MAX_DENSE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_DENSE_N}] (dense cap)")
-    entries: dict[tuple[BitString, BitString], float] = {}
-    for a in all_strings(n):
-        for b in all_strings(n):
-            k = intersection_size(a, b)
-            if k != 1:
-                entries[(a, b)] = (1 - k) ** 2
-    return SupportMatrix(n, entries)
+    k = _intersection_table(n).astype(np.int64)
+    return SupportMatrix(n, (1 - k) ** 2 * (k != 1))
 
 
 def cor_slack(a: BitString, b: BitString) -> int:
@@ -214,62 +213,63 @@ def cor_slack(a: BitString, b: BitString) -> int:
     """
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    n = a.width
-    abits = [a.bit(i) for i in range(1, n + 1)]
-    bbits = [b.bit(i) for i in range(1, n + 1)]
-    ip = 0
-    for i in range(n):
-        for j in range(n):
-            lhs = 2 * abits[i] * (i == j) - abits[i] * abits[j]
-            ip += lhs * bbits[i] * bbits[j]
-    return 1 - ip
+    abits, bbits = (np.array([s.bit(i) for i in range(1, s.width + 1)], dtype=int)
+                    for s in (a, b))
+    lhs = 2 * np.diag(abits) - np.outer(abits, abits)
+    return 1 - int(bbits @ lhs @ bbits)
 
 
 def val(m: SupportMatrix, eps: float = EPS_ZERO) -> int:
     """Number of disjoint pairs carrying an entry above the zero threshold."""
-    return sum(1 for a, b in m.support(eps) if intersection_size(a, b) == 0)
+    return int(np.count_nonzero(m.support(eps) & (_intersection_table(m.n) == 0)))
 
 
 def is_atom_pattern(m: SupportMatrix, eps: float = EPS_ZERO) -> bool:
     """True iff every pair intersecting in exactly one position is (numerically) zero."""
-    thr = m.threshold(eps)
-    return all(
-        v <= thr for (a, b), v in m.entries.items() if intersection_size(a, b) == 1
-    )
+    return not np.any(m.support(eps) & (_intersection_table(m.n) == 1))
 
 
 def has_antidiagonal_zero(
     m: SupportMatrix, eps: float = EPS_ZERO
 ) -> Optional[BitString]:
     """Lex-smallest a with a numerically zero entry at (a, complement(a)), if any."""
-    thr = m.threshold(eps)
-    for a in all_strings(m.n):
-        if m.value(a, a.complement()) <= thr:
-            return a
-    return None
+    idx = np.arange(1 << m.n)
+    # the complement of value a is 2^n - 1 - a
+    hits = np.flatnonzero(m.values[idx, idx[::-1]] <= m.threshold(eps))
+    return BitString(m.n, int(hits[0])) if hits.size else None
 
 
 def matrix_to_csv(m: SupportMatrix) -> str:
     """Dense CSV with lex-ordered bitstring headers."""
-    cols = all_strings(m.n)
-    lines = ["," + ",".join(str(c) for c in cols)]
-    for a in all_strings(m.n):
-        lines.append(str(a) + "," + ",".join(repr(m.value(a, c)) for c in cols))
+    labels = [str(s) for s in all_strings(m.n)]
+    lines = ["," + ",".join(labels)]
+    for label, row in zip(labels, m.values.tolist()):
+        lines.append(label + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
-    """JSON object listing only the entries above the zero threshold."""
-    rows = sorted((str(a), str(b), m.value(a, b)) for a, b in m.support(eps))
-    obj = {"n": m.n, "entries": [[a, b, v] for a, b, v in rows]}
-    return json.dumps(obj, sort_keys=True)
+    """JSON object listing only the entries above the zero threshold, in lex order."""
+    mask = m.support(eps)
+    labels = [str(s) for s in all_strings(m.n)]
+    rows, cols = np.nonzero(mask)
+    entries = [
+        [labels[a], labels[b], v]
+        for a, b, v in zip(rows.tolist(), cols.tolist(), m.values[mask].tolist())
+    ]
+    return json.dumps({"n": m.n, "entries": entries}, sort_keys=True)
 
 
 def matrix_from_entries(
     n: int, items: Iterable[tuple[str, str, float]]
 ) -> SupportMatrix:
-    """Build a matrix from (row text, column text, value) triples."""
-    entries = {
-        (BitString.from_text(a), BitString.from_text(b)): v for a, b, v in items
-    }
-    return SupportMatrix(n, entries)
+    """Build a matrix from (row text, column text, value) triples; the dtype
+    is that of the values, and a repeated pair keeps its last value."""
+    items = list(items)
+    values = np.zeros((1 << n, 1 << n), dtype=np.array([v for *_, v in items]).dtype)
+    for row, col, v in items:
+        a, b = BitString.from_text(row), BitString.from_text(col)
+        if a.width != n or b.width != n:
+            raise ValueError(f"index ({a}, {b}) has width != {n}")
+        values[a.value, b.value] = v
+    return SupportMatrix(n, values)

@@ -35,6 +35,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from .atoms import PatternId, PsdFactorization, evaluate, pattern_disjoint_support
 from .bitcore import (
     EPS_ZERO,
@@ -45,7 +47,6 @@ from .bitcore import (
     enumerate_disjoint_pairs,
     intersection_size,
     is_atom_pattern,
-    split,
     val,
 )
 
@@ -210,7 +211,9 @@ def find_certificate(
     O(sum_i |R_i| + augmentation).  Returns None when no assignment
     saturates the support.
     """
-    pairs = sorted(set(support))
+    pairs = sorted(
+        set(support), key=lambda p: (p[0].width, p[0].value, p[1].width, p[1].value)
+    )
     for x, y in pairs:
         if x.width != family.d or y.width != family.d:
             raise ValueError(f"pair ({x}, {y}) has width != {family.d}")
@@ -337,37 +340,18 @@ def phi_table_d2() -> list[CoveringCertificate]:
     return [_phi(pid, table) for pid, table in enumerate(tables, start=1)]
 
 
-def block_decompose(m: SupportMatrix, d: int) -> dict[Pair, SupportMatrix]:
+def block_decompose(m: SupportMatrix, d: int) -> np.ndarray:
     """Split into a 2^d x 2^d grid of blocks indexed by width-d prefixes.
 
-    Block (x, y) holds entry (a, b) at M[x concat a, y concat b]; blocks have
-    side 2^(n-d).  Requires 1 <= d <= n.
+    Entry [x, y, a, b] of the returned (read-only) array is
+    M[x concat a, y concat b]: the prefix is the more significant part of the
+    index, so this is a reshape.  Blocks have side 2^(n-d).  Requires
+    1 <= d <= n.
     """
     if not 1 <= d <= m.n:
         raise ValueError(f"block width d = {d} outside [1, {m.n}]")
-    inner_n = m.n - d
-    grid: dict[Pair, dict[Pair, float]] = {
-        (x, y): {} for x in all_strings(d) for y in all_strings(d)
-    }
-    for (r, c), v in m.entries.items():
-        x, a = split(r, d)
-        y, b = split(c, d)
-        grid[(x, y)][(a, b)] = v
-    return {key: SupportMatrix(inner_n, entries) for key, entries in grid.items()}
-
-
-def block_assemble(blocks: Mapping[Pair, SupportMatrix]) -> SupportMatrix:
-    """Inverse of block_decompose."""
-    if not blocks:
-        raise ValueError("no blocks to assemble")
-    some_key = next(iter(blocks))
-    d = some_key[0].width
-    inner_n = blocks[some_key].n
-    entries: dict[Pair, float] = {}
-    for (x, y), block in blocks.items():
-        for (a, b), v in block.entries.items():
-            entries[(concat(x, a), concat(y, b))] = v
-    return SupportMatrix(d + inner_n, entries)
+    outer, inner = 1 << d, 1 << (m.n - d)
+    return m.values.reshape(outer, inner, outer, inner).transpose(0, 2, 1, 3)
 
 
 def aggregate(m: SupportMatrix, family: CoveringFamily) -> list[SupportMatrix]:
@@ -375,10 +359,10 @@ def aggregate(m: SupportMatrix, family: CoveringFamily) -> list[SupportMatrix]:
     blocks = block_decompose(m, family.d)
     out = []
     for r in family.rectangles:
-        acc = SupportMatrix(m.n - family.d)
-        for pair in r.pairs():
-            acc = acc + blocks[pair]
-        out.append(acc)
+        rows = sorted(x.value for x in r.rows)
+        cols = sorted(y.value for y in r.cols)
+        part = blocks[np.ix_(rows, cols)].sum(axis=(0, 1))
+        out.append(SupportMatrix(m.n - family.d, part))
     return out
 
 

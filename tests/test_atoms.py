@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liftcert.atoms import (
+    NOISE_REL,
     FalsificationError,
     NoPatternMatches,
     PatternId,
@@ -20,15 +21,18 @@ from liftcert.atoms import (
     sample_atom,
 )
 from liftcert.bitcore import (
+    EPS_ZERO,
     BitString,
     SupportMatrix,
     all_strings,
+    enumerate_disjoint_pairs,
     has_antidiagonal_zero,
     intersection_size,
     is_atom_pattern,
+    matrix_from_entries,
     val,
 )
-from liftcert.linalg import PsdMatrix, contains, image
+from liftcert.linalg import PsdMatrix, contains, image, inner
 
 
 def constant_factorization(n: int, d: int, mat: PsdMatrix) -> PsdFactorization:
@@ -36,11 +40,31 @@ def constant_factorization(n: int, d: int, mat: PsdMatrix) -> PsdFactorization:
     return PsdFactorization(n, d, dict(side), dict(side))
 
 
+def ones_at(pairs) -> SupportMatrix:
+    """The width-2 matrix with 1.0 at the given pairs and 0 elsewhere."""
+    return matrix_from_entries(2, [(str(a), str(b), 1.0) for a, b in pairs])
+
+
+def reference_evaluate(f: PsdFactorization) -> np.ndarray:
+    """Per-entry evaluation: one linalg.inner call per pair, with the same
+    NOISE_REL floor against the Cauchy-Schwarz bound."""
+    strings = all_strings(f.n)
+    u_norm = [inner(f.U[a], f.U[a]) ** 0.5 for a in strings]
+    v_norm = [inner(f.V[b], f.V[b]) ** 0.5 for b in strings]
+    out = np.zeros((len(strings), len(strings)))
+    for i, a in enumerate(strings):
+        for j, b in enumerate(strings):
+            v = inner(f.U[a], f.V[b])
+            if v > NOISE_REL * u_norm[i] * v_norm[j]:
+                out[i, j] = v
+    return out
+
+
 class TestEvaluate:
     def test_all_zero_factors(self):
         f = constant_factorization(2, 2, PsdMatrix.zero(2))
         m = evaluate(f)
-        assert m.entries == {} and m.scale == 0
+        assert np.array_equal(m.values, np.zeros((4, 4))) and m.scale == 0
 
     def test_all_identity_factors(self):
         f = constant_factorization(2, 3, PsdMatrix.identity(3))
@@ -60,8 +84,24 @@ class TestEvaluate:
         # zero matrix rather than to a matrix of rounding noise
         f = sample_atom(2, 2, rng=291)
         m = evaluate(f)
-        for (a, b), v in m.entries.items():
-            assert v > 0 and intersection_size(a, b) != 1
+        for a in all_strings(2):
+            for b in all_strings(2):
+                if intersection_size(a, b) == 1:
+                    assert m.value(a, b) == 0.0
+
+    @pytest.mark.parametrize("n, d, seeds", [(2, 2, 100), (3, 3, 60), (4, 2, 40),
+                                             (6, 3, 4)])
+    def test_matches_per_entry_reference(self, n, d, seeds):
+        one = np.array([[intersection_size(a, b) == 1 for b in all_strings(n)]
+                        for a in all_strings(n)])
+        for seed in range(seeds):
+            for direction in ("u-first", "v-first"):
+                f = sample_atom(n, d, rng=seed, direction=direction)
+                m, ref = evaluate(f), reference_evaluate(f)
+                assert np.array_equal(m.support(), ref > EPS_ZERO * ref.max())
+                np.testing.assert_allclose(m.values, ref, rtol=1e-14, atol=0)
+                # the by-construction zeros are exact
+                assert not m.values[one].any() and not ref[one].any()
 
 
 class TestSampleAtom:
@@ -160,23 +200,20 @@ class TestPatternTemplates:
 
 class TestClassify:
     def test_zero_matrix_is_lex_smallest_pattern(self):
-        assert classify_pattern_d2(SupportMatrix(2)) == PatternId(1)
+        assert classify_pattern_d2(SupportMatrix(2, np.zeros((4, 4)))) == PatternId(1)
 
     def test_exact_template_support(self):
         for pid in PatternId:
-            entries = {pair: 1.0 for pair in pattern_disjoint_support(pid)}
-            assert classify_pattern_d2(SupportMatrix(2, entries)) == pid
+            assert classify_pattern_d2(ones_at(pattern_disjoint_support(pid))) == pid
+            assert classify_pattern_d2(ones_at(pattern_template(pid))) == pid
 
     def test_all_disjoint_positive_matches_nothing(self):
-        from liftcert.bitcore import enumerate_disjoint_pairs
-
-        entries = {pair: 1.0 for pair in enumerate_disjoint_pairs(2)}
-        with pytest.raises(NoPatternMatches):
-            classify_pattern_d2(SupportMatrix(2, entries))
+        with pytest.raises(NoPatternMatches, match=r"^support \{\(00, 00\), \(00, 01\)"):
+            classify_pattern_d2(ones_at(enumerate_disjoint_pairs(2)))
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
-            classify_pattern_d2(SupportMatrix(3))
+            classify_pattern_d2(SupportMatrix(3, np.zeros((8, 8))))
 
     def test_sampled_sweep_val_at_most_seven(self):
         seen = set()
@@ -212,7 +249,7 @@ class TestSerialization:
         g = factorization_from_json(text)
         assert factorization_to_json(g) == text
         m1, m2 = evaluate(f), evaluate(g)
-        assert m1.entries == m2.entries
+        assert np.array_equal(m1.values, m2.values)
 
     def test_round_trip_zero_factors(self):
         f = constant_factorization(1, 2, PsdMatrix.zero(2))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from liftcert.bitcore import (
+    MAX_DENSE_N,
     BitString,
     SupportMatrix,
     all_strings,
@@ -20,7 +25,6 @@ from liftcert.bitcore import (
     matrix_from_entries,
     matrix_to_csv,
     matrix_to_json,
-    split,
     udisj,
     val,
 )
@@ -38,6 +42,15 @@ def same_width_pairs(max_width: int = 8) -> st.SearchStrategy[tuple[BitString, B
             st.integers(0, 2**w - 1).map(lambda v: BitString(w, v)),
             st.integers(0, 2**w - 1).map(lambda v: BitString(w, v)),
         )
+    )
+
+
+def small_matrices(max_n: int = 3) -> st.SearchStrategy[SupportMatrix]:
+    """Matrices with entries from a few magnitudes, noise and exact zeros included."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0]), min_size=4**n, max_size=4**n
+        ).map(lambda vs: SupportMatrix(n, np.reshape(vs, (2**n, 2**n))))
     )
 
 
@@ -96,12 +109,6 @@ class TestIntersectionAndConcat:
         assert intersection_size(concat(x, a), concat(y, b)) == intersection_size(
             x, y
         ) + intersection_size(a, b)
-
-    @given(bitstrings(8), st.integers(0, 8))
-    def test_split_inverts_concat(self, s: BitString, d: int):
-        d = min(d, s.width)
-        head, tail = split(s, d)
-        assert concat(head, tail) == s
 
 
 class TestDisjointPairs:
@@ -176,7 +183,7 @@ class TestCorSlack:
 
 class TestValAndPatterns:
     def test_val_zero_matrix(self):
-        assert val(SupportMatrix(2)) == 0
+        assert val(SupportMatrix(2, np.zeros((4, 4)))) == 0
 
     def test_val_counts_only_disjoint_support(self):
         # the 7 crosses at disjoint positions of the d=2 sparsity pattern with
@@ -200,8 +207,7 @@ class TestValAndPatterns:
         assert is_atom_pattern(udisj(n))
 
     def test_all_ones_is_not_atom_pattern(self):
-        entries = {(a, b): 1.0 for a in all_strings(2) for b in all_strings(2)}
-        assert not is_atom_pattern(SupportMatrix(2, entries))
+        assert not is_atom_pattern(SupportMatrix(2, np.ones((4, 4))))
 
     def test_tiny_noise_below_threshold_is_zero(self):
         m = matrix_from_entries(2, [("00", "00", 1.0), ("01", "01", 1e-15)])
@@ -212,14 +218,25 @@ class TestValAndPatterns:
         assert has_antidiagonal_zero(udisj(1)) is None
 
     def test_antidiagonal_zero_of_zero_matrix(self):
-        assert has_antidiagonal_zero(SupportMatrix(2)) == BitString.zero(2)
+        assert has_antidiagonal_zero(SupportMatrix(2, np.zeros((4, 4)))) == BitString.zero(2)
 
     def test_antidiagonal_zero_lex_smallest(self):
-        entries = {(a, a.complement()): 1.0 for a in all_strings(2)}
-        del entries[(BitString.from_text("01"), BitString.from_text("10"))]
-        del entries[(BitString.from_text("10"), BitString.from_text("01"))]
-        m = SupportMatrix(2, entries)
+        # positive at (00, 11) and (11, 00) only: 01 is the first zero
+        m = matrix_from_entries(2, [("00", "11", 1.0), ("11", "00", 1.0)])
         assert has_antidiagonal_zero(m) == BitString.from_text("01")
+
+    @given(small_matrices(), st.sampled_from([0.0, 1e-9, 0.2, 0.5]))
+    def test_masks_match_per_entry_reference(self, m: SupportMatrix, eps: float):
+        pairs = [(a, b) for a in all_strings(m.n) for b in all_strings(m.n)]
+        thr = eps * max(m.value(a, b) for a, b in pairs)
+        support = {(a, b) for a, b in pairs if m.value(a, b) > thr}
+        assert {(a, b) for a, b in pairs if m.support(eps)[a.value, b.value]} == support
+        assert val(m, eps) == sum(1 for a, b in support if intersection_size(a, b) == 0)
+        assert is_atom_pattern(m, eps) == all(
+            intersection_size(a, b) != 1 for a, b in support
+        )
+        zeros = [a for a in all_strings(m.n) if (a, a.complement()) not in support]
+        assert has_antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
 
 
 class TestEmission:
@@ -231,12 +248,55 @@ class TestEmission:
         assert lines[2] == "1,1,0"
 
     def test_json_lists_only_nonzeros(self):
-        import json
-
         obj = json.loads(matrix_to_json(udisj(1)))
         assert obj["n"] == 1
         assert [["0", "0", 1], ["0", "1", 1], ["1", "0", 1]] == obj["entries"]
 
+    def test_float_entries_keep_full_precision(self):
+        m = matrix_from_entries(1, [("1", "0", 0.1), ("0", "1", 2.5)])
+        obj = json.loads(matrix_to_json(m))
+        assert obj["entries"] == [["0", "1", 2.5], ["1", "0", 0.1]]
+        assert matrix_to_csv(m).splitlines()[1:] == ["0,0.0,2.5", "1,0.1,0.0"]
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_entries(1, [("0", "0", -1.0)])
+
+
+class TestSupportMatrix:
+    def test_dense_cap(self):
+        n = MAX_DENSE_N + 1
+        with pytest.raises(ValueError, match="dense cap"):
+            SupportMatrix(n, np.zeros((1 << n, 1 << n), dtype=np.uint8))
+
+    def test_wrong_shape_or_width_rejected(self):
+        with pytest.raises(ValueError):
+            SupportMatrix(2, np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            matrix_from_entries(2, [("0", "1", 1.0)])
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.ones((2, 2))
+        m = SupportMatrix(1, raw)
+        raw[0, 0] = 5.0
+        assert m.value(BitString.zero(1), BitString.zero(1)) == 1.0
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 2.0
+
+    def test_row_major_is_lex_order(self):
+        m = SupportMatrix(2, np.arange(16).reshape(4, 4))
+        for a in all_strings(2):
+            for b in all_strings(2):
+                assert m.value(a, b) == 4 * a.value + b.value
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, 1.0, 1e9, math.inf])
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            udisj(2).threshold(eps)
+        with pytest.raises(ValueError):
+            val(udisj(2), eps)
+
+    def test_epsilon_zero_keeps_every_positive_entry(self):
+        m = matrix_from_entries(1, [("0", "0", 1.0), ("0", "1", 1e-300)])
+        assert m.threshold(0.0) == 0.0
+        assert val(m, 0.0) == 2

@@ -205,6 +205,20 @@ def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, te
     assert code == 2 and field in err
 
 
+@pytest.mark.parametrize("command", [
+    ["udisj", "--n", "2"],
+    ["udisj", "--n", "2", "--format", "csv"],
+    ["atom", "sample", "--n", "2", "--d", "2", "--check", "patterns"],
+    ["atom", "sample", "--n", "2", "--d", "2", "--check", "antidiagonal"],
+    ["atom", "sample", "--n", "2", "--d", "1", "--check", "induction"],
+    ["induction", "--n", "2", "--d", "1"],
+])
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "1e9"])
+def test_epsilon_outside_unit_interval_exits_2(capsys, command, epsilon):
+    code, err = run_cli_error(capsys, *command, "--epsilon", epsilon)
+    assert code == 2 and "outside [0, 1)" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

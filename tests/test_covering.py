@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from liftcert.bitcore import (
     BitString,
     SupportMatrix,
     all_strings,
+    concat,
     enumerate_disjoint_pairs,
     intersection_size,
     is_atom_pattern,
@@ -26,7 +28,6 @@ from liftcert.covering import (
     Rectangle,
     aggregate,
     base_covering_d1,
-    block_assemble,
     block_decompose,
     certificate_from_json,
     certificate_to_json,
@@ -263,26 +264,35 @@ class TestBlockOps:
     def test_full_depth_blocks_are_entries(self):
         m = udisj(2)
         blocks = block_decompose(m, 2)
-        empty = BitString(0, 0)
+        assert blocks.shape == (4, 4, 1, 1)
         for x in all_strings(2):
             for y in all_strings(2):
-                assert blocks[(x, y)].value(empty, empty) == m.value(x, y)
+                assert blocks[x.value, y.value, 0, 0] == m.value(x, y)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             block_decompose(udisj(2), 0)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_reassembly_identity(self, d):
-        m = udisj(3)
-        assert block_assemble(block_decompose(m, d)).entries == m.entries
+    def test_block_entries_are_prefix_concatenations(self, d):
+        # distinct entries, so any misplaced index shows
+        m = SupportMatrix(3, np.arange(64).reshape(8, 8))
+        blocks = block_decompose(m, d)
+        assert blocks.shape == (2**d, 2**d, 2 ** (3 - d), 2 ** (3 - d))
+        for x in all_strings(d):
+            for y in all_strings(d):
+                for a in all_strings(3 - d):
+                    for b in all_strings(3 - d):
+                        assert blocks[x.value, y.value, a.value, b.value] == m.value(
+                            concat(x, a), concat(y, b)
+                        )
 
     def test_val_splits_over_disjoint_blocks(self):
         for seed in range(30):
             m = evaluate(sample_atom(4, 2, rng=seed))
             blocks = block_decompose(m, 2)
             total = sum(
-                val(blocks[(x, y)])
+                val(SupportMatrix(2, blocks[x.value, y.value]))
                 for x, y in enumerate_disjoint_pairs(2)
             )
             assert val(m) == total
@@ -292,15 +302,16 @@ class TestBlockOps:
         z2 = BitString.zero(2)
         fam = CoveringFamily(2, (Rectangle(2, frozenset([z2]), frozenset([z2])),))
         (only,) = aggregate(m, fam)
-        assert only.entries == block_decompose(m, 2)[(z2, z2)].entries
+        assert only.n == 1
+        assert np.array_equal(only.values, block_decompose(m, 2)[0, 0])
 
     def test_aggregate_udisj_d1_matches_block_sums(self):
         m = udisj(4)
         blocks = block_decompose(m, 1)
-        z, o = BitString(1, 0), BitString(1, 1)
         m1, m2 = aggregate(m, base_covering_d1())
-        assert m1.entries == (blocks[(z, z)] + blocks[(z, o)]).entries
-        assert m2.entries == (blocks[(z, z)] + blocks[(o, z)]).entries
+        assert m1.values.dtype == m2.values.dtype == np.int64
+        assert np.array_equal(m1.values, blocks[0, 0] + blocks[0, 1])
+        assert np.array_equal(m2.values, blocks[0, 0] + blocks[1, 0])
 
     def test_aggregates_of_atoms_stay_atoms(self):
         fam = recursive_covering(2)
@@ -336,9 +347,9 @@ class TestInduction:
         cap = (3**2 - 1) ** ((4 - 1) // 2 + 1)
         for seed in range(10):
             r = 3
-            total = SupportMatrix(4)
-            for j in range(r):
-                total = total + evaluate(sample_atom(4, 2, rng=1000 * seed + j))
+            total = SupportMatrix(4, sum(
+                evaluate(sample_atom(4, 2, rng=1000 * seed + j)).values for j in range(r)
+            ))
             assert val(total) <= r * cap
 
     def test_width_below_family_rejected(self):
