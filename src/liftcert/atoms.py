@@ -5,11 +5,17 @@ matrix U_a to every row string and V_b to every column string; the evaluated
 matrix has entries <U_a, V_b> and must vanish whenever a and b intersect in
 exactly one position.
 
+A factorization holds each side as one (2^n, d, d) stack of Gram factors
+indexed by string value (lex order), zero-padded to d columns, so evaluation
+is one broadcast matmul and strings appear only in the JSON form.
+
 The sampler constructs such factorizations directly: one side is drawn at
 random, and each matrix on the other side is built inside the intersection of
 the kernels of its intersection-one partners, so the required zeros hold by
 construction (numerically they land many orders below the classification
-threshold).  On top of the sampler sit two falsifiable oracles:
+threshold).  Each string's partners are one row of the intersection table,
+and every string's space comes from one batched SVD of the partners' factors
+placed side by side.  On top of the sampler sit two falsifiable oracles:
 
 * ``antidiagonal_witness`` finds, for n = d, a pair (a, complement(a)) whose
   entry is zero, by walking the nondecreasing chain of column-image sums
@@ -27,8 +33,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -37,19 +44,12 @@ from .bitcore import (
     MAX_DENSE_N,
     BitString,
     SupportMatrix,
+    _json_field,
     all_strings,
     intersection_size,
+    intersection_table,
 )
-from .linalg import (
-    MAX_DIM,
-    PsdMatrix,
-    Subspace,
-    image,
-    kernel,
-    random_psd,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import MAX_DIM, image, random_psd, subspace_intersect, subspace_sum
 
 MAX_SAMPLE_N = 8
 
@@ -81,31 +81,30 @@ class NoPatternMatches(FalsificationError):
         self.matrix = matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdFactorization:
-    """Per-index d x d PSD Gram factors realizing M_{a,b} = <U_a, V_b>."""
+    """Gram factors realizing M_{a,b} = <U_a U_a^T, V_b V_b^T>.
+
+    ``U`` and ``V`` are read-only (2^n, d, d) stacks indexed by string value:
+    ``U[a.value]`` is the Gram factor of row string a, zero-padded to d
+    columns (a factor of rank r fills its first r columns).
+    """
 
     n: int
     d: int
-    U: Mapping[BitString, PsdMatrix]
-    V: Mapping[BitString, PsdMatrix]
+    U: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = set(all_strings(self.n))
-        for name, side in (("U", self.U), ("V", self.V)):
-            if set(side) != expected:
-                raise ValueError(f"{name} must have one entry per width-{self.n} string")
-            for mat in side.values():
-                if mat.d != self.d:
-                    raise ValueError(f"{name} entry has dimension {mat.d} != {self.d}")
-
-
-def _stack(side: Mapping[BitString, PsdMatrix], n: int, d: int) -> np.ndarray:
-    """One side's Gram factors as a (2^n, d, d) stack, zero-padded to d columns."""
-    out = np.zeros((1 << n, d, d))
-    for s, mat in side.items():
-        out[s.value, :, : mat.rank_bound] = mat.gram_factor
-    return out
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"d = {self.d} outside [1, {MAX_DIM}]")
+        shape = (1 << self.n, self.d, self.d)
+        for name in ("U", "V"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _sum_sq(x: np.ndarray) -> np.ndarray:
@@ -123,7 +122,7 @@ def evaluate(f: PsdFactorization) -> SupportMatrix:
     """
     if f.n > MAX_DENSE_N:
         raise ValueError(f"n = {f.n} exceeds dense cap {MAX_DENSE_N}")
-    u, v = _stack(f.U, f.n, f.d), _stack(f.V, f.n, f.d)
+    u, v = f.U, f.V
     ut, vt = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
     m = _sum_sq(ut[:, None] @ v[None])
     # ||U_a U_a^T||_F * ||V_b V_b^T||_F, with ||B B^T||_F^2 = ||B^T B||_F^2
@@ -149,27 +148,26 @@ def _draw_rank(profile: RankProfile, gen: np.random.Generator, d: int) -> int:
 
 
 def _constrained_side(
-    free: Mapping[BitString, PsdMatrix],
-    strings: list[BitString],
-    d: int,
-    profile: RankProfile,
-    gen: np.random.Generator,
-) -> dict[BitString, PsdMatrix]:
-    """Matrices spanned by vectors drawn inside the kernels of all
-    intersection-one partners on the free side."""
-    kernels = {a: kernel(free[a]) for a in strings}
-    out: dict[BitString, PsdMatrix] = {}
-    for b in strings:
-        partners = [a for a in strings if intersection_size(a, b) == 1]
-        if partners:
-            space = subspace_intersect([kernels[a] for a in partners])
-        else:
-            space = Subspace.full(d)
-        r = _draw_rank(profile, gen, d)
-        if r == 0 or space.dim == 0:
-            out[b] = PsdMatrix.zero(d)
-        else:
-            out[b] = PsdMatrix(space.basis @ gen.standard_normal((space.dim, r)))
+    free: np.ndarray, n: int, d: int, profile: RankProfile, gen: np.random.Generator
+) -> np.ndarray:
+    """Gram factors spanned by vectors drawn inside the kernels of all
+    intersection-one partners on the free side.
+
+    Row b of the intersection table marks b's partners; their factors placed
+    side by side (every other string's zeroed) have b's space as left null
+    space, so one batched SVD finds every string's space.  The loop draws
+    only the ranks and normals, in string order.
+    """
+    size = 1 << n
+    partner = (intersection_table(n) == 1)[:, None, :, None]
+    # entry [b, i, a, j] is free[a, i, j] when a is a partner of b, else 0
+    side_by_side = np.where(partner, free.transpose(1, 0, 2), 0.0)
+    spaces, dims = subspace_intersect(side_by_side.reshape(size, d, size * d))
+    out = np.zeros_like(free)
+    for b in range(size):
+        r, k = _draw_rank(profile, gen, d), dims[b]
+        if r and k:
+            out[b, :, :r] = spaces[b, :, :k] @ gen.standard_normal((k, r))
     return out
 
 
@@ -189,23 +187,24 @@ def sample_atom(
     the value; a callable (gen, d) -> int customizes it.  Full-rank-only
     profiles collapse every constrained matrix to zero, so uniform mixing is
     the default.  ``direction`` picks which side is free: the construction is
-    asymmetric, and both directions should exercise the oracles.
+    asymmetric, and both directions should exercise the oracles.  ``rng`` is
+    a Generator or any seed numpy accepts.
     """
     if not 1 <= n <= MAX_SAMPLE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    strings = all_strings(n)
-    if direction == "u-first":
-        u = {a: random_psd(d, _draw_rank(rank_profile, gen, d), gen) for a in strings}
-        v = _constrained_side(u, strings, d, rank_profile, gen)
-    elif direction == "v-first":
-        v = {b: random_psd(d, _draw_rank(rank_profile, gen, d), gen) for b in strings}
-        u = _constrained_side(v, strings, d, rank_profile, gen)
-    else:
+    if direction not in ("u-first", "v-first"):
         raise ValueError(f"direction must be 'u-first' or 'v-first', got {direction!r}")
-    return PsdFactorization(n, d, u, v)
+    gen = np.random.default_rng(rng)
+    free = np.zeros((1 << n, d, d))
+    for factor in free:
+        r = _draw_rank(rank_profile, gen, d)
+        factor[:, :r] = random_psd(d, r, gen)
+    constrained = _constrained_side(free, n, d, rank_profile, gen)
+    if direction == "u-first":
+        return PsdFactorization(n, d, free, constrained)
+    return PsdFactorization(n, d, constrained, free)
 
 
 def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitString:
@@ -221,21 +220,20 @@ def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitStrin
     if f.n != f.d:
         raise ValueError(f"witness needs a square-index atom, got n={f.n}, d={f.d}")
     d = f.d
-    units = [BitString.unit(d, i) for i in range(1, d + 1)]
-    chain = [image(f.V[units[0]])]
-    for e in units[1:]:
-        chain.append(subspace_sum(chain[-1], image(f.V[e])))
-    if chain[-1].dim == d:
+    # F_i = Im V_{e_1} + ... + Im V_{e_i}; e_i has value 2^(d - i)
+    chain = [image(f.V[1 << (d - 1)])]
+    for i in range(2, d + 1):
+        chain.append(subspace_sum(chain[-1], image(f.V[1 << (d - i)])))
+    dims = [space.shape[1] for space in chain]
+    if dims[-1] == d:
         a = BitString.ones(d)
-    elif chain[0].dim == 0:
-        a = units[0].complement()
+    elif dims[0] == 0:
+        a = BitString.unit(d, 1).complement()
     else:
-        stall = next(
-            (j for j in range(d - 1) if chain[j].dim == chain[j + 1].dim), None
-        )
+        stall = next((j for j in range(d - 1) if dims[j] == dims[j + 1]), None)
         # a strictly increasing chain starting at dim >= 1 would reach dim d
         assert stall is not None, "image chain cannot strictly increase below full"
-        a = units[stall + 1].complement()
+        a = BitString.unit(d, stall + 2).complement()
     m = evaluate(f)
     entry = m.value(a, a.complement())
     if entry > m.threshold(eps):
@@ -313,28 +311,56 @@ def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
     raise NoPatternMatches(f"support {{{pairs}}} fits none of the six patterns", matrix=m)
 
 
+def _json_factor(b: np.ndarray) -> list[list[float]]:
+    """Rows of a zero-padded Gram factor, up to its last nonzero column."""
+    cols = np.flatnonzero(b.any(axis=0))
+    return b[:, : cols[-1] + 1 if cols.size else 0].tolist()
+
+
 def factorization_to_json(f: PsdFactorization) -> str:
     """Full-precision JSON with Gram factor rows per index string."""
+    labels = [str(s) for s in all_strings(f.n)]
     obj = {
         "n": f.n,
         "d": f.d,
-        "U": {str(a): f.U[a].gram_factor.tolist() for a in all_strings(f.n)},
-        "V": {str(b): f.V[b].gram_factor.tolist() for b in all_strings(f.n)},
+        "U": dict(zip(labels, map(_json_factor, f.U))),
+        "V": dict(zip(labels, map(_json_factor, f.V))),
     }
     return json.dumps(obj, sort_keys=True)
 
 
 def factorization_from_json(text: str) -> PsdFactorization:
+    """Parse a factorization; a missing or ill-typed field, a key set other
+    than the width-n strings, or a factor that is not d rows of at most d
+    finite numbers raises ValueError naming it."""
     obj = json.loads(text)
-    n, d = obj["n"], obj["d"]
+    n, d = (_json_field(obj, key, int, "factorization") for key in ("n", "d"))
+    if not (0 <= n <= MAX_DENSE_N and 1 <= d <= MAX_DIM):
+        raise ValueError(f"factorization has n = {n}, d = {d} outside "
+                         f"[0, {MAX_DENSE_N}] x [1, {MAX_DIM}]")
+    labels = [str(s) for s in all_strings(n)]
 
-    def side(raw: dict[str, list[list[float]]]) -> dict[BitString, PsdMatrix]:
-        out = {}
-        for key, rows in raw.items():
-            arr = np.array(rows, dtype=float)
-            if arr.size == 0:
-                arr = np.zeros((d, 0))
-            out[BitString.from_text(key)] = PsdMatrix(arr)
+    def side(name: str) -> np.ndarray:
+        raw = _json_field(obj, name, dict, "factorization")
+        if sorted(raw) != labels:
+            raise ValueError(f'factorization field "{name}" needs one key per '
+                             f"width-{n} string")
+        out = np.zeros((1 << n, d, d))
+        for factor, key in zip(out, labels):
+            rows = raw[key]
+            if not (isinstance(rows, list) and len(rows) == d
+                    and all(isinstance(row, list) for row in rows)):
+                raise ValueError(f'factorization field "{name}" entry "{key}" '
+                                 f"is not a list of {d} rows")
+            width = len(rows[0])
+            if width > d or any(
+                len(row) != width
+                or any(type(x) not in (int, float) or not math.isfinite(x) for x in row)
+                for row in rows
+            ):
+                raise ValueError(f'factorization field "{name}" entry "{key}" is not '
+                                 f"{d} rows of one length <= {d} of finite numbers")
+            factor[:, :width] = rows
         return out
 
-    return PsdFactorization(n, d, side(obj["U"]), side(obj["V"]))
+    return PsdFactorization(n, d, side("U"), side("V"))

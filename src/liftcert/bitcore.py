@@ -133,7 +133,7 @@ def enumerate_disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _intersection_table(n: int) -> np.ndarray:
+def intersection_table(n: int) -> np.ndarray:
     """Read-only (2^n, 2^n) table of a.b = popcount(a & b) over values a, b."""
     idx = np.arange(1 << n)
     popcount = np.array([v.bit_count() for v in range(1 << n)], dtype=np.uint8)
@@ -201,7 +201,7 @@ def udisj(n: int) -> SupportMatrix:
     """
     if not 1 <= n <= MAX_DENSE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_DENSE_N}] (dense cap)")
-    k = _intersection_table(n).astype(np.int64)
+    k = intersection_table(n).astype(np.int64)
     return SupportMatrix(n, (1 - k) ** 2 * (k != 1))
 
 
@@ -221,12 +221,12 @@ def cor_slack(a: BitString, b: BitString) -> int:
 
 def val(m: SupportMatrix, eps: float = EPS_ZERO) -> int:
     """Number of disjoint pairs carrying an entry above the zero threshold."""
-    return int(np.count_nonzero(m.support(eps) & (_intersection_table(m.n) == 0)))
+    return int(np.count_nonzero(m.support(eps) & (intersection_table(m.n) == 0)))
 
 
 def is_atom_pattern(m: SupportMatrix, eps: float = EPS_ZERO) -> bool:
     """True iff every pair intersecting in exactly one position is (numerically) zero."""
-    return not np.any(m.support(eps) & (_intersection_table(m.n) == 1))
+    return not np.any(m.support(eps) & (intersection_table(m.n) == 1))
 
 
 def has_antidiagonal_zero(
@@ -273,3 +273,13 @@ def matrix_from_entries(
             raise ValueError(f"index ({a}, {b}) has width != {n}")
         values[a.value, b.value] = v
     return SupportMatrix(n, values)
+
+
+def _json_field(obj: object, key: str, kind: type, where: str):
+    """obj[key] of a parsed JSON object, which must be of exactly type kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    value = obj.get(key)
+    if type(value) is not kind:
+        raise ValueError(f'{where} has no "{key}" field of type {kind.__name__}')
+    return value

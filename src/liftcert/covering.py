@@ -42,6 +42,7 @@ from .bitcore import (
     EPS_ZERO,
     BitString,
     SupportMatrix,
+    _json_field,
     all_strings,
     concat,
     enumerate_disjoint_pairs,
@@ -421,16 +422,6 @@ def family_to_json(family: CoveringFamily) -> str:
         ],
     }
     return json.dumps(obj, sort_keys=True)
-
-
-def _json_field(obj: object, key: str, kind: type, where: str):
-    """obj[key] of a parsed JSON object, which must be of exactly type kind."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    value = obj.get(key)
-    if type(value) is not kind:
-        raise ValueError(f'{where} has no "{key}" field of type {kind.__name__}')
-    return value
 
 
 def _json_strings(obj: object, key: str, where: str) -> list[str]:

@@ -1,20 +1,22 @@
-"""Small dense PSD matrices and subspace arithmetic.
+"""Small dense PSD matrices and subspace arithmetic, as plain arrays.
 
-Everything here lives in dimension d <= 8.  PSD matrices are represented by a
-Gram factor B with X = B B^T, which makes positive semidefiniteness and the
-nonnegativity of trace inner products hold by construction: <BB^T, CC^T> is
-the squared Frobenius norm of B^T C.
+Everything here lives in dimension d <= 8.  A PSD matrix is given by a Gram
+factor B, a d x r array with X = B B^T, which makes positive semidefiniteness
+and the nonnegativity of trace inner products hold by construction:
+<BB^T, CC^T> is the squared Frobenius norm of B^T C.  Zero columns change
+nothing, so factors of any rank can share one zero-padded d x d layout.
 
-Subspaces carry an orthonormal basis.  Images and kernels come from a
-spectral decomposition with a relative eigenvalue cutoff; sums orthonormalize
-concatenated bases, and intersections go through orthogonal-complement
-duality.  The key fact the oracles lean on: <X, Y> = 0 for PSD X, Y exactly
-when the image of Y lies inside the kernel of X.
+A subspace is a d x k array with orthonormal columns.  Images and kernels
+come from a spectral decomposition with a relative eigenvalue cutoff, and
+sums orthonormalize concatenated bases.  Intersections of kernels are left
+null spaces: x lies in the kernel of every B_i B_i^T exactly when x^T B_i = 0
+for all i, that is when x^T [B_1 ... B_k] = 0, so one SVD of the factors
+placed side by side gives the whole intersection, and a stack of such
+problems is one batched SVD.  The key fact the oracles lean on: <X, Y> = 0
+for PSD X, Y exactly when the image of Y lies inside the kernel of X.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,175 +26,75 @@ MAX_DIM = 8
 #: Sampled spectra sit well above this scale; by-construction zeros far below.
 RANK_TOL = 1e-9
 
-#: Orthonormality defect allowed in a stored subspace basis.
-ORTHO_TOL = 1e-12
 
-#: Projection residual allowed when testing subspace containment.
-CONTAIN_TOL = 1e-9
-
-
-def _frozen_array(x) -> np.ndarray:
-    arr = np.array(x, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class PsdMatrix:
-    """X = B B^T for a d x r Gram factor B with r <= d; PSD by construction."""
-
-    gram_factor: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.gram_factor, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("gram factor must be a 2-d array")
-        d, r = b.shape
-        if not 1 <= d <= MAX_DIM:
-            raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-        if not 0 <= r <= d:
-            raise ValueError(f"rank bound {r} outside [0, {d}]")
-        object.__setattr__(self, "gram_factor", _frozen_array(b))
-
-    @classmethod
-    def zero(cls, d: int) -> "PsdMatrix":
-        return cls(np.zeros((d, 0)))
-
-    @classmethod
-    def identity(cls, d: int) -> "PsdMatrix":
-        return cls(np.eye(d))
-
-    @property
-    def d(self) -> int:
-        return self.gram_factor.shape[0]
-
-    @property
-    def rank_bound(self) -> int:
-        return self.gram_factor.shape[1]
-
-    def matrix(self) -> np.ndarray:
-        return self.gram_factor @ self.gram_factor.T
-
-    def is_zero(self) -> bool:
-        return self.rank_bound == 0 or not np.any(self.gram_factor)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of R^d given by a d x k matrix with orthonormal columns."""
-
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.basis, dtype=float)
-        if q.ndim != 2:
-            raise ValueError("basis must be a 2-d array")
-        d, k = q.shape
-        if not 1 <= d <= MAX_DIM:
-            raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-        if k > d:
-            raise ValueError(f"dimension {k} exceeds ambient {d}")
-        defect = np.abs(q.T @ q - np.eye(k)).max() if k else 0.0
-        if defect > ORTHO_TOL:
-            raise ValueError(f"basis not orthonormal (defect {defect:.2e})")
-        object.__setattr__(self, "basis", _frozen_array(q))
-
-    @classmethod
-    def zero(cls, d: int) -> "Subspace":
-        return cls(np.zeros((d, 0)))
-
-    @classmethod
-    def full(cls, d: int) -> "Subspace":
-        return cls(np.eye(d))
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def complement(self) -> "Subspace":
-        """Orthogonal complement, from a complete QR of the basis."""
-        if self.dim == 0:
-            return Subspace.full(self.d)
-        q, _ = np.linalg.qr(self.basis, mode="complete")
-        return Subspace(q[:, self.dim :])
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
-
-
-def inner(x: PsdMatrix, y: PsdMatrix) -> float:
-    """trace(X Y), computed as a sum of squares and hence never negative."""
-    if x.d != y.d:
-        raise ValueError(f"dimension mismatch: {x.d} vs {y.d}")
-    cross = x.gram_factor.T @ y.gram_factor
+def inner(x: np.ndarray, y: np.ndarray) -> float:
+    """trace(X Y) for Gram factors x, y, as a sum of squares and hence never
+    negative."""
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    cross = x.T @ y
     return max(float(np.sum(cross * cross)), 0.0)
 
 
-def _eig_split(x: PsdMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors above / at-or-below the relative cutoff tol * lambda_max."""
-    w, v = np.linalg.eigh(x.matrix())
+def _eig_split(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of X = x x^T above / at-or-below tol * lambda_max."""
+    w, v = np.linalg.eigh(x @ x.T)
     lam_max = max(float(w[-1]), 0.0)
     keep = w > tol * lam_max
     return v[:, keep], v[:, ~keep]
 
 
-def image(x: PsdMatrix, tol: float = RANK_TOL) -> Subspace:
-    """Span of the eigenvectors with eigenvalue above tol * lambda_max."""
-    img, _ = _eig_split(x, tol)
-    return Subspace(img)
+def image(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the span of the eigenvectors of X = x x^T with
+    eigenvalue above tol * lambda_max."""
+    return _eig_split(x, tol)[0]
 
 
-def kernel(x: PsdMatrix, tol: float = RANK_TOL) -> Subspace:
-    """Orthogonal complement of the image within the same decomposition."""
-    _, ker = _eig_split(x, tol)
-    return Subspace(ker)
+def kernel(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of the image, from the same
+    decomposition."""
+    return _eig_split(x, tol)[1]
 
 
-def _orthonormalize(columns: np.ndarray, d: int, tol: float) -> Subspace:
+def subspace_sum(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the span of the concatenated bases a and b."""
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"ambient mismatch: {a.shape[0]} vs {b.shape[0]}")
+    columns = np.hstack([a, b])
     if columns.size == 0:
-        return Subspace.zero(d)
+        return columns
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    keep = s > tol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    return Subspace(u[:, keep])
+    return u[:, s > tol * s[0]] if s[0] > 0 else u[:, :0]
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: float = RANK_TOL) -> Subspace:
-    """Orthonormalized span of the concatenated bases."""
-    if a.d != b.d:
-        raise ValueError(f"ambient mismatch: {a.d} vs {b.d}")
-    return _orthonormalize(np.hstack([a.basis, b.basis]), a.d, tol)
+def subspace_intersect(
+    factors: np.ndarray, tol: float = RANK_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Common kernels of stacks of PSD matrices, by one batched SVD.
+
+    ``factors`` has shape (..., d, m): each d x m slice holds the Gram
+    factors of one problem placed side by side (zero columns are allowed).
+    Returns ``(bases, dims)`` with bases of shape (..., d, d) and orthonormal
+    columns: the first ``dims[...]`` columns of each slice span the
+    intersection of the kernels, the left null space of the slice.  Singular
+    values at or below tol times the slice's largest count as zero; a slice
+    whose factors are all zero has the whole space, with basis exactly the
+    identity.
+    """
+    d, m = factors.shape[-2:]
+    if m < d:  # pad so that every slice has d left singular vectors
+        factors = np.concatenate(
+            [factors, np.zeros(factors.shape[:-1] + (d - m,))], axis=-1)
+    u, s, _ = np.linalg.svd(factors, full_matrices=False)
+    dims = d - np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    # null directions have the smallest singular values, so they come last
+    bases = np.where((s[..., :1] > 0)[..., None], u[..., ::-1], np.eye(d))
+    return bases, dims
 
 
-def subspace_intersect(spaces: list[Subspace], tol: float = RANK_TOL) -> Subspace:
-    """Intersection via duality: the complement of the sum of the complements."""
-    if not spaces:
-        raise ValueError("need at least one subspace")
-    d = spaces[0].d
-    if any(s.d != d for s in spaces):
-        raise ValueError("ambient mismatch")
-    acc = spaces[0].complement()
-    for s in spaces[1:]:
-        acc = subspace_sum(acc, s.complement(), tol)
-    return acc.complement()
-
-
-def contains(a: Subspace, b: Subspace, tol: float = CONTAIN_TOL) -> bool:
-    """Whether every basis vector of B projects onto A up to the tolerance."""
-    if a.d != b.d:
-        raise ValueError(f"ambient mismatch: {a.d} vs {b.d}")
-    if b.dim == 0:
-        return True
-    residual = b.basis - a.project(b.basis)
-    return float(np.abs(residual).max()) <= tol
-
-
-def random_psd(d: int, rank: int, rng: np.random.Generator | int) -> PsdMatrix:
-    """Gram matrix of `rank` independent standard-normal columns (rank exact a.s.)."""
+def random_psd(d: int, rank: int, rng: np.random.Generator | int) -> np.ndarray:
+    """d x rank Gram factor of independent standard-normal columns (rank
+    exact a.s.); ``rng`` is a Generator or any seed numpy accepts."""
     if not 0 <= rank <= d:
         raise ValueError(f"rank {rank} outside [0, {d}]")
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    return PsdMatrix(gen.standard_normal((d, rank)))
+    return np.random.default_rng(rng).standard_normal((d, rank))

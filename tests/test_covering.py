@@ -323,13 +323,9 @@ class TestBlockOps:
 
 class TestInduction:
     def test_zero_matrix(self):
-        from liftcert.linalg import PsdMatrix
-
         from liftcert.atoms import PsdFactorization
 
-        zero = PsdMatrix.zero(2)
-        side = {s: zero for s in all_strings(3)}
-        f = PsdFactorization(3, 2, dict(side), dict(side))
+        f = PsdFactorization(3, 2, np.zeros((8, 2, 2)), np.zeros((8, 2, 2)))
         rep = check_induction_inequality(f, recursive_covering(2))
         assert rep.holds and rep.val_total == 0 and rep.bound == 0
 
