@@ -248,16 +248,16 @@ def matrix_to_csv(m: SupportMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def matrix_entries(m: SupportMatrix, eps: float = EPS_ZERO) -> list[tuple]:
+    """(row text, column text, value) of each entry above the zero threshold."""
+    labels = np.array([str(s) for s in all_strings(m.n)], dtype=object)
+    r, c = np.nonzero(m.support(eps))
+    return list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))
+
+
 def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
     """JSON object listing only the entries above the zero threshold, in lex order."""
-    mask = m.support(eps)
-    labels = [str(s) for s in all_strings(m.n)]
-    rows, cols = np.nonzero(mask)
-    entries = [
-        [labels[a], labels[b], v]
-        for a, b, v in zip(rows.tolist(), cols.tolist(), m.values[mask].tolist())
-    ]
-    return json.dumps({"n": m.n, "entries": entries}, sort_keys=True)
+    return json.dumps({"n": m.n, "entries": matrix_entries(m, eps)}, sort_keys=True)
 
 
 def matrix_from_entries(

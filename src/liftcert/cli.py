@@ -15,7 +15,9 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .atoms import (
@@ -28,17 +30,15 @@ from .atoms import (
     factorization_to_json,
     sample_atom,
 )
-from .bitcore import EPS_ZERO, matrix_to_csv, matrix_to_json, udisj, val
+from .bitcore import EPS_ZERO, matrix_entries, matrix_to_csv, matrix_to_json, udisj, val
 from .bounds import bound_report, report_to_json, report_to_text
 from .covering import (
     CoveringFamily,
-    certificate_to_json,
     check_induction_inequality,
     explicit_covering_d2,
     family_from_json,
     family_to_json,
-    maximal_certificates,
-    maximal_support,
+    maximal_assignments,
     pattern_certificates_d2,
     recursive_covering,
 )
@@ -189,12 +189,36 @@ def run_induction_oracle(
     return report
 
 
+#: ``[[x, y], i]`` and ``[a, b, value]`` rows as indent=2 lays them out at depth 0.
+PAIR_ROW = '[\n  [\n    "%s",\n    "%s"\n  ],\n  %s\n]'
+ENTRY_ROW = '[\n  "%s",\n  "%s",\n  %s\n]'
+
+
+#: A JSON list of value tuples, each laid out by a row template.
+_Rows = NamedTuple("_Rows", [("template", str), ("rows", Iterable[tuple])])
+
+
+def _dumps(obj: object, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with dicts and _Rows lists
+    laid out here so that no _Rows row goes through the pure-Python encoder."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, _Rows):
+        template = obj.template.replace("\n", pad)
+        items = [template % row for row in obj.rows]
+    elif isinstance(obj, dict):
+        items = [f"{json.dumps(str(key))}: {_dumps(obj[key], depth + 1)}"
+                 for key in sorted(obj)]
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad[:-2])
+    start, end = "{}" if isinstance(obj, dict) else "[]"
+    return start + pad + ("," + pad).join(items) + pad[:-2] + end if items else start + end
+
+
 def _emit(report: str | dict, args: argparse.Namespace) -> None:
-    """Write a text report, or a dict as sorted indented JSON, to stdout or to
+    """Write a text report, or a dict laid out by ``_dumps``, to stdout or to
     ``--out`` (a relative path is taken under $LIFTCERT_OUT_DIR when set)."""
-    if not isinstance(report, str):
-        report = json.dumps(report, indent=2, sort_keys=True)
-    text = report if report.endswith("\n") else report + "\n"
+    text = report if isinstance(report, str) else _dumps(report)
+    text = text if text.endswith("\n") else text + "\n"
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -215,8 +239,9 @@ def _cmd_udisj(args: argparse.Namespace) -> int:
         _emit(matrix_to_csv(m) + f"val = {v} (expected 3^{args.n} = {3 ** args.n})\n",
               args)
     else:
+        entries = _Rows(ENTRY_ROW, matrix_entries(m, args.epsilon))
         _emit({"command": "udisj", "n": args.n, "val": v, "expected_val": 3**args.n,
-               "matrix": json.loads(matrix_to_json(m, args.epsilon))}, args)
+               "matrix": {"entries": entries, "n": m.n}}, args)
     return EXIT_OK if v == 3**args.n else EXIT_FALSIFIED
 
 
@@ -228,32 +253,25 @@ def _cmd_covering_build(args: argparse.Namespace) -> int:
 
 def _cmd_covering_verify(args: argparse.Namespace) -> int:
     family = family_from_json(Path(args.family).read_text())
-    report: dict = {"command": "covering-verify", "mode": args.mode, "d": family.d,
-                    "k": family.k, "label": family.label}
+    d, k = family.d, family.k
     if args.mode == "maximal":
-        certs = maximal_certificates(family)
-        report["certificates"] = {
-            str(alpha): json.loads(certificate_to_json(c)) if c else None
-            for alpha, c in certs.items()
-        }
-        report["failures"] = [
-            {"alpha": str(alpha), "support_size": len(maximal_support(family.d, alpha)),
-             "k": family.k}
-            for alpha, c in certs.items()
-            if c is None
-        ]
+        certs = {f"{a:0{d}b}": rows for a, rows in maximal_assignments(family).items()}
+        failures = [{"alpha": alpha, "support_size": 3**d - 1, "k": k}
+                    for alpha, rows in certs.items() if rows is None]
     else:
-        certs = pattern_certificates_d2(family)
-        report["certificates"] = {
-            str(int(pid)): json.loads(certificate_to_json(c)) if c else None
-            for pid, c in certs.items()
-        }
-        report["failures"] = [
-            {"pattern": int(pid), "k": family.k} for pid, c in certs.items() if c is None
-        ]
-    report["passed"] = not report["failures"]
-    _emit(report, args)
-    return EXIT_OK if report["passed"] else EXIT_FALSIFIED
+        certs = {str(int(pid)): c if c is None else c.triples()
+                 for pid, c in pattern_certificates_d2(family).items()}
+        failures = [{"pattern": int(pid), "k": k}
+                    for pid, rows in certs.items() if rows is None]
+    labels = np.array([f"{v:0{d}b}" for v in range(1 << d)], dtype=object)
+    for key, rows in certs.items():
+        if rows is not None:
+            x, y, i = labels[rows[:, 0]].tolist(), labels[rows[:, 1]].tolist(), rows[:, 2]
+            certs[key] = {"assignment": _Rows(PAIR_ROW, zip(x, y, i.tolist()))}
+    _emit({"command": "covering-verify", "mode": args.mode, "d": d, "k": k,
+           "label": family.label, "certificates": certs, "failures": failures,
+           "passed": not failures}, args)
+    return EXIT_FALSIFIED if failures else EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

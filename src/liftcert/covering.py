@@ -3,9 +3,9 @@
 A rectangle is a product set rows x cols of width-d bitstrings containing
 only disjoint pairs.  A family of k rectangles *uniformly covers* a class of
 matrices when every member admits an injective assignment of its positive
-disjoint entries to rectangles containing them.  Such an assignment is a
-maximum bipartite matching question, so coverings are certified exactly by
-augmenting-path matchings rather than by sampling.
+disjoint entries to rectangles containing them.  Coverings are certified
+exactly, not by sampling: the recursive family by its own construction with
+every certificate re-validated exactly, any other family by augmenting paths.
 
 Two verification modes matter here:
 
@@ -13,7 +13,7 @@ Two verification modes matter here:
   matrix vanishing on intersection-one pairs with at least one antidiagonal
   zero.  Any such support is contained in one of the 2^d maximal supports
   (all 3^d disjoint pairs minus one antidiagonal pair), and a certificate
-  restricts to any sub-support, so 2^d matchings decide the whole class.
+  restricts to any sub-support, so 2^d certificates decide the whole class.
 * ``verify_patterns_d2`` certifies the 7-rectangle family for 4 x 4 atoms
   over 2 x 2 PSD cones by matching each of the six admissible sparsity
   patterns; ``phi_table_d2`` carries the six hand-built assignments.
@@ -44,10 +44,10 @@ from .bitcore import (
     SupportMatrix,
     _json_field,
     all_strings,
-    concat,
     enumerate_disjoint_pairs,
     intersection_size,
     is_atom_pattern,
+    intersection_table,
     val,
 )
 
@@ -134,6 +134,11 @@ class CoveringCertificate:
             missing = sorted(support - set(self.assignment))[0]
             raise ValueError(f"support pair ({missing[0]}, {missing[1]}) unassigned")
 
+    def triples(self) -> np.ndarray:
+        """The assignment as an (m, 3) array of (x, y, i) value rows in lex order."""
+        rows = sorted((x.value, y.value, i) for (x, y), i in self.assignment.items())
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
 
 def base_covering_d1() -> CoveringFamily:
     """The two-rectangle covering at width 1: {0} x {0,1} and {0,1} x {0}."""
@@ -172,31 +177,13 @@ def recursive_covering(d: int) -> CoveringFamily:
         raise ValueError(f"d = {d} outside [1, {MAX_COVER_D}]")
     if d == 1:
         return base_covering_d1()
-    prev = recursive_covering(d - 1)
-    zero, one = BitString(1, 0), BitString(1, 1)
-    rects = [
-        Rectangle(
-            d,
-            frozenset(concat(zero, x) for x in r.rows),
-            frozenset(concat(zero, y) for y in r.cols),
-        )
-        for r in prev.rectangles
-    ]
-    for x, y in enumerate_disjoint_pairs(d - 1):
-        rects.append(
-            Rectangle(
-                d,
-                frozenset([concat(zero, x)]),
-                frozenset([concat(zero, y), concat(one, y)]),
-            )
-        )
-        rects.append(
-            Rectangle(
-                d,
-                frozenset([concat(zero, x), concat(one, x)]),
-                frozenset([concat(zero, y)]),
-            )
-        )
+    top = 1 << (d - 1)  # a lift under prefix 0 keeps every value
+    spans = [([x.value for x in r.rows], [y.value for y in r.cols])
+             for r in recursive_covering(d - 1).rectangles]
+    for x, y in ((x.value, y.value) for x, y in enumerate_disjoint_pairs(d - 1)):
+        spans += [([x], [y, top | y]), ([x, top | x], [y])]
+    rects = (Rectangle(d, {BitString(d, v) for v in rows}, {BitString(d, v) for v in cols})
+             for rows, cols in spans)
     return CoveringFamily(d, tuple(rects), label=f"recursive-d{d}")
 
 
@@ -208,27 +195,29 @@ def find_certificate(
     Augmenting-path maximum bipartite matching, searched depth-first with an
     explicit stack.  Pairs are processed in lex order and each pair's
     adjacency list is in family order, so the result is deterministic.  The
-    adjacency is built in one pass over the rectangles' pairs, so the cost is
-    O(sum_i |R_i| + augmentation).  Returns None when no assignment
-    saturates the support.
+    adjacency is built in one pass over the rectangles' pairs, keyed on ints
+    x << d | y, so the cost is O(sum_i |R_i| + augmentation).  Returns None
+    when no assignment saturates the support.
     """
+    d = family.d
     pairs = sorted(
         set(support), key=lambda p: (p[0].width, p[0].value, p[1].width, p[1].value)
     )
     for x, y in pairs:
-        if x.width != family.d or y.width != family.d:
-            raise ValueError(f"pair ({x}, {y}) has width != {family.d}")
+        if x.width != d or y.width != d:
+            raise ValueError(f"pair ({x}, {y}) has width != {d}")
         if intersection_size(x, y) != 0:
             raise ValueError(f"non-disjoint pair ({x}, {y}) in support")
-    adjacency: dict[Pair, list[int]] = {p: [] for p in pairs}
+    slot = {x.value << d | y.value: p for p, (x, y) in enumerate(pairs)}
+    adjacency: list[list[int]] = [[] for _ in pairs]
     for i, r in enumerate(family.rectangles):
         for x in r.rows:
             for y in r.cols:
-                if (x, y) in adjacency:
-                    adjacency[(x, y)].append(i)
-    owner: dict[int, Pair] = {}
-    assigned: dict[Pair, int] = {}
-    for root in pairs:
+                p = slot.get(x.value << d | y.value)
+                if p is not None:
+                    adjacency[p].append(i)
+    owner: dict[int, int] = {}  # rectangle -> position of the pair taking it
+    for root in range(len(pairs)):
         # path[j] takes rectangle via[j]; the owner of via[j] is path[j + 1]
         seen: set[int] = set()
         path, via, frontier = [root], [], [iter(adjacency[root])]
@@ -246,13 +235,11 @@ def find_certificate(
                 path.append(owner[i])
                 frontier.append(iter(adjacency[owner[i]]))
                 continue
-            for p, j in zip(path, via):
-                owner[j] = p
-                assigned[p] = j
+            owner.update(zip(via, path))
             break
         else:
             return None
-    return CoveringCertificate(assigned)
+    return CoveringCertificate({pairs[p]: i for i, p in owner.items()})
 
 
 def maximal_support(d: int, alpha: BitString) -> set[Pair]:
@@ -262,19 +249,74 @@ def maximal_support(d: int, alpha: BitString) -> set[Pair]:
     return pairs
 
 
+def recursive_certificate(d: int, alpha: int) -> np.ndarray:
+    """The certificate of maximal_support(d, alpha) against recursive_covering(d)
+    as (x, y, i) value rows in lex order, built level by level like the family:
+    for alpha = b.alpha', the rows for alpha' are kept, and the j-th disjoint pair
+    (x, y) of width d - 1 sends (0x, 1y) to rectangle 3^(d-1) - 1 + 2j and (1x, 0y)
+    to the next, except that the one of the dropped (alpha, complement), the first
+    if b = 0, takes (0 alpha', 0 complement of alpha') instead."""
+    if not 1 <= d <= MAX_COVER_D or not 0 <= alpha < 1 << d:
+        raise ValueError(f"no maximal support at d = {d}, alpha = {alpha}")
+    levels = []
+    for w in range(d):  # level w + 1 from level w, whose alpha is alpha's low w bits
+        top, base = 1 << w, 3**w - 1
+        x, y = np.divmod(np.flatnonzero(intersection_table(w) == 0), top)  # disjoint pairs
+        pairs = np.stack([x, top | y, top | x, y], 1).reshape(-1, 2)  # (0x, 1y), (1x, 0y)
+        rest = alpha & (top - 1)
+        j = np.flatnonzero((x == rest) & (y == top - 1 - rest))[0]
+        pairs[2 * j + (alpha >> w & 1)] = rest, top - 1 - rest
+        levels.append(np.column_stack([pairs, base + np.arange(len(pairs))]))
+    cert = np.concatenate(levels)
+    return cert[np.argsort(cert[:, 0] << d | cert[:, 1])]
+
+
+def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
+    """ValueError unless each alpha's (x, y, i) rows certify maximal_support(d,
+    alpha): distinct indices in range, keys x << d | y the 3^d - 1 disjoint pairs
+    but (alpha, complement), each pair in its rectangle by membership masks."""
+    d, k, side = family.d, family.k, 1 << family.d
+    member = np.zeros((2, k, side), dtype=bool)
+    for i, r in enumerate(family.rectangles):
+        member[0, i, [x.value for x in r.rows]] = True
+        member[1, i, [y.value for y in r.cols]] = True
+    disjoint = np.flatnonzero(intersection_table(d) == 0)  # keys in lex order
+    for alpha, rows in assignments.items():
+        x, y, i = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+        where = f"certificate for alpha = {BitString(d, alpha)}:"
+        if not ((0 <= i) & (i < k)).all() or len(set(i.tolist())) < i.size:
+            raise ValueError(f"{where} rectangle indices not distinct in [0, {k})")
+        support = disjoint[disjoint != alpha << d | (side - 1 - alpha)]
+        if ((x | y) >> d).any() or not np.array_equal(np.sort(x << d | y), support):
+            raise ValueError(f"{where} its pairs are not the maximal support")
+        if not (member[0, i, x] & member[1, i, y]).all():
+            raise ValueError(f"{where} a pair lies outside its rectangle")
+
+
+def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
+    """Per alpha value, (x, y, i) rows in lex order certifying maximal_support(d,
+    alpha), or None.  The rectangles of recursive_covering(d), in order, are certified
+    by recursive_certificate and re-validated; other families are matched."""
+    d = family.d
+    if not 1 <= d <= MAX_COVER_D:
+        raise ValueError(f"family width {d} outside [1, {MAX_COVER_D}]")
+    if family.rectangles == recursive_covering(d).rectangles:
+        out = {alpha: recursive_certificate(d, alpha) for alpha in range(1 << d)}
+        check_maximal_assignments(family, out)
+        return out
+    certs = ((a.value, find_certificate(maximal_support(d, a), family)) for a in all_strings(d))
+    return {alpha: None if c is None else c.triples() for alpha, c in certs}
+
+
 def maximal_certificates(
     family: CoveringFamily,
 ) -> dict[BitString, Optional[CoveringCertificate]]:
-    """One matching instance per maximal support of the antidiagonal-zero class.
-
-    Widths outside [1, MAX_COVER_D] are rejected: past the cap the 2^d
-    instances of 3^d - 1 pairs each take too long to finish."""
-    if not 1 <= family.d <= MAX_COVER_D:
-        raise ValueError(f"family width {family.d} outside [1, {MAX_COVER_D}]")
-    return {
-        alpha: find_certificate(maximal_support(family.d, alpha), family)
-        for alpha in all_strings(family.d)
-    }
+    """One certificate per maximal support, keyed by alpha: built and re-validated
+    exactly for the recursive family, found by matching for any other."""
+    d = family.d
+    return {BitString(d, alpha): rows if rows is None else CoveringCertificate(
+        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
+        for alpha, rows in maximal_assignments(family).items()}
 
 
 def verify_covering_maximal(family: CoveringFamily) -> bool:
@@ -284,7 +326,7 @@ def verify_covering_maximal(family: CoveringFamily) -> bool:
     certifies the covering property for every matrix vanishing on
     intersection-one pairs with at least one antidiagonal zero.
     """
-    return all(c is not None for c in maximal_certificates(family).values())
+    return all(rows is not None for rows in maximal_assignments(family).values())
 
 
 def pattern_certificates_d2(

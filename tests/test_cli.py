@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from liftcert.cli import main
+from liftcert import covering
+from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, main
 from liftcert.covering import (
     MAX_COVER_D,
+    CoveringCertificate,
     CoveringFamily,
     Rectangle,
     certificate_from_json,
@@ -110,6 +112,65 @@ class TestCoveringCommands:
         ))
         code, err = run_cli_error(capsys, "covering", "verify", "--family", str(fam_file))
         assert code == 2 and f"outside [1, {MAX_COVER_D}]" in err
+
+
+    def test_relabelled_recursive_family_reports_its_label(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def refuse(self):
+            raise AssertionError("a BitString-keyed certificate was built")
+
+        # the constructive path builds no CoveringCertificate at all
+        monkeypatch.setattr(CoveringCertificate, "__post_init__", refuse)
+        fam_file = tmp_path / "fam.json"
+        family = CoveringFamily(3, recursive_covering(3).rectangles, label="my-family")
+        fam_file.write_text(family_to_json(family))
+        code, out = run_cli(capsys, "covering", "verify", "--family", str(fam_file))
+        obj = json.loads(out)
+        assert code == 0 and obj["passed"] and obj["label"] == "my-family"
+        assert len(obj["certificates"]) == 8
+
+    def test_failed_revalidation_exits_2(self, tmp_path, capsys, monkeypatch):
+        def wrong_index(d, alpha):
+            rows = original(d, alpha).copy()
+            rows[0, 2] = rows[1, 2]
+            return rows
+
+        original = covering.recursive_certificate
+        monkeypatch.setattr(covering, "recursive_certificate", wrong_index)
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(family_to_json(recursive_covering(2)))
+        code, err = run_cli_error(capsys, "covering", "verify", "--family", str(fam_file))
+        assert code == 2 and "rectangle indices not distinct" in err
+
+
+def both_layouts(failures: list) -> tuple[dict, dict]:
+    """A report with row lists as _Rows and the same report with plain lists."""
+    cert_rows = [("00", "01", 3), ("01", "00", 12), ("10", "01", 0)]
+    entries = [("0", "0", 1), ("0", "1", 1), ("1", "0", 2.5), ("1", "1", 0.1)]
+
+    def report(rows):
+        return {
+            "command": "covering-verify", "d": 2, "label": 'a "quoted" \u00e9 label',
+            "failures": failures, "passed": not failures, "empty": {},
+            "certificates": {
+                "00": {"assignment": rows(PAIR_ROW, cert_rows, lambda x, y, i: [[x, y], i])},
+                "01": None,
+                "11": {"assignment": rows(PAIR_ROW, [], None)},
+            },
+            "matrix": {"entries": rows(ENTRY_ROW, entries, lambda a, b, v: [a, b, v]),
+                       "n": 1},
+        }
+
+    return (report(lambda template, rows, _: _Rows(template, iter(rows))),
+            report(lambda _, rows, shape: [shape(*row) for row in rows]))
+
+
+@pytest.mark.parametrize("failures", [
+    [], [{"alpha": "01", "k": 8, "support_size": 8}, {"pattern": 3, "k": 7}],
+], ids=["no-failures", "failures"])
+def test_row_renderer_matches_indent_encoder(failures):
+    rows, plain = both_layouts(failures)
+    assert _dumps(rows) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 class TestAtomSample:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liftcert import covering
 from liftcert.atoms import PatternId, pattern_disjoint_support, sample_atom, evaluate
 from liftcert.bitcore import (
     BitString,
@@ -23,6 +24,7 @@ from liftcert.bitcore import (
 )
 from liftcert.covering import (
     EXPLICIT_D2_NAMES,
+    MAX_COVER_D,
     CoveringCertificate,
     CoveringFamily,
     Rectangle,
@@ -32,14 +34,17 @@ from liftcert.covering import (
     certificate_from_json,
     certificate_to_json,
     check_induction_inequality,
+    check_maximal_assignments,
     explicit_covering_d2,
     family_from_json,
     family_to_json,
     find_certificate,
+    maximal_assignments,
     maximal_certificates,
     maximal_support,
     pattern_certificates_d2,
     phi_table_d2,
+    recursive_certificate,
     recursive_covering,
     verify_covering_maximal,
     verify_patterns_d2,
@@ -223,6 +228,134 @@ class TestMaximalVerification:
     def test_damaged_family_fails(self):
         fam = recursive_covering(2)
         assert not verify_covering_maximal(drop_rectangle(fam, 0))
+
+
+def as_certificate(d: int, rows: np.ndarray) -> CoveringCertificate:
+    return CoveringCertificate(
+        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()}
+    )
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record the calls made to covering.<name> from inside the module."""
+    calls = []
+    original = getattr(covering, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(covering, name, wrapper)
+    return calls
+
+
+class TestRecursiveCertificate:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_matcher_and_validates(self, d):
+        family = recursive_covering(d)
+        for alpha in all_strings(d):
+            support = maximal_support(d, alpha)
+            rows = recursive_certificate(d, alpha.value)
+            assert rows.tolist() == find_certificate(support, family).triples().tolist()
+            cert = as_certificate(d, rows)
+            cert.validate_against(family, support=support)
+            assert set(cert.assignment) == support
+
+    @pytest.mark.parametrize("d, alpha", [(0, 0), (MAX_COVER_D + 1, 0), (2, 4), (2, -1)])
+    def test_out_of_range_rejected(self, d, alpha):
+        with pytest.raises(ValueError):
+            recursive_certificate(d, alpha)
+
+
+class TestMaximalRouting:
+    def test_relabelled_recursive_family_is_constructed(self, monkeypatch):
+        matched = spy(monkeypatch, "find_certificate")
+        built = spy(monkeypatch, "recursive_certificate")
+        family = CoveringFamily(4, recursive_covering(4).rectangles, label="mine")
+        certs = maximal_certificates(family)
+        assert (len(matched), len(built)) == (0, 16)
+        for alpha, cert in certs.items():
+            cert.validate_against(family, support=maximal_support(4, alpha))
+
+    @pytest.mark.parametrize("change", [
+        lambda rects: rects[::-1],  # permuted
+        lambda rects: rects + rects[5:6],  # a duplicated rectangle
+    ], ids=["permuted", "duplicated"])
+    def test_other_families_are_matched(self, monkeypatch, change):
+        matched = spy(monkeypatch, "find_certificate")
+        built = spy(monkeypatch, "recursive_certificate")
+        family = CoveringFamily(3, change(recursive_covering(3).rectangles))
+        certs = maximal_certificates(family)
+        assert (len(matched), len(built)) == (8, 0)
+        for alpha, cert in certs.items():
+            assert cert is not None
+            cert.validate_against(family, support=maximal_support(3, alpha))
+
+    def test_assignments_match_certificates(self):
+        for family in (recursive_covering(3), drop_rectangle(recursive_covering(3), 4),
+                       explicit_covering_d2()):
+            rows = maximal_assignments(family)
+            for alpha, cert in maximal_certificates(family).items():
+                if cert is None:
+                    assert rows[alpha.value] is None
+                else:
+                    assert rows[alpha.value].tolist() == cert.triples().tolist()
+
+
+class TestRevalidation:
+    D, ALPHA = 3, 0b101
+
+    def check(self, rows: np.ndarray) -> None:
+        check_maximal_assignments(recursive_covering(self.D), {self.ALPHA: rows})
+
+    def test_constructed_certificate_passes(self):
+        self.check(recursive_certificate(self.D, self.ALPHA))
+
+    def test_index_out_of_range_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows[0, 2] = 3**self.D - 1
+        with pytest.raises(ValueError, match="indices"):
+            self.check(rows)
+        rows[0, 2] = -1
+        with pytest.raises(ValueError, match="indices"):
+            self.check(rows)
+
+    def test_repeated_index_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows[1, 2] = rows[0, 2]
+        with pytest.raises(ValueError, match="indices"):
+            self.check(rows)
+
+    def test_missing_pair_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA)
+        with pytest.raises(ValueError, match="maximal support"):
+            self.check(rows[1:])
+
+    def test_antidiagonal_pair_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows[0, :2] = self.ALPHA, self.ALPHA ^ 0b111
+        with pytest.raises(ValueError, match="maximal support"):
+            self.check(rows)
+
+    def test_pair_outside_width_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows[0, 1] += 1 << self.D
+        with pytest.raises(ValueError, match="maximal support"):
+            self.check(rows)
+
+    def test_pair_outside_its_rectangle_rejected(self):
+        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows[[0, 1], 2] = rows[[1, 0], 2]
+        with pytest.raises(ValueError, match="outside its rectangle"):
+            self.check(rows)
+
+    def test_failed_revalidation_is_an_error(self, monkeypatch):
+        def one_pair_short(d, alpha):
+            return recursive_certificate(d, alpha)[1:]
+
+        monkeypatch.setattr(covering, "recursive_certificate", one_pair_short)
+        with pytest.raises(ValueError, match="maximal support"):
+            maximal_certificates(recursive_covering(2))
 
 
 class TestPatternVerification:
