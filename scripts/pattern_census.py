@@ -14,18 +14,23 @@ from __future__ import annotations
 import argparse
 from collections import Counter
 
-from liftcert.atoms import classify_pattern_d2, evaluate, sample_atom
-from liftcert.bitcore import val
+from liftcert.atoms import block_size, evaluate_block, pattern_block, sample_block
+from liftcert.bitcore import support_block, val_block
 
 
 def census(trials: int, seed: int, direction: str) -> tuple[Counter, Counter]:
     patterns: Counter[int] = Counter()
     vals: Counter[int] = Counter()
-    for i in range(trials):
-        f = sample_atom(2, 2, rng=seed + i, direction=direction)
-        m = evaluate(f)
-        patterns[int(classify_pattern_d2(m))] += 1
-        vals[val(m)] += 1
+    for start in range(seed, seed + trials, block_size(2)):
+        seeds = range(start, min(start + block_size(2), seed + trials))
+        u, v = sample_block(2, 2, "uniform", seeds, [direction] * len(seeds))
+        support = support_block(evaluate_block(u, v))
+        pids = pattern_block(support)
+        if not pids.all():
+            raise SystemExit(f"seed {seeds[int(pids.argmin())]} ({direction}): "
+                             "support fits none of the six patterns")
+        patterns.update(pids.tolist())
+        vals.update(val_block(support).tolist())
     return patterns, vals
 
 

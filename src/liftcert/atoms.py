@@ -15,7 +15,15 @@ the kernels of its intersection-one partners, so the required zeros hold by
 construction (numerically they land many orders below the classification
 threshold).  Each string's partners are one row of the intersection table,
 and every string's space comes from one batched SVD of the partners' factors
-placed side by side.  On top of the sampler sit two falsifiable oracles:
+placed side by side.
+
+The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
+draws each trial from its own seed, exactly as ``sample_atom`` would, but
+finds the null spaces of the whole block in one SVD, and ``evaluate_block``,
+``pattern_block`` and ``witness_block`` check the block's (T, 2^n, d, d)
+stacks at once.  ``sample_atom``, ``evaluate``, ``classify_pattern_d2`` and
+``antidiagonal_witness`` are the one-trial case of these.  On top of the
+sampler sit two falsifiable oracles:
 
 * ``antidiagonal_witness`` finds, for n = d, a pair (a, complement(a)) whose
   entry is zero, by walking the nondecreasing chain of column-image sums
@@ -35,7 +43,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,8 +56,15 @@ from .bitcore import (
     all_strings,
     intersection_size,
     intersection_table,
+    threshold_block,
 )
-from .linalg import MAX_DIM, image, random_psd, subspace_intersect, subspace_sum
+from .linalg import (
+    MAX_DIM,
+    image_block,
+    random_psd,
+    subspace_intersect,
+    subspace_sum_block,
+)
 
 MAX_SAMPLE_N = 8
 
@@ -112,22 +127,29 @@ def _sum_sq(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=(-2, -1))
 
 
-def evaluate(f: PsdFactorization) -> SupportMatrix:
-    """Dense matrix of pairwise trace inner products (all entries >= 0).
+def evaluate_block(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Evaluated matrices of a block of factorizations (all entries >= 0).
 
-    Entry (a, b) is ||U_a^T V_b||_F^2 over the Gram factors, a sum of
-    squares; all 4^n products come from one broadcast matmul over the two
-    stacks.  Entries at rounding-noise level relative to their
-    Cauchy-Schwarz bound (see NOISE_REL) are stored as exact zeros.
+    ``u`` and ``v`` are (T, 2^n, d, d) stacks of Gram factors; entry
+    [t, a, b] is ||U_a^T V_b||_F^2 of trial t, a sum of squares, and all
+    T 4^n products come from one broadcast matmul.  Entries at rounding-noise
+    level relative to their Cauchy-Schwarz bound (see NOISE_REL) are stored
+    as exact zeros.
     """
-    if f.n > MAX_DENSE_N:
-        raise ValueError(f"n = {f.n} exceeds dense cap {MAX_DENSE_N}")
-    u, v = f.U, f.V
-    ut, vt = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
-    m = _sum_sq(ut[:, None] @ v[None])
+    n = u.shape[1].bit_length() - 1
+    if n > MAX_DENSE_N:
+        raise ValueError(f"n = {n} exceeds dense cap {MAX_DENSE_N}")
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    m = _sum_sq(ut[:, :, None] @ v[:, None])
     # ||U_a U_a^T||_F * ||V_b V_b^T||_F, with ||B B^T||_F^2 = ||B^T B||_F^2
-    bound = np.sqrt(np.outer(_sum_sq(ut @ u), _sum_sq(vt @ v)))
-    return SupportMatrix(f.n, np.where(m > NOISE_REL * bound, m, 0.0))
+    bound = np.sqrt(_sum_sq(ut @ u)[:, :, None] * _sum_sq(vt @ v)[:, None, :])
+    return np.where(m > NOISE_REL * bound, m, 0.0)
+
+
+def evaluate(f: PsdFactorization) -> SupportMatrix:
+    """Dense matrix of pairwise trace inner products: ``evaluate_block`` of
+    the one factorization."""
+    return SupportMatrix(f.n, evaluate_block(f.U[None], f.V[None])[0])
 
 
 def _draw_rank(profile: RankProfile, gen: np.random.Generator, d: int) -> int:
@@ -147,28 +169,71 @@ def _draw_rank(profile: RankProfile, gen: np.random.Generator, d: int) -> int:
     raise ValueError(f"unknown rank profile: {profile!r}")
 
 
+def block_size(n: int) -> int:
+    """Trials per block at width n: 2^12 / 4^n, at least 1, so that a block's
+    stacks never outgrow those of one n = 6 trial."""
+    return max(1, (1 << 12) >> (2 * n))
+
+
 def _constrained_side(
-    free: np.ndarray, n: int, d: int, profile: RankProfile, gen: np.random.Generator
+    free: np.ndarray, n: int, d: int, profile: RankProfile,
+    gens: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Gram factors spanned by vectors drawn inside the kernels of all
-    intersection-one partners on the free side.
+    intersection-one partners on the free side, for a block of trials.
 
     Row b of the intersection table marks b's partners; their factors placed
     side by side (every other string's zeroed) have b's space as left null
-    space, so one batched SVD finds every string's space.  The loop draws
-    only the ranks and normals, in string order.
+    space, so one batched SVD finds every string's space in every trial.
+    The loop draws only the ranks and normals, trial by trial in string
+    order, each from its trial's generator.
     """
-    size = 1 << n
+    trials, size = free.shape[:2]
     partner = (intersection_table(n) == 1)[:, None, :, None]
-    # entry [b, i, a, j] is free[a, i, j] when a is a partner of b, else 0
-    side_by_side = np.where(partner, free.transpose(1, 0, 2), 0.0)
-    spaces, dims = subspace_intersect(side_by_side.reshape(size, d, size * d))
+    # entry [t, b, i, a, j] is free[t, a, i, j] when a is a partner of b, else 0
+    side_by_side = np.where(partner, free.transpose(0, 2, 1, 3)[:, None], 0.0)
+    spaces, dims = subspace_intersect(side_by_side.reshape(trials, size, d, size * d))
     out = np.zeros_like(free)
-    for b in range(size):
-        r, k = _draw_rank(profile, gen, d), dims[b]
-        if r and k:
-            out[b, :, :r] = spaces[b, :, :k] @ gen.standard_normal((k, r))
+    for gen, trial, space, dim in zip(gens, out, spaces, dims.tolist()):
+        for b, k in enumerate(dim):
+            r = _draw_rank(profile, gen, d)
+            if r and k:
+                trial[b, :, :r] = space[b, :, :k] @ gen.standard_normal((k, r))
     return out
+
+
+def sample_block(
+    n: int,
+    d: int,
+    rank_profile: RankProfile,
+    seeds: Sequence,
+    directions: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """U and V stacks, each (T, 2^n, d, d), of T factorizations drawn as
+    ``sample_atom(n, d, rank_profile, seeds[t], directions[t])``.
+
+    Trial t draws from its own ``default_rng(seeds[t])`` in the one-trial
+    order (free side in string order, then constrained side in string
+    order); only the null-space SVD is shared by the block.
+    """
+    if not 1 <= n <= MAX_SAMPLE_N:
+        raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
+    bad = [dr for dr in directions if dr not in ("u-first", "v-first")]
+    if bad:
+        raise ValueError(f"direction must be 'u-first' or 'v-first', got {bad[0]!r}")
+    if len(seeds) != len(directions):
+        raise ValueError(f"{len(seeds)} seeds for {len(directions)} directions")
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    free = np.zeros((len(gens), 1 << n, d, d))
+    for gen, trial in zip(gens, free):
+        for factor in trial:
+            r = _draw_rank(rank_profile, gen, d)
+            factor[:, :r] = random_psd(d, r, gen)
+    constrained = _constrained_side(free, n, d, rank_profile, gens)
+    u_first = np.array([dr == "u-first" for dr in directions])[:, None, None, None]
+    return np.where(u_first, free, constrained), np.where(u_first, constrained, free)
 
 
 def sample_atom(
@@ -179,7 +244,7 @@ def sample_atom(
     direction: str = "u-first",
 ) -> PsdFactorization:
     """Draw a random factorization whose evaluation vanishes on
-    intersection-one pairs by construction.
+    intersection-one pairs by construction (``sample_block`` of one trial).
 
     ``rank_profile`` governs both the ranks of the freely drawn side and the
     number of spanning vectors on the constrained side: "uniform" (default)
@@ -190,59 +255,65 @@ def sample_atom(
     asymmetric, and both directions should exercise the oracles.  ``rng`` is
     a Generator or any seed numpy accepts.
     """
-    if not 1 <= n <= MAX_SAMPLE_N:
-        raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-    if direction not in ("u-first", "v-first"):
-        raise ValueError(f"direction must be 'u-first' or 'v-first', got {direction!r}")
-    gen = np.random.default_rng(rng)
-    free = np.zeros((1 << n, d, d))
-    for factor in free:
-        r = _draw_rank(rank_profile, gen, d)
-        factor[:, :r] = random_psd(d, r, gen)
-    constrained = _constrained_side(free, n, d, rank_profile, gen)
-    if direction == "u-first":
-        return PsdFactorization(n, d, free, constrained)
-    return PsdFactorization(n, d, constrained, free)
+    u, v = sample_block(n, d, rank_profile, [rng], [direction])
+    return PsdFactorization(n, d, u[0], v[0])
+
+
+def witness_block(
+    u: np.ndarray, v: np.ndarray, eps: float = EPS_ZERO
+) -> tuple[np.ndarray, list[Optional[str]]]:
+    """Antidiagonal witness rows of a block of square atoms, (T, 2^d, d, d)
+    stacks, and per trial None or why its witnessed entry falsifies.
+
+    Walks F_i = Im V_{e_1} + ... + Im V_{e_i} for every trial at once: if
+    F_d is the full space the all-ones row is zero; if V_{e_1} = 0 the e_1
+    column is zero; otherwise the chain stalls at some first p with
+    F_p = F_{p+1}, and the complement of e_{p+1} indexes a zero row entry at
+    the antidiagonal.  Returns the row values; a selected entry above its
+    trial's zero threshold would contradict the antidiagonal-zero property
+    of square atoms.
+    """
+    trials, size, d = v.shape[:3]
+    n = size.bit_length() - 1
+    if n != d:
+        raise ValueError(f"witness needs a square-index atom, got n={n}, d={d}")
+    # F_i = Im V_{e_1} + ... + Im V_{e_i}; e_i has value 2^(d - i)
+    span, dim = image_block(v[:, 1 << (d - 1)])
+    dims = [dim]
+    for i in range(2, d + 1):
+        span, dim = subspace_sum_block(span, image_block(v[:, 1 << (d - i)])[0])
+        dims.append(dim)
+    dims = np.stack(dims, axis=1)
+    full, zero = dims[:, -1] == d, dims[:, 0] == 0
+    stalled = dims[:, :-1] == dims[:, 1:]
+    # a strictly increasing chain starting at dim >= 1 would reach dim d
+    assert (full | zero | stalled.any(axis=1)).all(), \
+        "image chain cannot strictly increase below full"
+    # the complement of e_1 when V_{e_1} = 0, else of e_{p+1} at the stall p
+    unit = np.where(zero, d - 1, d - 2 - stalled.argmax(axis=1)) if d > 1 else 0
+    ones = size - 1
+    rows = np.where(full, ones, ones ^ (1 << unit))
+    values = evaluate_block(u, v)
+    entries = values[np.arange(trials), rows, ones ^ rows].tolist()
+    thresholds = threshold_block(values, eps).tolist()
+    reasons = []
+    for a, entry, thr in zip(rows.tolist(), entries, thresholds):
+        reasons.append(None if entry <= thr else (
+            f"antidiagonal entry at ({BitString(d, a)}, {BitString(d, ones ^ a)}) "
+            f"is {entry:.3e}, above threshold {thr:.3e}"))
+    return rows, reasons
 
 
 def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitString:
-    """A string a with evaluated entry (a, complement(a)) numerically zero.
-
-    Walks F_i = Im V_{e_1} + ... + Im V_{e_i}: if F_d is the full space the
-    all-ones row is zero; if V_{e_1} = 0 the e_1 column is zero; otherwise
-    the chain stalls at some first p with F_p = F_{p+1}, and the complement
-    of e_{p+1} indexes a zero row entry at the antidiagonal.  Raises
-    FalsificationError if the selected entry is not numerically zero, which
-    would contradict the antidiagonal-zero property of square atoms.
+    """A string a with evaluated entry (a, complement(a)) numerically zero
+    (``witness_block`` of the one factorization).  Raises FalsificationError
+    if the selected entry is not numerically zero, which would contradict
+    the antidiagonal-zero property of square atoms.
     """
-    if f.n != f.d:
-        raise ValueError(f"witness needs a square-index atom, got n={f.n}, d={f.d}")
-    d = f.d
-    # F_i = Im V_{e_1} + ... + Im V_{e_i}; e_i has value 2^(d - i)
-    chain = [image(f.V[1 << (d - 1)])]
-    for i in range(2, d + 1):
-        chain.append(subspace_sum(chain[-1], image(f.V[1 << (d - i)])))
-    dims = [space.shape[1] for space in chain]
-    if dims[-1] == d:
-        a = BitString.ones(d)
-    elif dims[0] == 0:
-        a = BitString.unit(d, 1).complement()
-    else:
-        stall = next((j for j in range(d - 1) if dims[j] == dims[j + 1]), None)
-        # a strictly increasing chain starting at dim >= 1 would reach dim d
-        assert stall is not None, "image chain cannot strictly increase below full"
-        a = BitString.unit(d, stall + 2).complement()
-    m = evaluate(f)
-    entry = m.value(a, a.complement())
-    if entry > m.threshold(eps):
-        raise FalsificationError(
-            f"antidiagonal entry at ({a}, {a.complement()}) is {entry:.3e}, "
-            f"above threshold {m.threshold(eps):.3e}",
-            factorization=f,
-        )
-    return a
+    rows, reasons = witness_block(f.U[None], f.V[None], eps)
+    if reasons[0] is not None:
+        raise FalsificationError(reasons[0], factorization=f)
+    return BitString(f.d, int(rows[0]))
 
 
 class PatternId(enum.IntEnum):
@@ -270,18 +341,17 @@ _TEMPLATE_GRIDS: dict[PatternId, tuple[str, str, str, str]] = {
 
 
 #: Allowed-positive positions ('x' or '?') of each template as a 4 x 4 mask,
-#: in pattern id order.
-_TEMPLATE_MASKS = {
-    pid: np.array([[c in "x?" for c in row] for row in grid])
-    for pid, grid in _TEMPLATE_GRIDS.items()
-}
+#: stacked in pattern id order.
+_TEMPLATE_MASKS = np.array([
+    [[c in "x?" for c in row] for row in grid] for grid in _TEMPLATE_GRIDS.values()
+])
 
 
 def pattern_template(pid: PatternId) -> frozenset[tuple[BitString, BitString]]:
     """Allowed-positive positions of the pattern (including the '?' corner)."""
     return frozenset(
         (BitString(2, a), BitString(2, b))
-        for a, b in np.argwhere(_TEMPLATE_MASKS[PatternId(pid)]).tolist()
+        for a, b in np.argwhere(_TEMPLATE_MASKS[PatternId(pid) - 1]).tolist()
     )
 
 
@@ -292,8 +362,16 @@ def pattern_disjoint_support(pid: PatternId) -> frozenset[tuple[BitString, BitSt
     )
 
 
+def pattern_block(support: np.ndarray) -> np.ndarray:
+    """Per 4 x 4 support mask of a stack (T, 4, 4), the lex-smallest pattern
+    id whose template contains it, or 0 where no template does."""
+    fits = ~np.any(support[:, None] & ~_TEMPLATE_MASKS, axis=(2, 3))
+    return np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, 0)
+
+
 def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
-    """Lex-smallest pattern id whose template contains the support of m.
+    """Lex-smallest pattern id whose template contains the support of m
+    (``pattern_block`` of the one support).
 
     Raises NoPatternMatches when no template fits; for an atom over 2 x 2
     PSD matrices that would falsify the six-pattern classification (for
@@ -302,9 +380,9 @@ def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
     if m.n != 2:
         raise ValueError(f"pattern classification needs n = 2, got {m.n}")
     support = m.support(eps)
-    for pid, allowed in _TEMPLATE_MASKS.items():
-        if not np.any(support & ~allowed):
-            return pid
+    pid = int(pattern_block(support[None])[0])
+    if pid:
+        return PatternId(pid)
     pairs = ", ".join(
         f"({BitString(2, a)}, {BitString(2, b)})" for a, b in np.argwhere(support).tolist()
     )

@@ -182,15 +182,33 @@ class SupportMatrix:
         return self.values.max().item()
 
     def threshold(self, eps: float = EPS_ZERO) -> float:
-        """eps * scale, for a relative eps in [0, 1); anything else (NaN, a
-        negative eps, or one that hides the largest entry) raises ValueError."""
-        if not 0 <= eps < 1:
-            raise ValueError(f"epsilon {eps} outside [0, 1)")
-        return eps * self.scale
+        """eps * scale (see ``threshold_block``)."""
+        return threshold_block(self.values, eps).item()
 
     def support(self, eps: float = EPS_ZERO) -> np.ndarray:
         """Boolean mask of the entries above the zero-classification threshold."""
-        return self.values > self.threshold(eps)
+        return support_block(self.values, eps)
+
+
+def threshold_block(values: np.ndarray, eps: float = EPS_ZERO) -> np.ndarray:
+    """eps times the largest entry of each matrix in a stack (..., r, c), for
+    a relative eps in [0, 1); anything else (NaN, a negative eps, or one that
+    hides the largest entry) raises ValueError."""
+    if not 0 <= eps < 1:
+        raise ValueError(f"epsilon {eps} outside [0, 1)")
+    return eps * values.max(axis=(-2, -1))
+
+
+def support_block(values: np.ndarray, eps: float = EPS_ZERO) -> np.ndarray:
+    """Support masks of a stack (..., r, c) of matrices, each entry against
+    its own matrix's threshold."""
+    return values > threshold_block(values, eps)[..., None, None]
+
+
+def val_block(support: np.ndarray) -> np.ndarray:
+    """val of each support mask in a stack (..., 2^n, 2^n)."""
+    n = support.shape[-1].bit_length() - 1
+    return np.count_nonzero(support & (intersection_table(n) == 0), axis=(-2, -1))
 
 
 def udisj(n: int) -> SupportMatrix:
@@ -221,7 +239,7 @@ def cor_slack(a: BitString, b: BitString) -> int:
 
 def val(m: SupportMatrix, eps: float = EPS_ZERO) -> int:
     """Number of disjoint pairs carrying an entry above the zero threshold."""
-    return int(np.count_nonzero(m.support(eps) & (intersection_table(m.n) == 0)))
+    return int(val_block(m.support(eps)))
 
 
 def is_atom_pattern(m: SupportMatrix, eps: float = EPS_ZERO) -> bool:

@@ -112,6 +112,7 @@ def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:
     rejected because the report's invariants presuppose a covering of size at
     most 3^d - 1.
     """
+    _check_nd(n, d)
     default_k = 3**d - 1
     if k is None:
         k = default_k

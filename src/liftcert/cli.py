@@ -2,9 +2,13 @@
 
 Every randomized suite is deterministic: trial i uses seed ``seed + i`` and
 trials are reported in index order, so identical configurations produce
-byte-identical JSON.  Negative outcomes exit with code 1 and carry a
-structured falsifier payload (the offending factorization and its evaluated
-matrix) rather than a bare failure; invalid configuration exits with code 2.
+byte-identical JSON.  Trials are sampled and checked in blocks of
+``atoms.block_size(n)`` (256 at n = 2, 64 at n = 3, 1 from n = 6 on); a
+block changes no trial's draws and no report, and a run stops at its first
+failing trial, tallying only the trials before it.  Negative outcomes exit
+with code 1 and carry a structured falsifier payload (the offending
+factorization and its evaluated matrix) rather than a bare failure; invalid
+configuration exits with code 2.
 """
 
 from __future__ import annotations
@@ -21,16 +25,25 @@ import numpy as np
 
 from . import __version__
 from .atoms import (
-    FalsificationError,
-    NoPatternMatches,
     PsdFactorization,
-    antidiagonal_witness,
-    classify_pattern_d2,
+    block_size,
     evaluate,
+    evaluate_block,
     factorization_to_json,
-    sample_atom,
+    pattern_block,
+    sample_block,
+    witness_block,
 )
-from .bitcore import EPS_ZERO, matrix_entries, matrix_to_csv, matrix_to_json, udisj, val
+from .bitcore import (
+    EPS_ZERO,
+    matrix_entries,
+    matrix_to_csv,
+    matrix_to_json,
+    support_block,
+    udisj,
+    val,
+    val_block,
+)
 from .bounds import bound_report, report_to_json, report_to_text
 from .covering import (
     CoveringFamily,
@@ -51,32 +64,44 @@ EXIT_BAD_CONFIG = 2
 
 
 def _run_trials(
+    n: int,
+    d: int,
+    rank_profile: str,
     trials: int,
     seed: int,
     directions: Sequence[str],
-    sample: Callable[[int, str], PsdFactorization],
-    check: Callable[[PsdFactorization], Optional[str]],
+    check: Callable[[np.ndarray, np.ndarray], tuple[list, Sequence]],
+    tally: Callable[[Sequence], None],
 ) -> tuple[int, Optional[dict]]:
-    """Trial i checks ``sample(seed + i, directions[i % len(directions)])``.
+    """Trial i checks ``sample_atom(n, d, rank_profile, seed + i,
+    directions[i % len(directions)])``, in blocks of ``block_size(n)`` trials.
 
-    ``check`` returns None when a trial passes and a reason otherwise.  Stops
-    at the first reason; returns the number of passes and the falsifier (the
-    trial, its seed and direction, the reason, the factorization and its
-    evaluated matrix), or None when every trial passed.
+    ``check`` takes a block's U and V stacks and returns, per trial, None when
+    the trial passes and a reason otherwise, together with one outcome per
+    trial.  The outcomes of the trials before the first reason go to
+    ``tally``, and the run stops there.  Returns the number of passes and
+    the falsifier (the trial, its seed and direction, the reason, the
+    factorization and its evaluated matrix), or None when every trial passed.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    for i in range(trials):
-        trial_seed = seed + i
-        direction = directions[i % len(directions)]
-        f = sample(trial_seed, direction)
-        reason = check(f)
-        if reason is not None:
+    size = block_size(n)
+    for start in range(0, trials, size):
+        block = range(start, min(start + size, trials))
+        block_directions = [directions[i % len(directions)] for i in block]
+        u, v = sample_block(n, d, rank_profile, range(seed + block.start, seed + block.stop),
+                            block_directions)
+        reasons, outcomes = check(u, v)
+        failed = next((j for j, reason in enumerate(reasons) if reason is not None), None)
+        tally(outcomes[:failed])
+        if failed is not None:
+            i = block[failed]
+            f = PsdFactorization(n, d, u[failed], v[failed])
             return i, {
                 "trial": i,
-                "seed": trial_seed,
-                "direction": direction,
-                "reason": reason,
+                "seed": seed + i,
+                "direction": block_directions[failed],
+                "reason": reasons[failed],
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
             }
@@ -95,24 +120,21 @@ def run_pattern_oracle(
     counts: Counter[int] = Counter()
     max_val = 0
 
-    def check(f: PsdFactorization) -> Optional[str]:
-        nonlocal max_val
-        m = evaluate(f)
-        try:
-            pid = classify_pattern_d2(m, eps)
-        except NoPatternMatches:
-            return "support fits no pattern"
-        v = val(m, eps)
-        max_val = max(max_val, v)
-        if v > 7:
-            return f"val = {v} exceeds 7"
-        counts[int(pid)] += 1
-        return None
+    def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
+        support = support_block(evaluate_block(u, v), eps)
+        outcomes = list(zip(pattern_block(support).tolist(), val_block(support).tolist()))
+        reasons = ["support fits no pattern" if not pid else
+                   f"val = {count} exceeds 7" if count > 7 else None
+                   for pid, count in outcomes]
+        return reasons, outcomes
 
-    passes, falsifier = _run_trials(
-        trials, seed, directions,
-        lambda s, dr: sample_atom(2, 2, rank_profile, rng=s, direction=dr), check,
-    )
+    def tally(outcomes: Sequence[tuple[int, int]]) -> None:
+        nonlocal max_val
+        counts.update(pid for pid, _ in outcomes)
+        max_val = max([max_val] + [count for _, count in outcomes])
+
+    passes, falsifier = _run_trials(2, 2, rank_profile, trials, seed, directions,
+                                    check, tally)
     report = {"seed": seed, "trials": trials, "passes": passes,
               "pattern_counts": dict(sorted(counts.items())), "falsifier": falsifier}
     if falsifier is None:
@@ -130,23 +152,22 @@ def run_witness_oracle(
 ) -> dict:
     """Find the antidiagonal zero of each sampled square atom; every entry
     found must clear the relative zero threshold."""
-    witness_rows: Counter[str] = Counter()
+    witness_rows: Counter[int] = Counter()
 
-    def check(f: PsdFactorization) -> Optional[str]:
-        try:
-            witness_rows[str(antidiagonal_witness(f, eps))] += 1
-        except FalsificationError as exc:
-            return str(exc)
-        return None
+    def check(u: np.ndarray, v: np.ndarray) -> tuple[list, np.ndarray]:
+        rows, reasons = witness_block(u, v, eps)
+        return reasons, rows
 
-    passes, falsifier = _run_trials(
-        trials, seed, directions,
-        lambda s, dr: sample_atom(d, d, rank_profile, rng=s, direction=dr), check,
-    )
+    def tally(rows: np.ndarray) -> None:
+        witness_rows.update(rows.tolist())
+
+    passes, falsifier = _run_trials(d, d, rank_profile, trials, seed, directions,
+                                    check, tally)
     report = {"seed": seed, "d": d, "trials": trials, "passes": passes,
               "falsifier": falsifier}
     if falsifier is None:
-        report["witness_rows"] = dict(sorted(witness_rows.items()))
+        report["witness_rows"] = {f"{a:0{d}b}": count
+                                  for a, count in sorted(witness_rows.items())}
     return report
 
 
@@ -168,20 +189,26 @@ def run_induction_oracle(
         raise ValueError(f"family width {family.d} does not match d = {d}")
     max_val = 0
 
-    def check(f: PsdFactorization) -> Optional[str]:
-        nonlocal max_val
-        rep = check_induction_inequality(f, family, eps)
-        max_val = max(max_val, rep.val_total)
-        if not rep.holds:
-            return f"val {rep.val_total} > bound {rep.bound}"
-        if not rep.aggregates_are_atoms:
-            return "an aggregate has a positive intersection-one entry"
-        return None
+    def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
+        reasons, totals = [], []
+        for fu, fv in zip(u, v):
+            rep = check_induction_inequality(PsdFactorization(n, d, fu, fv), family, eps)
+            totals.append(rep.val_total)
+            if not rep.holds:
+                reasons.append(f"val {rep.val_total} > bound {rep.bound}")
+                break
+            if not rep.aggregates_are_atoms:
+                reasons.append("an aggregate has a positive intersection-one entry")
+                break
+            reasons.append(None)
+        return reasons, totals
 
-    passes, falsifier = _run_trials(
-        trials, seed, directions,
-        lambda s, dr: sample_atom(n, d, rank_profile, rng=s, direction=dr), check,
-    )
+    def tally(totals: Sequence[int]) -> None:
+        nonlocal max_val
+        max_val = max([max_val, *totals])
+
+    passes, falsifier = _run_trials(n, d, rank_profile, trials, seed, directions,
+                                    check, tally)
     report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
               "passes": passes, "falsifier": falsifier}
     if falsifier is None:

@@ -12,8 +12,10 @@ sums orthonormalize concatenated bases.  Intersections of kernels are left
 null spaces: x lies in the kernel of every B_i B_i^T exactly when x^T B_i = 0
 for all i, that is when x^T [B_1 ... B_k] = 0, so one SVD of the factors
 placed side by side gives the whole intersection, and a stack of such
-problems is one batched SVD.  The key fact the oracles lean on: <X, Y> = 0
-for PSD X, Y exactly when the image of Y lies inside the kernel of X.
+problems is one batched SVD.  ``image_block`` and ``subspace_sum_block`` take
+stacks too, and return each basis zero-padded to d x d with its dimension.
+The key fact the oracles lean on: <X, Y> = 0 for PSD X, Y exactly when the
+image of Y lies inside the kernel of X.
 """
 
 from __future__ import annotations
@@ -37,23 +39,42 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _eig_split(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of X = x x^T above / at-or-below tol * lambda_max."""
-    w, v = np.linalg.eigh(x @ x.T)
-    lam_max = max(float(w[-1]), 0.0)
-    keep = w > tol * lam_max
-    return v[:, keep], v[:, ~keep]
+    """Eigenvectors of X = x x^T for a stack (..., d, m) of factors, in
+    ascending eigenvalue order, and how many of them (the last ones) have an
+    eigenvalue above tol * lambda_max."""
+    w, v = np.linalg.eigh(x @ np.swapaxes(x, -1, -2))
+    lam_max = np.maximum(w[..., -1:], 0.0)
+    return v, np.count_nonzero(w > tol * lam_max, axis=-1)
 
 
 def image(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the span of the eigenvectors of X = x x^T with
     eigenvalue above tol * lambda_max."""
-    return _eig_split(x, tol)[0]
+    v, dims = _eig_split(x, tol)
+    return v[:, v.shape[1] - dims:]
 
 
 def kernel(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the complement of the image, from the same
     decomposition."""
-    return _eig_split(x, tol)[1]
+    v, dims = _eig_split(x, tol)
+    return v[:, : v.shape[1] - dims]
+
+
+def image_block(x: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``image`` of every factor in a stack (..., d, m), as ``(bases, dims)``:
+    each (d, d) basis holds the image in its last ``dims`` columns and zeros
+    in the others."""
+    v, dims = _eig_split(x, tol)
+    d = v.shape[-1]
+    return v * (np.arange(d) >= d - dims[..., None])[..., None, :], dims
+
+
+def _span(columns: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors of a stack (..., d, m) and how many of them (the
+    first ones) have a singular value above tol times the largest."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u, np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def subspace_sum(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -63,8 +84,19 @@ def subspace_sum(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> np.ndar
     columns = np.hstack([a, b])
     if columns.size == 0:
         return columns
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, s > tol * s[0]] if s[0] > 0 else u[:, :0]
+    u, dims = _span(columns, tol)
+    return u[:, :dims]
+
+
+def subspace_sum_block(
+    a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """``subspace_sum`` of every pair in two stacks (..., d, d) of bases that
+    may carry zero columns, as ``(bases, dims)``: each (d, d) basis holds the
+    sum in its first ``dims`` columns and zeros in the others."""
+    u, dims = _span(np.concatenate([a, b], axis=-1), tol)
+    d = u.shape[-1]
+    return u * (np.arange(d) < dims[..., None])[..., None, :], dims
 
 
 def subspace_intersect(

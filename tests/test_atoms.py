@@ -15,13 +15,18 @@ from liftcert.atoms import (
     PatternId,
     PsdFactorization,
     antidiagonal_witness,
+    block_size,
     classify_pattern_d2,
     evaluate,
+    evaluate_block,
     factorization_from_json,
     factorization_to_json,
+    pattern_block,
     pattern_disjoint_support,
     pattern_template,
     sample_atom,
+    sample_block,
+    witness_block,
 )
 from liftcert.bitcore import (
     EPS_ZERO,
@@ -33,6 +38,7 @@ from liftcert.bitcore import (
     intersection_size,
     is_atom_pattern,
     matrix_from_entries,
+    support_block,
     val,
 )
 from liftcert.linalg import image, inner
@@ -151,6 +157,58 @@ class TestSampleAtom:
         f = sample_atom(3, 2, rng=1)
         for side in (f.U, f.V):
             assert side.shape == (8, 2, 2) and not side.flags.writeable
+
+
+def odd_rank(gen: np.random.Generator, d: int) -> int:
+    """A callable rank profile: an odd rank when d allows one."""
+    return min(d, 2 * int(gen.integers(0, d)) + 1)
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("profile", ["uniform", "full", 1, odd_rank])
+    @pytest.mark.parametrize("n, d, trials", [(2, 2, 40), (3, 3, 20), (4, 2, 10),
+                                              (6, 3, 3), (1, 1, 40)])
+    def test_each_trial_is_its_own_sample(self, n, d, trials, profile):
+        seeds = range(500, 500 + trials)
+        directions = [("u-first", "v-first")[s % 3 == 0] for s in seeds]
+        u, v = sample_block(n, d, profile, seeds, directions)
+        assert u.shape == v.shape == (trials, 1 << n, d, d)
+        values = evaluate_block(u, v)
+        for t, (seed, direction) in enumerate(zip(seeds, directions)):
+            f = sample_atom(n, d, profile, rng=seed, direction=direction)
+            assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
+            assert np.array_equal(values[t], evaluate(f).values)
+
+    def test_block_checks_match_one_trial_checks(self):
+        for d in (2, 3):
+            seeds = range(block_size(d) + 7)
+            directions = ["u-first", "v-first"] * (len(seeds) // 2 + 1)
+            u, v = sample_block(d, d, "uniform", seeds, directions[: len(seeds)])
+            rows, reasons = witness_block(u, v)
+            pids = pattern_block(support_block(evaluate_block(u, v))) if d == 2 else None
+            for t, seed in enumerate(seeds):
+                f = PsdFactorization(d, d, u[t], v[t])
+                assert reasons[t] is None
+                assert antidiagonal_witness(f) == BitString(d, int(rows[t]))
+                if d == 2:
+                    assert pids[t] == classify_pattern_d2(evaluate(f))
+
+    def test_failing_trial_named_alone(self):
+        u = np.stack([unit_columns(2, {}), np.broadcast_to(np.eye(2), (4, 2, 2))])
+        rows, reasons = witness_block(u, u)
+        assert reasons[0] is None and rows.tolist() == [0b01, 0b11]
+        assert reasons[1].startswith("antidiagonal entry at (11, 00) is 2.000e+00")
+        pids = pattern_block(support_block(evaluate_block(u, u)))
+        assert pids.tolist() == [1, 0]
+
+    def test_block_size_bounds_the_stacks(self):
+        assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
+
+    def test_seed_and_direction_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            sample_block(2, 2, "uniform", [1, 2], ["u-first"])
+        with pytest.raises(ValueError, match="sideways"):
+            sample_block(2, 2, "uniform", [1, 2], ["u-first", "sideways"])
 
 
 class TestAntidiagonalWitness:

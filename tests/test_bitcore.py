@@ -25,8 +25,11 @@ from liftcert.bitcore import (
     matrix_from_entries,
     matrix_to_csv,
     matrix_to_json,
+    support_block,
+    threshold_block,
     udisj,
     val,
+    val_block,
 )
 
 
@@ -295,6 +298,22 @@ class TestSupportMatrix:
             udisj(2).threshold(eps)
         with pytest.raises(ValueError):
             val(udisj(2), eps)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, 1.0])
+    def test_block_epsilon_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            support_block(np.ones((3, 4, 4)), eps)
+
+    @given(st.lists(small_matrices(2), min_size=1, max_size=5),
+           st.sampled_from([0.0, 1e-9, 0.5]))
+    def test_blocks_match_each_matrix(self, ms: list[SupportMatrix], eps: float):
+        for n in {m.n for m in ms}:
+            same = [m for m in ms if m.n == n]
+            values = np.array([m.values for m in same])
+            thresholds, supports = threshold_block(values, eps), support_block(values, eps)
+            for m, thr, sup, v in zip(same, thresholds, supports, val_block(supports)):
+                assert thr == m.threshold(eps) and np.array_equal(sup, m.support(eps))
+                assert v == val(m, eps)
 
     def test_epsilon_zero_keeps_every_positive_entry(self):
         m = matrix_from_entries(1, [("0", "0", 1.0), ("0", "1", 1e-300)])

@@ -231,6 +231,11 @@ class TestBound:
     def test_oversized_k_rejected(self, capsys):
         assert run_cli(capsys, "bound", "--n", "4", "--d", "1", "--k", "5")[0] == 2
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_width_below_one_named(self, capsys, d):
+        code, err = run_cli_error(capsys, "bound", "--n", "5", "--d", d)
+        assert code == 2 and f"d = {d} must be >= 1" in err
+
 
 class TestInductionCommand:
     def test_default_family(self, capsys):

@@ -8,11 +8,13 @@ import pytest
 
 from liftcert.linalg import (
     image,
+    image_block,
     inner,
     kernel,
     random_psd,
     subspace_intersect,
     subspace_sum,
+    subspace_sum_block,
 )
 
 
@@ -209,6 +211,36 @@ class TestSubspaceOps:
         v = np.array([[1.0], [1e-7]])
         _, dims = subspace_intersect(np.hstack([w, v]))
         assert dims == 0
+
+
+class TestBlocks:
+    def test_image_block_pads_each_image(self):
+        rng = np.random.default_rng(23)
+        for d in range(1, 6):
+            stack = np.array([padded(random_psd(d, int(rng.integers(0, d + 1)), rng))
+                              for _ in range(40)])
+            bases, dims = image_block(stack)
+            assert bases.shape == stack.shape
+            for x, b, k in zip(stack, bases, dims.tolist()):
+                # the image in the last k columns, exactly as image() gives it
+                assert np.array_equal(b[:, d - k:], image(x))
+                assert not b[:, : d - k].any()
+
+    def test_subspace_sum_block_pads_each_sum(self):
+        rng = np.random.default_rng(24)
+        for d in range(1, 6):
+            a = [image(random_psd(d, int(rng.integers(0, d + 1)), rng)) for _ in range(40)]
+            b = [image(random_psd(d, int(rng.integers(0, d + 1)), rng)) for _ in range(40)]
+            # zero columns around each basis, as image_block leaves them
+            bases, dims = subspace_sum_block(np.array([padded(x)[:, ::-1] for x in a]),
+                                             np.array([padded(y) for y in b]))
+            for x, y, s, k in zip(a, b, bases, dims.tolist()):
+                assert same_space(s[:, :k], subspace_sum(x, y))
+                assert not s[:, k:].any()
+
+    def test_chain_of_zero_bases_is_empty(self):
+        bases, dims = subspace_sum_block(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+        assert np.array_equal(dims, [0, 0]) and not bases.any()
 
 
 class TestRandomPsd:

@@ -4,9 +4,9 @@ Each row is an invocation, its exit code and the sha256 of its stdout.  The
 digests pin the reports byte for byte: the trial order, the seeds, every
 report field and the falsifier payload.  ``{name}`` in an invocation is
 replaced by the path of the family file of that name.  Rows that name the
-non-atom sampler replace ``liftcert.cli.sample_atom`` with one returning the
-constant identity factorization, which no check accepts, to reach the
-falsifier paths of the pattern and antidiagonal checks.  Invalid
+non-atom sampler replace the block sampler ``liftcert.cli.sample_block`` with
+one returning constant identity factorizations, which no check accepts, to
+reach the falsifier paths of the pattern and antidiagonal checks.  Invalid
 configurations exit 2 with an empty stdout.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from liftcert import cli
-from liftcert.atoms import PsdFactorization
 from liftcert.covering import CoveringFamily, Rectangle, family_to_json, recursive_covering
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -31,9 +30,9 @@ FAMILIES = {
 }
 
 
-def non_atom_sampler(n, d, rank_profile="uniform", rng=0, direction="u-first"):
-    side = np.broadcast_to(np.eye(d), (1 << n, d, d))
-    return PsdFactorization(n, d, side, side)
+def non_atom_sampler(n, d, rank_profile, seeds, directions):
+    side = np.broadcast_to(np.eye(d), (len(seeds), 1 << n, d, d))
+    return side, side
 
 
 CASES = [
@@ -115,5 +114,5 @@ def report_digest(tmp_path, capsys, invocation: str) -> tuple[int, str]:
 def test_oracle_report(tmp_path, capsys, monkeypatch, invocation, sampler,
                        exit_code, digest):
     if sampler is not None:
-        monkeypatch.setattr(cli, "sample_atom", sampler)
+        monkeypatch.setattr(cli, "sample_block", sampler)
     assert report_digest(tmp_path, capsys, invocation) == (exit_code, digest)
