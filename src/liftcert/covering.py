@@ -46,9 +46,11 @@ from .bitcore import (
     all_strings,
     enumerate_disjoint_pairs,
     intersection_size,
-    is_atom_pattern,
     intersection_table,
+    is_atom_pattern,
+    support_block,
     val,
+    val_block,
 )
 
 MAX_COVER_D = 6
@@ -438,16 +440,18 @@ def check_induction_inequality(
         raise ValueError("evaluated matrix is not zero on intersection-one pairs")
     if m.n < family.d:
         raise ValueError(f"matrix width {m.n} below family width {family.d}")
-    parts = aggregate(m, family)
-    vals = tuple(val(p, eps) for p in parts)
+    # one stack of the aggregates, each against its own threshold
+    supports = support_block(np.array([p.values for p in aggregate(m, family)]), eps)
+    vals = tuple(val_block(supports).tolist())
     total = val(m, eps)
+    one = intersection_table(m.n - family.d) == 1
     return InductionReport(
         n=m.n,
         d=family.d,
         val_total=total,
         block_vals=vals,
         holds=total <= sum(vals),
-        aggregates_are_atoms=all(is_atom_pattern(p, eps) for p in parts),
+        aggregates_are_atoms=not np.any(supports & one),
     )
 
 

@@ -485,6 +485,21 @@ class TestInduction:
         with pytest.raises(ValueError):
             check_induction_inequality(sample_atom(1, 2, rng=0), recursive_covering(2))
 
+    @pytest.mark.parametrize("n, family", [
+        (4, recursive_covering(2)), (6, recursive_covering(3)),
+        (3, base_covering_d1()), (2, explicit_covering_d2()), (2, recursive_covering(2)),
+    ])
+    @pytest.mark.parametrize("eps", [1e-9, 0.3])
+    def test_report_matches_each_aggregate(self, n, family, eps):
+        for seed in range(8):
+            for direction in ("u-first", "v-first"):
+                f = sample_atom(n, family.d, rng=seed, direction=direction)
+                parts = aggregate(evaluate(f), family)
+                rep = check_induction_inequality(f, family, eps)
+                assert rep.block_vals == tuple(val(p, eps) for p in parts)
+                assert rep.val_total == val(evaluate(f), eps)
+                assert rep.aggregates_are_atoms == all(is_atom_pattern(p, eps) for p in parts)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("make", [base_covering_d1, explicit_covering_d2])
