@@ -3,8 +3,9 @@
 Each row is an invocation, its exit code and the sha256 of its stdout.  The
 digests pin the matrix formats byte for byte: the JSON entry list (order,
 labels, integer values), the dense CSV with its headers, and the text
-report's val line.  At ``--epsilon 0.5`` the threshold hides the 1-entries,
-so val falls short of 3^n and the report exits 1.
+report's val line.  n = 10 is the dense cap: 851,746 entries, with
+two-digit values up to 81.  At ``--epsilon 0.5`` the threshold hides the
+1-entries, so val falls short of 3^n and the report exits 1.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ CASES = [
      "9dc6550474c5d8e21223d07bc5e53b7587449d44a09285d8cdf364fbdc99c335"),
     ("udisj --n 9 --format text", 0,
      "904a203ddf84de886a6a453c7afcfc2495868682d4037346e9abc50e2db83132"),
+    ("udisj --n 10 --format json", 0,
+     "c7926945fa54dd605f105cdc7c0129d422a476077808a242f5ab92162b212e89"),
+    ("udisj --n 10 --format csv", 0,
+     "06fc1bf78e8f3bbea6f5d2b8a9155ddf77035482e721ff01a413267a31462542"),
     ("udisj --n 3 --epsilon 0", 0,
      "53f937c400028af6b623cb771b8e6b7ea2c6640a9e521b63cde026dd8dbadf35"),
     ("udisj --n 3 --epsilon 0.5", 1,
