@@ -266,16 +266,13 @@ def matrix_to_csv(m: SupportMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_entries(m: SupportMatrix, eps: float = EPS_ZERO) -> list[tuple]:
-    """(row text, column text, value) of each entry above the zero threshold."""
+def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
+    """JSON object listing only the entries above the zero threshold, in lex
+    order, each as [row text, column text, value]."""
     labels = np.array([str(s) for s in all_strings(m.n)], dtype=object)
     r, c = np.nonzero(m.support(eps))
-    return list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))
-
-
-def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
-    """JSON object listing only the entries above the zero threshold, in lex order."""
-    return json.dumps({"n": m.n, "entries": matrix_entries(m, eps)}, sort_keys=True)
+    entries = list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))
+    return json.dumps({"n": m.n, "entries": entries}, sort_keys=True)
 
 
 def matrix_from_entries(

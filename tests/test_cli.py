@@ -6,10 +6,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftcert import covering
-from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, main
+from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, _value_column, main
 from liftcert.covering import (
     MAX_COVER_D,
     CoveringCertificate,
@@ -143,6 +146,18 @@ class TestCoveringCommands:
         assert code == 2 and "rectangle indices not distinct" in err
 
 
+def text_column(items: list) -> tuple[np.ndarray, list[str]]:
+    """Codes of items into their distinct JSON texts, in first-seen order."""
+    texts = list(dict.fromkeys(json.dumps(x) for x in items))
+    return np.array([texts.index(json.dumps(x)) for x in items], dtype=np.int64), texts
+
+
+def row_columns(template: str, rows: list[tuple]) -> _Rows:
+    """Row tuples in the column form, each slot coded by its JSON text."""
+    return _Rows(template, [text_column([row[j] for row in rows])
+                            for j in range(template.count("%s"))])
+
+
 def both_layouts(failures: list) -> tuple[dict, dict]:
     """A report with row lists as _Rows and the same report with plain lists."""
     cert_rows = [("00", "01", 3), ("01", "00", 12), ("10", "01", 0)]
@@ -161,7 +176,7 @@ def both_layouts(failures: list) -> tuple[dict, dict]:
                        "n": 1},
         }
 
-    return (report(lambda template, rows, _: _Rows(template, iter(rows))),
+    return (report(lambda template, rows, _: row_columns(template, rows)),
             report(lambda _, rows, shape: [shape(*row) for row in rows]))
 
 
@@ -170,7 +185,53 @@ def both_layouts(failures: list) -> tuple[dict, dict]:
 ], ids=["no-failures", "failures"])
 def test_row_renderer_matches_indent_encoder(failures):
     rows, plain = both_layouts(failures)
-    assert _dumps(rows) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(rows, [])) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[str]):
+    """Rows (label, label, value), with the values coded as ``udisj`` codes
+    them and nested in one dict per key, render as the indent=2 encoder."""
+    x, y, v = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    values = np.array(v, dtype=dtype)
+    obj = _Rows(template, [text_column(x), text_column(y), _value_column(values)])
+    if template == PAIR_ROW:
+        plain = [[[a, b], c] for a, b, c in zip(x, y, values.tolist())]
+    else:
+        plain = [[a, b, c] for a, b, c in zip(x, y, values.tolist())]
+    for depth, key in enumerate(keys):
+        obj, plain = {key: obj, key + "~": depth}, {key: plain, key + "~": depth}
+    assert "".join(_dumps(obj, [])) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("template", [PAIR_ROW, ENTRY_ROW], ids=["pair", "entry"])
+@pytest.mark.parametrize("rows, dtype", [
+    ([("a", "b", 5e-324), ("a", "a", 1e-300), ("b", "a", -0.0), ("b", "b", 0.0),
+      ("\u00e9", '"', -0.0), ("a", "b", 5e-324)], "float64"),
+    ([("0", "1", 7)], "int64"),
+    ([("0", "0", 1), ("0", "0", 1), ("1", "0", 81), ("0", "0", 1)], "int64"),
+    ([], "int64"),
+    ([], "float64"),
+], ids=["tiny-floats-and-signed-zeros", "single-row", "repeated", "empty-int", "empty-float"])
+@pytest.mark.parametrize("keys", [[], ["entries"], ["entries", "matrix", "a b"]],
+                         ids=["depth0", "depth1", "depth3"])
+def test_row_columns_render_as_indent_encoder(template, rows, dtype, keys):
+    assert_rows_render(template, rows, dtype, keys)
+
+
+ROW_VALUES = {
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "float64": st.one_of(st.sampled_from([5e-324, 1e-300, -0.0, 0.0]), st.floats()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([PAIR_ROW, ENTRY_ROW]), st.sampled_from(sorted(ROW_VALUES)),
+       st.lists(st.text(max_size=3), max_size=4))
+def test_random_row_lists_render_as_indent_encoder(data, template, dtype, keys):
+    labels = st.sampled_from(data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=4)))
+    values = st.sampled_from(data.draw(st.lists(ROW_VALUES[dtype], min_size=1, max_size=5)))
+    rows = data.draw(st.lists(st.tuples(labels, labels, values), max_size=12))
+    assert_rows_render(template, rows, dtype, keys)
 
 
 class TestAtomSample:
@@ -208,6 +269,12 @@ class TestAtomSample:
         code, err = run_cli_error(capsys, *command, "--n", "2", "--d", "2",
                                   "--trials", trials)
         assert code == 2 and "trials must be at least 1" in err
+
+    @pytest.mark.parametrize("command", [["atom", "sample"], ["induction"]])
+    def test_negative_seed_exit_2_naming_the_seed(self, capsys, command):
+        code, err = run_cli_error(capsys, *command, "--n", "2", "--d", "2",
+                                  "--seed", "-1")
+        assert code == 2 and "seed -1 must be >= 0" in err
 
     def test_seed_in_report(self, capsys):
         _, out = run_cli(capsys, "atom", "sample", "--n", "2", "--d", "2",
