@@ -9,6 +9,12 @@ failing trial, tallying only the trials before it.  Negative outcomes exit
 with code 1 and carry a structured falsifier payload (the offending
 factorization and its evaluated matrix) rather than a bare failure; invalid
 configuration exits with code 2.
+
+JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
+sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
+certificate assignments) are held as columns of integer codes into tables
+of JSON texts (bitstring labels, rectangle indices, distinct values), and
+are rendered by one gather per column; each report is joined once.
 """
 
 from __future__ import annotations
