@@ -27,6 +27,12 @@ FAMILIES = {
     "one_rect_d1": CoveringFamily(
         1, (Rectangle.from_text(1, ["0"], ["0"]),), label="one-rect-d1"
     ),
+    # recursive_covering(2) without rectangle 4, {00} x {01, 11}: falsified
+    # at trial 30, in the second block of 16 at n = 4
+    "rec2_minus_4": CoveringFamily(
+        2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
+        label="rec2-minus-4",
+    ),
 }
 
 
@@ -72,6 +78,11 @@ CASES = [
         "induction --n 2 --d 1 --trials 10 --family {one_rect_d1}", None, 1,
         "a3929afc970eb29f5bc87e2cf089c61f61b9647105e0898dda572850a7d343f8",
         id="induction-one-rect-falsified",
+    ),
+    pytest.param(
+        "induction --n 4 --d 2 --trials 40 --seed 0 --family {rec2_minus_4}", None, 1,
+        "f685e287bf0f76862f4248f72e3eca247dd13e4ec603c74e71464a3ede6b4fb4",
+        id="induction-rec2-minus-4-second-block",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check patterns",
