@@ -12,26 +12,18 @@ pattern needs to be realizable, so rare patterns are expected, not alarming.
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 
-from liftcert.atoms import block_size, evaluate_block, pattern_block, sample_block
-from liftcert.bitcore import support_block, val_block
+from liftcert.cli import pattern_check, run_trials
 
 
 def census(trials: int, seed: int, direction: str) -> tuple[Counter, Counter]:
-    patterns: Counter[int] = Counter()
-    vals: Counter[int] = Counter()
-    for start in range(seed, seed + trials, block_size(2)):
-        seeds = range(start, min(start + block_size(2), seed + trials))
-        u, v = sample_block(2, 2, "uniform", seeds, [direction] * len(seeds))
-        support = support_block(evaluate_block(u, v))
-        pids = pattern_block(support)
-        if not pids.all():
-            raise SystemExit(f"seed {seeds[int(pids.argmin())]} ({direction}): "
-                             "support fits none of the six patterns")
-        patterns.update(pids.tolist())
-        vals.update(val_block(support).tolist())
-    return patterns, vals
+    outcomes, falsifier = run_trials(2, 2, "uniform", trials, seed, (direction,),
+                                     pattern_check)
+    if falsifier is not None:
+        raise SystemExit(f"seed {falsifier['seed']} ({direction}): {falsifier['reason']}")
+    return Counter(pid for pid, _ in outcomes), Counter(v for _, v in outcomes)
 
 
 def main() -> None:
@@ -41,7 +33,11 @@ def main() -> None:
     args = parser.parse_args()
 
     for direction in ("u-first", "v-first"):
-        patterns, vals = census(args.trials, args.seed, direction)
+        try:
+            patterns, vals = census(args.trials, args.seed, direction)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
         print(f"\n{direction} ({args.trials} samples, seed {args.seed})")
         print("  pattern  count  share")
         for pid in range(1, 7):

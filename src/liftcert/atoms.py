@@ -261,15 +261,15 @@ def sample_atom(
 
 def witness_block(
     u: np.ndarray, v: np.ndarray, eps: float = EPS_ZERO
-) -> tuple[np.ndarray, list[Optional[str]]]:
-    """Antidiagonal witness rows of a block of square atoms, (T, 2^d, d, d)
-    stacks, and per trial None or why its witnessed entry falsifies.
+) -> tuple[list[Optional[str]], list[int]]:
+    """Per trial of a block of square atoms, (T, 2^d, d, d) stacks, None or
+    why its witnessed entry falsifies, and its antidiagonal witness row.
 
     Walks F_i = Im V_{e_1} + ... + Im V_{e_i} for every trial at once: if
     F_d is the full space the all-ones row is zero; if V_{e_1} = 0 the e_1
     column is zero; otherwise the chain stalls at some first p with
     F_p = F_{p+1}, and the complement of e_{p+1} indexes a zero row entry at
-    the antidiagonal.  Returns the row values; a selected entry above its
+    the antidiagonal.  The rows are values; a selected entry above its
     trial's zero threshold would contradict the antidiagonal-zero property
     of square atoms.
     """
@@ -296,12 +296,11 @@ def witness_block(
     values = evaluate_block(u, v)
     entries = values[np.arange(trials), rows, ones ^ rows].tolist()
     thresholds = threshold_block(values, eps).tolist()
-    reasons = []
-    for a, entry, thr in zip(rows.tolist(), entries, thresholds):
-        reasons.append(None if entry <= thr else (
-            f"antidiagonal entry at ({BitString(d, a)}, {BitString(d, ones ^ a)}) "
-            f"is {entry:.3e}, above threshold {thr:.3e}"))
-    return rows, reasons
+    reasons = [None if entry <= thr else
+               f"antidiagonal entry at ({BitString(d, a)}, {BitString(d, ones ^ a)}) "
+               f"is {entry:.3e}, above threshold {thr:.3e}"
+               for a, entry, thr in zip(rows.tolist(), entries, thresholds)]
+    return reasons, rows.tolist()
 
 
 def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitString:
@@ -310,10 +309,10 @@ def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitStrin
     if the selected entry is not numerically zero, which would contradict
     the antidiagonal-zero property of square atoms.
     """
-    rows, reasons = witness_block(f.U[None], f.V[None], eps)
+    reasons, rows = witness_block(f.U[None], f.V[None], eps)
     if reasons[0] is not None:
         raise FalsificationError(reasons[0], factorization=f)
-    return BitString(f.d, int(rows[0]))
+    return BitString(f.d, rows[0])
 
 
 class PatternId(enum.IntEnum):

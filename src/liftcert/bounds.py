@@ -29,6 +29,10 @@ from typing import Optional
 REFINED_KAPPA_D2 = 1.0 / math.sqrt(7.0)
 REFINED_C_D2 = math.sqrt(9.0 / 7.0)
 
+#: Python's default cap on the digits of an int converted to text.
+MAX_REPORT_DIGITS = 4300
+_LOG10_MAX = 1024 * math.log10(2)  # a double overflows at 2^1024
+
 
 def _check_nd(n: int, d: int) -> None:
     if d < 1:
@@ -110,15 +114,24 @@ def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:
     k defaults to the certified covering size 3^d - 1; a smaller k (a better
     covering, were one found) strengthens the bound, while a larger one is
     rejected because the report's invariants presuppose a covering of size at
-    most 3^d - 1.
+    most 3^d - 1.  A report with a float past the double range or an integer
+    past MAX_REPORT_DIGITS digits raises ValueError naming n, before 3^n.
     """
     _check_nd(n, d)
+    if d * math.log10(3) >= _LOG10_MAX:  # kappa and t take float(3^d - 1)
+        raise ValueError(f"n = {n} too large for a bound report at d = {d}")
     default_k = 3**d - 1
-    if k is None:
-        k = default_k
+    k = default_k if k is None else k
     if not 1 <= k <= default_k:
         raise ValueError(f"k = {k} outside [1, {default_k}]")
     kappa, c = theorem_constants(d)
+    # log10 of rho = k^m and of the numerator 3^(n - m v) (3^v exactly divides k)
+    m, v = (n - 1) // d + 1, next(v for v in range(d) if k % 3 ** (v + 1))
+    digits = max(m * math.log10(k), (n - m * v) * math.log10(3))
+    floats = max(n * math.log10(3) - m * math.log10(k), n * math.log10(c),
+                 n / 2 * math.log10(9 / 7) if d == 2 else 0.0)
+    if digits >= MAX_REPORT_DIGITS or floats >= _LOG10_MAX:
+        raise ValueError(f"n = {n} too large for a bound report at d = {d}, k = {k}")
     return BoundReport(
         n=n,
         d=d,

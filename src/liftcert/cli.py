@@ -2,13 +2,13 @@
 
 Every randomized suite is deterministic: trial i uses seed ``seed + i`` and
 trials are reported in index order, so identical configurations produce
-byte-identical JSON.  Trials are sampled and checked in blocks of
-``atoms.block_size(n)`` (256 at n = 2, 64 at n = 3, 1 from n = 6 on); a
-block changes no trial's draws and no report, and a run stops at its first
-failing trial, tallying only the trials before it.  Negative outcomes exit
+byte-identical JSON.  ``run_trials`` is the one trial loop: it samples
+blocks of ``atoms.block_size(n)`` trials (256 at n = 2, 64 at n = 3, 1 from
+n = 6 on), hands each to a pure block check returning per-trial reasons and
+outcomes, stops at the first failing trial and returns the outcomes before
+it; a block changes no trial's draws and no report.  Negative outcomes exit
 with code 1 and carry a structured falsifier payload (the offending
-factorization and its evaluated matrix) rather than a bare failure; invalid
-configuration exits with code 2.
+factorization and its evaluated matrix); invalid configuration exits 2.
 
 JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
@@ -52,10 +52,10 @@ from .bitcore import (
 from .bounds import bound_report, report_to_json, report_to_text
 from .covering import (
     CoveringFamily,
-    check_induction_inequality,
     explicit_covering_d2,
     family_from_json,
     family_to_json,
+    induction_block,
     maximal_assignments,
     pattern_certificates_d2,
     recursive_covering,
@@ -68,31 +68,29 @@ EXIT_FALSIFIED = 1
 EXIT_BAD_CONFIG = 2
 
 
-def _run_trials(
+def run_trials(
     n: int,
     d: int,
     rank_profile: str,
     trials: int,
     seed: int,
     directions: Sequence[str],
-    check: Callable[[np.ndarray, np.ndarray], tuple[list, Sequence]],
-    tally: Callable[[Sequence], None],
-) -> tuple[int, Optional[dict]]:
+    check: Callable[[np.ndarray, np.ndarray], tuple[list, list]],
+) -> tuple[list, Optional[dict]]:
     """Trial i checks ``sample_atom(n, d, rank_profile, seed + i,
     directions[i % len(directions)])``, in blocks of ``block_size(n)`` trials.
 
-    ``check`` takes a block's U and V stacks and returns, per trial, None when
-    the trial passes and a reason otherwise, together with one outcome per
-    trial.  The outcomes of the trials before the first reason go to
-    ``tally``, and the run stops there.  Returns the number of passes and
-    the falsifier (the trial, its seed and direction, the reason, the
-    factorization and its evaluated matrix), or None when every trial passed.
+    ``check`` maps a block's U and V stacks to per-trial reasons (None for a
+    pass) and outcomes.  The run stops at the first reason.  Returns the
+    outcomes of the trials before it, and the falsifier (the trial, its seed
+    and direction, the reason, the factorization and its evaluated matrix),
+    or None when every trial passed.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")
-    size = block_size(n)
+    size, passing = block_size(n), []
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
         block_directions = [directions[i % len(directions)] for i in block]
@@ -100,11 +98,11 @@ def _run_trials(
                             block_directions)
         reasons, outcomes = check(u, v)
         failed = next((j for j, reason in enumerate(reasons) if reason is not None), None)
-        tally(outcomes[:failed])
+        passing += outcomes[:failed]
         if failed is not None:
             i = block[failed]
             f = PsdFactorization(n, d, u[failed], v[failed])
-            return i, {
+            return passing, {
                 "trial": i,
                 "seed": seed + i,
                 "direction": block_directions[failed],
@@ -112,7 +110,18 @@ def _run_trials(
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
             }
-    return trials, None
+    return passing, None
+
+
+def pattern_check(u: np.ndarray, v: np.ndarray, eps: float = EPS_ZERO) -> tuple[list, list]:
+    """Classify each trial of a block against the six width-2 patterns; the
+    outcomes are (pattern id, val) pairs, with id 0 for no pattern."""
+    support = support_block(evaluate_block(u, v), eps)
+    outcomes = list(zip(pattern_block(support).tolist(), val_block(support).tolist()))
+    reasons = ["support fits no pattern" if not pid else
+               f"val = {count} exceeds 7" if count > 7 else None
+               for pid, count in outcomes]
+    return reasons, outcomes
 
 
 def run_pattern_oracle(
@@ -124,28 +133,13 @@ def run_pattern_oracle(
 ) -> dict:
     """Sample width-2 atoms over 2x2 cones; classify each against the six
     patterns and check val <= 7.  Stops at the first falsification."""
-    counts: Counter[int] = Counter()
-    max_val = 0
-
-    def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
-        support = support_block(evaluate_block(u, v), eps)
-        outcomes = list(zip(pattern_block(support).tolist(), val_block(support).tolist()))
-        reasons = ["support fits no pattern" if not pid else
-                   f"val = {count} exceeds 7" if count > 7 else None
-                   for pid, count in outcomes]
-        return reasons, outcomes
-
-    def tally(outcomes: Sequence[tuple[int, int]]) -> None:
-        nonlocal max_val
-        counts.update(pid for pid, _ in outcomes)
-        max_val = max([max_val] + [count for _, count in outcomes])
-
-    passes, falsifier = _run_trials(2, 2, rank_profile, trials, seed, directions,
-                                    check, tally)
-    report = {"seed": seed, "trials": trials, "passes": passes,
-              "pattern_counts": dict(sorted(counts.items())), "falsifier": falsifier}
+    outcomes, falsifier = run_trials(2, 2, rank_profile, trials, seed, directions,
+                                     lambda u, v: pattern_check(u, v, eps))
+    counts = sorted(Counter(pid for pid, _ in outcomes).items())
+    report = {"seed": seed, "trials": trials, "passes": len(outcomes),
+              "pattern_counts": dict(counts), "falsifier": falsifier}
     if falsifier is None:
-        report["max_val"] = max_val
+        report["max_val"] = max(count for _, count in outcomes)
     return report
 
 
@@ -159,22 +153,13 @@ def run_witness_oracle(
 ) -> dict:
     """Find the antidiagonal zero of each sampled square atom; every entry
     found must clear the relative zero threshold."""
-    witness_rows: Counter[int] = Counter()
-
-    def check(u: np.ndarray, v: np.ndarray) -> tuple[list, np.ndarray]:
-        rows, reasons = witness_block(u, v, eps)
-        return reasons, rows
-
-    def tally(rows: np.ndarray) -> None:
-        witness_rows.update(rows.tolist())
-
-    passes, falsifier = _run_trials(d, d, rank_profile, trials, seed, directions,
-                                    check, tally)
-    report = {"seed": seed, "d": d, "trials": trials, "passes": passes,
+    rows, falsifier = run_trials(d, d, rank_profile, trials, seed, directions,
+                                 lambda u, v: witness_block(u, v, eps))
+    report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
               "falsifier": falsifier}
     if falsifier is None:
         report["witness_rows"] = {f"{a:0{d}b}": count
-                                  for a, count in sorted(witness_rows.items())}
+                                  for a, count in sorted(Counter(rows).items())}
     return report
 
 
@@ -194,32 +179,20 @@ def run_induction_oracle(
         family = recursive_covering(d)
     if family.d != d:
         raise ValueError(f"family width {family.d} does not match d = {d}")
-    max_val = 0
 
     def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
-        reasons, totals = [], []
-        for fu, fv in zip(u, v):
-            rep = check_induction_inequality(PsdFactorization(n, d, fu, fv), family, eps)
-            totals.append(rep.val_total)
-            if not rep.holds:
-                reasons.append(f"val {rep.val_total} > bound {rep.bound}")
-                break
-            if not rep.aggregates_are_atoms:
-                reasons.append("an aggregate has a positive intersection-one entry")
-                break
-            reasons.append(None)
-        return reasons, totals
+        totals, vals, clean = induction_block(evaluate_block(u, v), family, eps)
+        reasons = [f"val {total} > bound {bound}" if total > bound else
+                   None if ok else "an aggregate has a positive intersection-one entry"
+                   for total, bound, ok in zip(totals.tolist(), vals.sum(axis=1).tolist(),
+                                               clean.tolist())]
+        return reasons, totals.tolist()
 
-    def tally(totals: Sequence[int]) -> None:
-        nonlocal max_val
-        max_val = max([max_val, *totals])
-
-    passes, falsifier = _run_trials(n, d, rank_profile, trials, seed, directions,
-                                    check, tally)
+    totals, falsifier = run_trials(n, d, rank_profile, trials, seed, directions, check)
     report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
-              "passes": passes, "falsifier": falsifier}
+              "passes": len(totals), "falsifier": falsifier}
     if falsifier is None:
-        report["max_val"] = max_val
+        report["max_val"] = max(totals)
     return report
 
 
@@ -327,6 +300,8 @@ def _cmd_udisj(args: argparse.Namespace) -> int:
 
 
 def _cmd_covering_build(args: argparse.Namespace) -> int:
+    if args.explicit_d2 and args.d != 2:
+        raise ValueError(f"--explicit-d2 builds a width-2 family, not d = {args.d}")
     family = explicit_covering_d2() if args.explicit_d2 else recursive_covering(args.d)
     _emit(family_to_json(family), args)
     return EXIT_OK

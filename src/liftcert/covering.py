@@ -23,10 +23,10 @@ base rectangles at d = 1, then per level one two-element row rectangle and
 one two-element column rectangle for each disjoint pair of the previous
 level, plus zero-prefixed lifts of the previous rectangles.
 
-The induction machinery decomposes a matrix into 2^d x 2^d blocks indexed
-by width-d prefixes, aggregates blocks over each rectangle, and checks that
-the count of positive disjoint entries is bounded by the sum of the counts
-of the aggregates.
+The induction check (``induction_block``, on a stack of matrices) splits
+each matrix into 2^d x 2^d blocks indexed by width-d prefixes, aggregates
+the blocks over each rectangle, and bounds the count of positive disjoint
+entries by the sum of the counts of the aggregates.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from .bitcore import (
     enumerate_disjoint_pairs,
     intersection_size,
     intersection_table,
-    is_atom_pattern,
     support_block,
-    val,
     val_block,
 )
 
@@ -399,16 +397,44 @@ def block_decompose(m: SupportMatrix, d: int) -> np.ndarray:
     return m.values.reshape(outer, inner, outer, inner).transpose(0, 2, 1, 3)
 
 
+def _aggregate_block(values: np.ndarray, family: CoveringFamily) -> np.ndarray:
+    """``aggregate`` of a (T, 2^n, 2^n) stack as a (T, k, 2^(n-d), 2^(n-d)) stack;
+    each sum adds its gathered blocks in the same order whatever T is."""
+    n, d = values.shape[-1].bit_length() - 1, family.d
+    if not 1 <= d <= n:
+        raise ValueError(f"matrix width {n} below family width {d}")
+    inner = 1 << (n - d)
+    blocks = values.reshape(len(values), 1 << d, inner, 1 << d, inner)  # [t, x, a, y, b]
+    out = np.empty((len(values), family.k, inner, inner), dtype=values.dtype)
+    for i, r in enumerate(family.rectangles):
+        rows, cols = (sorted(s.value for s in strings) for strings in (r.rows, r.cols))
+        out[:, i] = blocks.take(rows, axis=1).take(cols, axis=3).sum(axis=(1, 3))
+    return out
+
+
 def aggregate(m: SupportMatrix, family: CoveringFamily) -> list[SupportMatrix]:
     """Per-rectangle block sums M_i = sum of blocks (x, y) in R_i."""
-    blocks = block_decompose(m, family.d)
-    out = []
-    for r in family.rectangles:
-        rows = sorted(x.value for x in r.rows)
-        cols = sorted(y.value for y in r.cols)
-        part = blocks[np.ix_(rows, cols)].sum(axis=(0, 1))
-        out.append(SupportMatrix(m.n - family.d, part))
-    return out
+    (parts,) = _aggregate_block(m.values[None], family)
+    return [SupportMatrix(m.n - family.d, part) for part in parts]
+
+
+def induction_block(
+    values: np.ndarray, family: CoveringFamily, eps: float = EPS_ZERO
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix of a (T, 2^n, 2^n) stack: val(M), the (T, k) aggregate vals
+    val(M_i), and whether every aggregate vanishes on intersection-one pairs.
+    A matrix positive on such a pair raises ValueError unless an earlier one
+    fails (val(M) above the bound, or an aggregate positive on such a pair)."""
+    n = values.shape[-1].bit_length() - 1
+    supports = support_block(values, eps)
+    parts = support_block(_aggregate_block(values, family), eps)
+    totals, vals = val_block(supports), val_block(parts)
+    clean = ~(parts & (intersection_table(n - family.d) == 1)).any(axis=(-3, -2, -1))
+    failed = (totals > vals.sum(axis=1)) | ~clean
+    reached = np.cumsum(failed) - failed == 0  # no earlier matrix fails
+    if (reached & (supports & (intersection_table(n) == 1)).any(axis=(-2, -1))).any():
+        raise ValueError("evaluated matrix is not zero on intersection-one pairs")
+    return totals, vals, clean
 
 
 @dataclass(frozen=True)
@@ -430,29 +456,13 @@ class InductionReport:
 def check_induction_inequality(
     f: PsdFactorization, family: CoveringFamily, eps: float = EPS_ZERO
 ) -> InductionReport:
-    """Check val(M) <= sum_i val(M_i) for the evaluation M of a factorization.
-
-    The inequality is proved only for matrices carrying a PSD factorization,
-    so this takes the factorization itself rather than a bare matrix.
-    """
-    m = evaluate(f)
-    if not is_atom_pattern(m, eps):
-        raise ValueError("evaluated matrix is not zero on intersection-one pairs")
-    if m.n < family.d:
-        raise ValueError(f"matrix width {m.n} below family width {family.d}")
-    # one stack of the aggregates, each against its own threshold
-    supports = support_block(np.array([p.values for p in aggregate(m, family)]), eps)
-    vals = tuple(val_block(supports).tolist())
-    total = val(m, eps)
-    one = intersection_table(m.n - family.d) == 1
-    return InductionReport(
-        n=m.n,
-        d=family.d,
-        val_total=total,
-        block_vals=vals,
-        holds=total <= sum(vals),
-        aggregates_are_atoms=not np.any(supports & one),
-    )
+    """Check val(M) <= sum_i val(M_i) for the evaluation M of a factorization
+    (``induction_block`` of the one matrix).  The inequality is proved only
+    for matrices carrying a PSD factorization, so this takes the
+    factorization itself rather than a bare matrix."""
+    (total,), (vals,), (clean,) = induction_block(evaluate(f).values[None], family, eps)
+    return InductionReport(f.n, family.d, int(total), tuple(vals.tolist()),
+                           bool(total <= vals.sum()), bool(clean))
 
 
 def family_to_json(family: CoveringFamily) -> str:
@@ -486,7 +496,8 @@ def family_from_json(text: str) -> CoveringFamily:
     for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
         rows, cols = (_json_strings(r, key, f"rectangle {i}") for key in ("rows", "cols"))
         rects.append(Rectangle.from_text(d, rows, cols))
-    return CoveringFamily(d, tuple(rects), label=obj.get("label", ""))
+    label = _json_field({"label": "", **obj}, "label", str, "family")  # "" if absent
+    return CoveringFamily(d, tuple(rects), label)
 
 
 def certificate_to_json(cert: CoveringCertificate) -> str:

@@ -184,7 +184,7 @@ class TestSampleBlock:
             seeds = range(block_size(d) + 7)
             directions = ["u-first", "v-first"] * (len(seeds) // 2 + 1)
             u, v = sample_block(d, d, "uniform", seeds, directions[: len(seeds)])
-            rows, reasons = witness_block(u, v)
+            reasons, rows = witness_block(u, v)
             pids = pattern_block(support_block(evaluate_block(u, v))) if d == 2 else None
             for t, seed in enumerate(seeds):
                 f = PsdFactorization(d, d, u[t], v[t])
@@ -195,8 +195,8 @@ class TestSampleBlock:
 
     def test_failing_trial_named_alone(self):
         u = np.stack([unit_columns(2, {}), np.broadcast_to(np.eye(2), (4, 2, 2))])
-        rows, reasons = witness_block(u, u)
-        assert reasons[0] is None and rows.tolist() == [0b01, 0b11]
+        reasons, rows = witness_block(u, u)
+        assert reasons[0] is None and rows == [0b01, 0b11]
         assert reasons[1].startswith("antidiagonal entry at (11, 00) is 2.000e+00")
         pids = pattern_block(support_block(evaluate_block(u, u)))
         assert pids.tolist() == [1, 0]

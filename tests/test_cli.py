@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +94,11 @@ class TestCoveringCommands:
         obj = json.loads(out)
         assert not obj["passed"]
         assert all(f["support_size"] == 8 and f["k"] == 7 for f in obj["failures"])
+
+    @pytest.mark.parametrize("d", ["1", "5"])
+    def test_explicit_d2_at_other_width_exits_2_naming_d(self, capsys, d):
+        code, err = run_cli_error(capsys, "covering", "build", "--d", d, "--explicit-d2")
+        assert code == 2 and f"d = {d}" in err
 
     def test_explicit_d2_passes_patterns(self, tmp_path, capsys):
         fam_file = tmp_path / "exp.json"
@@ -298,6 +305,62 @@ class TestBound:
     def test_oversized_k_rejected(self, capsys):
         assert run_cli(capsys, "bound", "--n", "4", "--d", "1", "--k", "5")[0] == 2
 
+    #: The largest n whose report prints (sha256 of the JSON and the text
+    #: report): past it a float overflows (d = 1: the closed form; d = 1 with
+    #: k = 1: float(3^n); d = 2: the refined bound) or an exact integer passes
+    #: 4,300 digits (d = 3, 4, 6: the numerator 3^n).
+    LARGEST = [
+        pytest.param(1750, 1, [],
+                     "5f49578618b7702a155178d6218c205dfff77a84f87bec4651c4a295af39d1ba",
+                     "ad1bab56d9a96e097b17e11d447f41e180b4688f0cb183a157bd3f1094e4fed4",
+                     id="d1"),
+        pytest.param(646, 1, ["--k", "1"],
+                     "f8df43f4c9ce7d18a3819eef1c3a19fa13162ecded313e00439e9027fd904906",
+                     "1423e4d35b12ecdfc6132536ebc729671bacddd22975c57ff781c1de91e69101",
+                     id="d1-k1"),
+        pytest.param(5648, 2, [],
+                     "0ee6c4327304b770259a06aa2a1a64928e64e8710754938b1f7e467c18b0a648",
+                     "3b53ed52bd9b248be9a4a8142bb9e6b3fc93b6565b3863b19b5f081f9e016c5a",
+                     id="d2"),
+        pytest.param(9012, 3, [],
+                     "865a8c0e6002cd333d3e7268f33f5282c11d89522abbb4dbfaf148d42f07b978",
+                     "883684576b66b69856d461d33c511fba5fe881400ac80c167d27838940b1f00c",
+                     id="d3"),
+        pytest.param(9012, 4, [],
+                     "6827cf655d080f5e0831311a5e1aa0745db1b607dd9e5497a3b16dcff4a3b945",
+                     "c6e7625140ac69db014e89ef93e3985be33da5848783f745258a4301e89c1210",
+                     id="d4"),
+        pytest.param(9012, 6, [],
+                     "a24d86fe16ab5877c35b2cc85fe0485b99f0469d24a0d7cd335a94b470ad6afa",
+                     "940dfd451672f7934ce86e7c11ec344ea6571d5b35ab158d2a08d485dd5b8ded",
+                     id="d6"),
+        # k = 2 * 3^5: the 3s cancel from 3^n / k^m, so rho = k^m binds
+        pytest.param(9600, 6, ["--k", "486"],
+                     "2ff9bb140ae09a4468432caa89131966632c6d3449fc69a5ecd34be991c7b054",
+                     "f16c131c5d4926fa03c88c0362f9e8b38343071ad0e758bb7478bcf53aa5bdb2",
+                     id="d6-k486"),
+    ]
+
+    @pytest.mark.parametrize("n, d, extra, json_digest, text_digest", LARGEST)
+    def test_largest_printable_n_then_exit_2(self, capsys, n, d, extra, json_digest,
+                                             text_digest):
+        for fmt, digest in (("json", json_digest), ("text", text_digest)):
+            argv = ["bound", "--d", str(d), *extra, "--format", fmt]
+            code, out = run_cli(capsys, *argv, "--n", str(n))
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+            code, err = run_cli_error(capsys, *argv, "--n", str(n + 1))
+            assert code == 2 and f"n = {n + 1} too large" in err
+
+    def test_huge_n_exits_2_before_any_power(self, capsys):
+        start = time.perf_counter()
+        code, err = run_cli_error(capsys, "bound", "--n", "1000000", "--d", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "n = 1000000" in err
+
+    def test_width_past_the_double_range_exits_2(self, capsys):
+        code, err = run_cli_error(capsys, "bound", "--n", "700", "--d", "700")
+        assert code == 2 and "n = 700" in err
+
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_width_below_one_named(self, capsys, d):
         code, err = run_cli_error(capsys, "bound", "--n", "5", "--d", d)
@@ -328,6 +391,8 @@ class TestInductionCommand:
         pytest.param('{"d": 1, "rectangles": [{"rows": ["0"]}]}', '"cols"',
                      id="rectangle-without-cols"),
         pytest.param("[]", "family is not a JSON object", id="top-level-list"),
+        pytest.param('{"d": 1, "label": 5, "rectangles": []}', '"label"', id="label-int"),
+        pytest.param('{"d": 1, "label": null, "rectangles": []}', '"label"', id="label-null"),
     ],
 )
 def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, text,

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liftcert import covering
-from liftcert.atoms import PatternId, pattern_disjoint_support, sample_atom, evaluate
+from liftcert.atoms import (
+    PatternId,
+    evaluate,
+    evaluate_block,
+    pattern_disjoint_support,
+    sample_atom,
+    sample_block,
+)
 from liftcert.bitcore import (
     BitString,
     SupportMatrix,
@@ -39,6 +46,7 @@ from liftcert.covering import (
     family_from_json,
     family_to_json,
     find_certificate,
+    induction_block,
     maximal_assignments,
     maximal_certificates,
     maximal_support,
@@ -452,6 +460,48 @@ class TestBlockOps:
             m = evaluate(sample_atom(4, 2, rng=seed))
             for part in aggregate(m, fam):
                 assert is_atom_pattern(part)
+
+
+def ix_aggregate(values: np.ndarray, family: CoveringFamily) -> list[np.ndarray]:
+    """The one-matrix aggregate as it was before the stacked path: per
+    rectangle, ``np.ix_`` gathers its blocks and they are summed over both
+    prefix axes."""
+    blocks = block_decompose(SupportMatrix(values.shape[0].bit_length() - 1, values),
+                             family.d)
+    return [blocks[np.ix_(sorted(x.value for x in r.rows),
+                          sorted(y.value for y in r.cols))].sum(axis=(0, 1))
+            for r in family.rectangles]
+
+
+class TestInductionBlock:
+    @pytest.mark.parametrize("n, family", [
+        (4, recursive_covering(2)), (6, recursive_covering(3)), (3, base_covering_d1()),
+        (2, explicit_covering_d2()), (4, explicit_covering_d2()),
+    ])
+    @pytest.mark.parametrize("direction", ["u-first", "v-first"])
+    def test_stacked_aggregates_equal_the_ix_sums_bit_for_bit(self, n, family, direction):
+        u, v = sample_block(n, family.d, "uniform", range(12), [direction] * 12)
+        values = evaluate_block(u, v)
+        stacked = covering._aggregate_block(values, family)
+        assert stacked.shape[:2] == (12, family.k)
+        for t in range(12):
+            want = ix_aggregate(values[t], family)
+            assert [part.tobytes() for part in stacked[t]] == [w.tobytes() for w in want]
+
+    def test_empty_family_bounds_val_by_0(self):
+        values = np.stack([np.zeros((4, 4)), udisj(2).values])
+        totals, vals, clean = induction_block(values, CoveringFamily(1, ()))
+        assert totals.tolist() == [0, 9]
+        assert vals.shape == (2, 0) and clean.tolist() == [True, True]
+
+    def test_non_atom_raises_only_where_a_trial_loop_reaches_it(self):
+        # with no rectangles UDISJ(2) fails (val 9 > 0); all ones is no atom
+        empty, fails, non_atom = CoveringFamily(1, ()), udisj(2).values, np.ones((4, 4))
+        totals, _, _ = induction_block(np.stack([fails, non_atom]), empty)
+        assert totals.tolist() == [9, 9]
+        for stack in ([non_atom, fails], [np.zeros((4, 4)), non_atom, fails]):
+            with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
+                induction_block(np.stack(stack), empty)
 
 
 class TestInduction:

@@ -5,7 +5,9 @@ the one-trial functions (``sample_atom``, ``evaluate``,
 ``classify_pattern_d2``, ``antidiagonal_witness``, ``check_induction_inequality``),
 stopping at the first reason, as the oracles did before they ran in blocks.
 Every report of the block path, falsifier and tallies included, must equal
-the reference's, whatever the trial count is against the block size.
+the reference's, whatever the trial count is against the block size; a
+non-atom that the reference would raise on exits 2, and one after the
+reference's falsifier is never reached.
 """
 
 from __future__ import annotations
@@ -30,9 +32,21 @@ from liftcert.atoms import (
     sample_atom,
 )
 from liftcert.bitcore import matrix_to_json, val
-from liftcert.covering import check_induction_inequality, recursive_covering
+from liftcert.covering import (
+    CoveringFamily,
+    check_induction_inequality,
+    family_to_json,
+    recursive_covering,
+)
 
 DIRECTIONS = ("u-first", "v-first")
+
+#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 0 at
+#: n = 4 its first falsifier is trial 30, the 15th of the second block of 16.
+REC2_MINUS_4 = CoveringFamily(
+    2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
+    label="rec2-minus-4",
+)
 
 
 def reference_trials(
@@ -96,15 +110,20 @@ def reference_witness(d: int, trials: int, seed: int) -> dict:
     return report
 
 
-def reference_induction(n: int, d: int, trials: int, seed: int) -> dict:
-    family = recursive_covering(d)
+def reference_induction(n: int, d: int, trials: int, seed: int,
+                        family: Optional[CoveringFamily] = None) -> dict:
+    family = family or recursive_covering(d)
     max_val = 0
 
     def check(f: PsdFactorization) -> Optional[str]:
         nonlocal max_val
         rep = check_induction_inequality(f, family)
         max_val = max(max_val, rep.val_total)
-        return None if rep.holds and rep.aggregates_are_atoms else "failed"
+        if not rep.holds:
+            return f"val {rep.val_total} > bound {rep.bound}"
+        if not rep.aggregates_are_atoms:
+            return "an aggregate has a positive intersection-one entry"
+        return None
 
     passes, falsifier = reference_trials(n, d, trials, seed, check)
     report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
@@ -121,21 +140,25 @@ def around_blocks(n: int) -> list[int]:
 
 
 ORACLES = [
-    pytest.param(2, lambda t, s: cli.run_pattern_oracle(t, s),
+    pytest.param(2, 31, lambda t, s: cli.run_pattern_oracle(t, s),
                  lambda t, s: reference_patterns(t, s), id="patterns"),
-    pytest.param(2, lambda t, s: cli.run_witness_oracle(2, t, s),
+    pytest.param(2, 31, lambda t, s: cli.run_witness_oracle(2, t, s),
                  lambda t, s: reference_witness(2, t, s), id="witness-d2"),
-    pytest.param(3, lambda t, s: cli.run_witness_oracle(3, t, s),
+    pytest.param(3, 31, lambda t, s: cli.run_witness_oracle(3, t, s),
                  lambda t, s: reference_witness(3, t, s), id="witness-d3"),
-    pytest.param(4, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
+    pytest.param(4, 31, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
                  lambda t, s: reference_induction(4, 2, t, s), id="induction-n4-d2"),
+    # seed 0 reaches the falsifier at trial 30 within 3 blocks + 5
+    pytest.param(4, 0, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
+                 lambda t, s: reference_induction(4, 2, t, s, REC2_MINUS_4),
+                 id="induction-n4-d2-rec2-minus-4"),
 ]
 
 
-@pytest.mark.parametrize("n, blocked, reference", ORACLES)
-def test_reports_match_per_trial_loop(n, blocked, reference):
+@pytest.mark.parametrize("n, seed, blocked, reference", ORACLES)
+def test_reports_match_per_trial_loop(n, seed, blocked, reference):
     for trials in around_blocks(n):
-        assert blocked(trials, 31) == reference(trials, 31), trials
+        assert blocked(trials, seed) == reference(trials, seed), trials
 
 
 def corrupt_one(monkeypatch, n: int, d: int, seed: int, direction: str,
@@ -183,6 +206,30 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
         assert falsifier["reason"] == "support fits no pattern"
     else:
         assert falsifier["reason"].startswith("antidiagonal entry at")
+
+
+def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatch):
+    # a positive intersection-one entry makes trial 31 a non-atom, after the
+    # falsifier at trial 30 in the same block: the per-trial loop stops first
+    corrupt_one(monkeypatch, 4, 2, 31, DIRECTIONS[1], lambda size: (1, 1))
+    got = cli.run_induction_oracle(4, 2, 40, 0, REC2_MINUS_4)
+    assert got == reference_induction(4, 2, 40, 0, REC2_MINUS_4)
+    assert got["falsifier"]["trial"] == 30
+    assert got["falsifier"]["reason"] == "val 1 > bound 0"
+
+
+def test_non_atom_before_the_failing_trial_of_its_block_exits_2(monkeypatch, tmp_path,
+                                                                capsys):
+    corrupt_one(monkeypatch, 4, 2, 29, DIRECTIONS[1], lambda size: (1, 1))
+    with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
+        reference_induction(4, 2, 40, 0, REC2_MINUS_4)
+    family = tmp_path / "family.json"
+    family.write_text(family_to_json(REC2_MINUS_4))
+    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40",
+                     "--family", str(family)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "not zero on intersection-one pairs" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

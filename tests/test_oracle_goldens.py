@@ -33,6 +33,8 @@ FAMILIES = {
         2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
         label="rec2-minus-4",
     ),
+    # no rectangles: the bound is 0, so the first trial with val > 0 falsifies
+    "empty_d1": CoveringFamily(1, (), label="empty-d1"),
 }
 
 
@@ -83,6 +85,11 @@ CASES = [
         "induction --n 4 --d 2 --trials 40 --seed 0 --family {rec2_minus_4}", None, 1,
         "f685e287bf0f76862f4248f72e3eca247dd13e4ec603c74e71464a3ede6b4fb4",
         id="induction-rec2-minus-4-second-block",
+    ),
+    pytest.param(
+        "induction --n 2 --d 1 --trials 10 --seed 3 --family {empty_d1}", None, 1,
+        "5ff557ffdbb6b6e51b4395c506d343a0855608fdbbbea21dbb0097d239d60534",
+        id="induction-empty-family-falsified",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check patterns",

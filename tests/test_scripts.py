@@ -46,3 +46,13 @@ def test_pattern_census_report_pinned():
     proc = run_script("pattern_census.py", ["--trials", "500"])
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == CENSUS_500_DIGEST
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--trials", "0"], "error: trials must be at least 1, got 0"),
+    (["--seed", "-1"], "error: seed -1 must be >= 0"),
+])
+def test_pattern_census_bad_arguments_exit_2(args, message):
+    proc = run_script("pattern_census.py", args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [message]
