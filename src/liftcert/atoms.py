@@ -269,7 +269,7 @@ def witness_block(
     F_d is the full space the all-ones row is zero; if V_{e_1} = 0 the e_1
     column is zero; otherwise the chain stalls at some first p with
     F_p = F_{p+1}, and the complement of e_{p+1} indexes a zero row entry at
-    the antidiagonal.  The rows are values; a selected entry above its
+    the antidiagonal.  Rows are given by value; a selected entry above its
     trial's zero threshold would contradict the antidiagonal-zero property
     of square atoms.
     """
