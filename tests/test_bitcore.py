@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert.bitcore import (
@@ -242,7 +242,48 @@ class TestValAndPatterns:
         assert has_antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
 
 
+def reference_csv(m: SupportMatrix) -> str:
+    """Dense CSV rendered row by row, one repr per entry: the reference for
+    ``matrix_to_csv``."""
+    labels = [str(s) for s in all_strings(m.n)]
+    lines = ["," + ",".join(labels)]
+    for label, row in zip(labels, m.values.tolist()):
+        lines.append(label + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+#: Entries per dtype: the edge values (signed zeros, the smallest subnormal,
+#: huge, inf, nan) next to arbitrary ones; negative entries are rejected.
+CSV_VALUES = {
+    "int64": st.integers(0, 2**63 - 1),
+    "float64": st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, math.inf, math.nan]),
+                         st.floats(min_value=0.0)),
+    "float32": st.one_of(st.sampled_from([-0.0, 0.0, 1e-45, 3e38, math.inf, math.nan]),
+                         st.floats(min_value=0.0, width=32)),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def csv_matrices(draw) -> SupportMatrix:
+    """Matrices at n = 0..4 over a few distinct values, so that values repeat."""
+    n, dtype = draw(st.integers(0, 4)), draw(st.sampled_from(sorted(CSV_VALUES)))
+    pool = draw(st.lists(CSV_VALUES[dtype], min_size=1, max_size=6))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=4**n, max_size=4**n))
+    return SupportMatrix(n, np.array(entries, dtype=dtype).reshape(1 << n, 1 << n))
+
+
 class TestEmission:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_matrices())
+    def test_csv_matches_row_by_row_reference(self, m):
+        assert matrix_to_csv(m) == reference_csv(m)
+
+    def test_csv_keeps_signed_zeros_and_the_empty_label(self):
+        m = SupportMatrix(1, np.array([[-0.0, 0.0], [0.0, -0.0]]))
+        assert matrix_to_csv(m).splitlines() == [",0,1", "0,-0.0,0.0", "1,0.0,-0.0"]
+        assert matrix_to_csv(SupportMatrix(0, np.array([[7]]))) == ",\n,7\n"
+
     def test_csv_headers_and_values(self):
         text = matrix_to_csv(udisj(1))
         lines = text.strip().split("\n")

@@ -51,6 +51,8 @@ CASES = [
      "c7926945fa54dd605f105cdc7c0129d422a476077808a242f5ab92162b212e89"),
     ("udisj --n 10 --format csv", 0,
      "06fc1bf78e8f3bbea6f5d2b8a9155ddf77035482e721ff01a413267a31462542"),
+    ("udisj --n 10 --format text", 0,
+     "2249de11471d7f63e8bb47ddab083a222bdf0244a58e06cfbab4e483f7ff857c"),
     ("udisj --n 3 --epsilon 0", 0,
      "53f937c400028af6b623cb771b8e6b7ea2c6640a9e521b63cde026dd8dbadf35"),
     ("udisj --n 3 --epsilon 0.5", 1,
