@@ -11,8 +11,10 @@ general-analysis value (1/sqrt 8)(9/8)^(n/2), which it always beats.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from liftcert.bounds import (
+    bound_report,
     lift_lower,
     refined_d2_lower,
     rho_upper,
@@ -25,6 +27,16 @@ def main() -> None:
     parser.add_argument("--max-d", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=16)
     args = parser.parse_args()
+    # Every float printed is finite if bound_report, which decides by
+    # logarithms before any power of n, accepts the largest n at each width
+    # swept (and at d = 2, for the refined table).
+    widths = set(range(1, min(args.max_d, args.max_n) + 1)) | ({2} if args.max_n >= 2 else set())
+    try:
+        for d in sorted(widths):
+            bound_report(args.max_n, d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
     for d in range(1, args.max_d + 1):
         kappa, c = theorem_constants(d)

@@ -11,6 +11,9 @@ The central object is UDISJ(n), the 2^n x 2^n matrix with entry
 (1 - a.b)^2 at the bitstring pair (a, b).  Its combinatorial statistic
 ``val`` counts the disjoint pairs (a.b = 0) carrying a positive entry;
 val(UDISJ(n)) = 3^n.
+
+At the text boundary ``value_codes`` codes a matrix's values into its few
+distinct ones, so each is rendered once and a gather fills the dense CSV.
 """
 
 from __future__ import annotations
@@ -257,13 +260,27 @@ def has_antidiagonal_zero(
     return BitString(m.n, int(hits[0])) if hits.size else None
 
 
+def value_codes(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Codes, of the shape of ``values``, into its distinct values as Python
+    scalars.  Values are told apart by bit pattern, so -0.0 and 0.0 stay
+    apart.  One sort and a search: ``np.unique`` is ten times slower here."""
+    bits = values.view(f"u{values.itemsize}")
+    s = np.sort(bits, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    distinct = s[keep]
+    return np.searchsorted(distinct, bits), distinct.view(values.dtype).tolist()
+
+
 def matrix_to_csv(m: SupportMatrix) -> str:
-    """Dense CSV with lex-ordered bitstring headers."""
+    """Dense CSV with lex-ordered bitstring headers: each distinct value's
+    ``repr`` is made once, one gather fills the cells, and one join ends it."""
     labels = [str(s) for s in all_strings(m.n)]
-    lines = ["," + ",".join(labels)]
-    for label, row in zip(labels, m.values.tolist()):
-        lines.append(label + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    codes, distinct = value_codes(m.values)
+    cells = np.empty((len(labels), len(labels) + 1), dtype=object)
+    cells[:, 0] = ["\n" + label for label in labels]
+    cells[:, 1:] = np.array(["," + repr(v) for v in distinct], dtype=object)[codes]
+    return "," + ",".join(labels) + "".join(cells.ravel().tolist()) + "\n"
 
 
 def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:

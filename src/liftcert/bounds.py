@@ -97,15 +97,16 @@ class BoundReport:
     refined_d2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.c > 1.0:
-            raise ValueError(f"c = {self.c} not above 1")
-        if not self.t < 3.0:
-            raise ValueError(f"t = {self.t} not below 3")
-        closed_form = self.kappa * self.c**self.n
-        if float(self.lift_lower) < closed_form * (1.0 - 1e-12):
-            raise ValueError(
-                f"lift bound {float(self.lift_lower)} below closed form {closed_form}"
-            )
+        """Checks the integer facts behind the floats, which round c to 1.0
+        from d = 31 on and t to 3.0 from d = 32 on: with K = 3^d - 1 < 3^d
+        (so c > 1 and t < 3) and k <= K, lift_lower = 3^n / k^m is at least
+        kappa c^n = 3^n K^(-(n+d-1)/d) iff d m <= n + d - 1."""
+        m = (self.n - 1) // self.d + 1
+        if self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper):
+            raise ValueError(f"rho {self.rho_upper} and lift bound {self.lift_lower} "
+                             f"are not k^m and 3^n / k^m")
+        if not (1 <= self.k <= 3**self.d - 1 < 3**self.d and self.d * m <= self.n + self.d - 1):
+            raise ValueError(f"lift bound {self.lift_lower} below the closed form")
 
 
 def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:

@@ -30,6 +30,7 @@ from liftcert.bitcore import (
     udisj,
     val,
     val_block,
+    value_codes,
 )
 
 
@@ -240,6 +241,41 @@ class TestValAndPatterns:
         )
         zeros = [a for a in all_strings(m.n) if (a, a.complement()) not in support]
         assert has_antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
+
+
+def assert_codes_give_back_bits(values: np.ndarray):
+    codes, distinct = value_codes(values)
+    table = np.array(distinct, dtype=values.dtype)
+    bits = f"u{values.itemsize}"
+    assert codes.shape == values.shape and len(distinct) == len(set(table.view(bits).tolist()))
+    assert np.array_equal(table[codes].view(bits), values.view(bits))
+    return codes, distinct
+
+
+class TestValueCodes:
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "float32", "bool"])
+    def test_empty(self, dtype):
+        codes, distinct = assert_codes_give_back_bits(np.zeros(0, dtype=dtype))
+        assert (codes.shape, distinct) == ((0,), [])
+
+    def test_one_element(self):
+        codes, distinct = assert_codes_give_back_bits(np.array([2.5]))
+        assert (codes.tolist(), distinct) == ([0], [2.5])
+
+    def test_two_d_keeps_the_shape(self):
+        codes, distinct = assert_codes_give_back_bits(np.array([[9, 0, 1], [1, 9, 9]]))
+        assert (codes.tolist(), distinct) == ([[2, 0, 1], [1, 2, 2]], [0, 1, 9])
+        assert all(type(v) is int for v in distinct)
+
+    def test_signed_zeros_get_their_own_codes(self):
+        values = np.array([0.0, -0.0, 0.0, math.nan, -0.0, math.inf, 5e-324])
+        codes, distinct = assert_codes_give_back_bits(values)
+        assert codes[0] != codes[1] and [repr(v) for v in distinct] == [
+            "0.0", "5e-324", "inf", "nan", "-0.0"]
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, math.nan])), max_size=30))
+    def test_random_floats_come_back_bit_for_bit(self, values):
+        assert_codes_give_back_bits(np.array(values, dtype=np.float64))
 
 
 def reference_csv(m: SupportMatrix) -> str:

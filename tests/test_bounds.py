@@ -127,6 +127,17 @@ class TestBoundReport:
                 lift_lower=Fraction(1, 100), kappa=1.0, c=1.5, t=2.0,
             )
 
+    @pytest.mark.parametrize("k, rho, lift", [(2, 5, Fraction(9, 5)), (3, 9, Fraction(1))],
+                             ids=["rho-not-k-power", "k-above-3^d-1"])
+    def test_integer_invariants_enforced(self, k, rho, lift):
+        with pytest.raises(ValueError):
+            BoundReport(n=2, d=1, k=k, rho_upper=rho, lift_lower=lift, kappa=1.0, c=1.5, t=2.0)
+
+    @pytest.mark.parametrize("n, d", [(40, 31), (40, 40), (31, 31), (62, 31)])
+    def test_report_past_rounded_constants(self, n, d):
+        rep = bound_report(n, d)
+        assert rep.c == 1.0 and (rep.kappa, rep.t) == (theorem_constants(d)[0], t_constant(d))
+
     def test_json_carries_exact_fraction(self):
         import json
 

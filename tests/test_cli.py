@@ -351,6 +351,28 @@ class TestBound:
             code, err = run_cli_error(capsys, *argv, "--n", str(n + 1))
             assert code == 2 and f"n = {n + 1} too large" in err
 
+    #: ``bound --n 40`` at widths where the doubles round c(d) to 1.0 (from
+    #: d = 31 on) and t(d) to 3.0 (from d = 32 on); the reports still print,
+    #: since their invariants are checked on integers.  The d = 30 digests
+    #: predate that check.
+    WIDE = [
+        pytest.param(30, "57be8e1bd82f092dd88cd974957ab75860a3fb9b33a60bf5410e8eaf44dc7a36",
+                     "c7334959bc75972a8b7a7caed1453b04c1771835eb49cef7d3a7cf3674d82360",
+                     id="d30"),
+        pytest.param(31, "ad3a4be292649716ba68400a278d1beb11d4e3520de2f4dda63a9dc32400b92a",
+                     "9e00f04d7167155906d38438d91281bf57f046140bd65ab7296bfbbca69c9477",
+                     id="d31"),
+        pytest.param(40, "60df868a9ef60c6f1e6a6dddc76e7aefecf6250322fd8cc127a281931294750d",
+                     "15301f746b6ef0bbe28ebfba409d6e62e4291f3fd387bbac7c1ff940329b6495",
+                     id="d40"),
+    ]
+
+    @pytest.mark.parametrize("d, json_digest, text_digest", WIDE)
+    def test_wide_blocks_print(self, capsys, d, json_digest, text_digest):
+        for fmt, digest in (("json", json_digest), ("text", text_digest)):
+            code, out = run_cli(capsys, "bound", "--n", "40", "--d", str(d), "--format", fmt)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
     def test_huge_n_exits_2_before_any_power(self, capsys):
         start = time.perf_counter()
         code, err = run_cli_error(capsys, "bound", "--n", "1000000", "--d", "1")

@@ -56,3 +56,10 @@ def test_pattern_census_bad_arguments_exit_2(args, message):
     proc = run_script("pattern_census.py", args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [message]
+
+
+def test_bound_sweep_past_the_double_range_exits_2():
+    proc = run_script("bound_sweep.py", ["--max-d", "1", "--max-n", "1800"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: n = 1800 too large for a bound report at d = 1, k = 2"]
