@@ -30,10 +30,10 @@ def main() -> None:
     # Every float printed is finite if bound_report, which decides by
     # logarithms before any power of n, accepts the largest n at each width
     # swept (and at d = 2, for the refined table).
-    widths = set(range(1, min(args.max_d, args.max_n) + 1)) | ({2} if args.max_n >= 2 else set())
     try:
-        for d in sorted(widths):
-            bound_report(args.max_n, d)
+        for d in sorted({*range(1, args.max_d + 1), 2}):
+            if d <= args.max_n:
+                bound_report(args.max_n, d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)

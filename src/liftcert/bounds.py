@@ -14,7 +14,7 @@ general-formula pair (1/sqrt(8), sqrt(9/8)); both variants are exposed side
 by side and never collapsed.
 
 Integer powers are exact big integers and the power-ratio bounds exact
-rationals, so comparisons at small n do not drift.
+rationals, and a report's invariants are integer facts, so no check drifts.
 """
 
 from __future__ import annotations
@@ -97,16 +97,14 @@ class BoundReport:
     refined_d2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        """Checks the integer facts behind the floats, which round c to 1.0
-        from d = 31 on and t to 3.0 from d = 32 on: with K = 3^d - 1 < 3^d
-        (so c > 1 and t < 3) and k <= K, lift_lower = 3^n / k^m is at least
-        kappa c^n = 3^n K^(-(n+d-1)/d) iff d m <= n + d - 1."""
+        """Checks the integer facts behind the floats (c and t round to 1.0
+        and 3.0 from d = 31 and 32 on): with K = 3^d - 1 < 3^d and k <= K,
+        3^n / k^m >= kappa c^n = 3^n K^(-(n+d-1)/d) iff d m <= n + d - 1."""
         m = (self.n - 1) // self.d + 1
         if self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper):
-            raise ValueError(f"rho {self.rho_upper} and lift bound {self.lift_lower} "
-                             f"are not k^m and 3^n / k^m")
+            raise ValueError(f"rho {self.rho_upper} or lift {self.lift_lower} is not k^m, 3^n/k^m")
         if not (1 <= self.k <= 3**self.d - 1 < 3**self.d and self.d * m <= self.n + self.d - 1):
-            raise ValueError(f"lift bound {self.lift_lower} below the closed form")
+            raise ValueError(f"k = {self.k} breaks k <= 3^d - 1 or d m <= n + d - 1")
 
 
 def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:
