@@ -43,7 +43,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,9 +75,6 @@ MAX_SAMPLE_N = 8
 #: would have its largest noise entry as the matrix scale and could never
 #: clear its own relative threshold.
 NOISE_REL = 1e-20
-
-RankProfile = Union[str, int, Callable[[np.random.Generator, int], int]]
-
 
 class FalsificationError(Exception):
     """A randomized oracle hit a state the sparsity analysis rules out."""
@@ -152,20 +149,11 @@ def evaluate(f: PsdFactorization) -> SupportMatrix:
     return SupportMatrix(f.n, evaluate_block(f.U[None], f.V[None])[0])
 
 
-def _draw_rank(profile: RankProfile, gen: np.random.Generator, d: int) -> int:
+def _draw_rank(profile: str, gen: np.random.Generator, d: int) -> int:
     if profile == "uniform":
         return int(gen.integers(0, d + 1))
     if profile == "full":
         return d
-    if isinstance(profile, int):
-        if not 0 <= profile <= d:
-            raise ValueError(f"fixed rank {profile} outside [0, {d}]")
-        return profile
-    if callable(profile):
-        r = int(profile(gen, d))
-        if not 0 <= r <= d:
-            raise ValueError(f"rank profile returned {r} outside [0, {d}]")
-        return r
     raise ValueError(f"unknown rank profile: {profile!r}")
 
 
@@ -176,7 +164,7 @@ def block_size(n: int) -> int:
 
 
 def _constrained_side(
-    free: np.ndarray, n: int, d: int, profile: RankProfile,
+    free: np.ndarray, n: int, d: int, profile: str,
     gens: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Gram factors spanned by vectors drawn inside the kernels of all
@@ -205,7 +193,7 @@ def _constrained_side(
 def sample_block(
     n: int,
     d: int,
-    rank_profile: RankProfile,
+    rank_profile: str,
     seeds: Sequence,
     directions: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +227,7 @@ def sample_block(
 def sample_atom(
     n: int,
     d: int,
-    rank_profile: RankProfile = "uniform",
+    rank_profile: str = "uniform",
     rng: np.random.Generator | int = 0,
     direction: str = "u-first",
 ) -> PsdFactorization:
@@ -248,10 +236,9 @@ def sample_atom(
 
     ``rank_profile`` governs both the ranks of the freely drawn side and the
     number of spanning vectors on the constrained side: "uniform" (default)
-    draws each uniformly from {0, ..., d}; "full" forces d; an integer fixes
-    the value; a callable (gen, d) -> int customizes it.  Full-rank-only
-    profiles collapse every constrained matrix to zero, so uniform mixing is
-    the default.  ``direction`` picks which side is free: the construction is
+    draws each uniformly from {0, ..., d}; "full" forces d.  Full rank
+    collapses every constrained matrix to zero, so uniform mixing is the
+    default.  ``direction`` picks which side is free: the construction is
     asymmetric, and both directions should exercise the oracles.  ``rng`` is
     a Generator or any seed numpy accepts.
     """

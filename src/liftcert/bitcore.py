@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -104,35 +104,13 @@ def concat(x: BitString, a: BitString) -> BitString:
     return BitString(x.width + a.width, (x.value << a.width) | a.value)
 
 
-def iter_disjoint_pairs(n: int) -> Iterator[tuple[BitString, BitString]]:
-    """Yield the 3^n disjoint pairs (a.b = 0) in lex-by-row-then-column order.
-
-    Never materializes the full 4^n pair space: for each row a, the admissible
-    columns are exactly the submasks of the complement of a.
-    """
-    if not 0 <= n <= MAX_WIDTH:
-        raise ValueError(f"n = {n} outside [0, {MAX_WIDTH}]")
-    for av in range(1 << n):
-        mask = ~av & ((1 << n) - 1)
-        # standard submask walk enumerates descending; reverse per row to
-        # restore ascending column order
-        subs = []
-        s = mask
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & mask
-        a = BitString(n, av)
-        for bv in reversed(subs):
-            yield a, BitString(n, bv)
-
-
 def enumerate_disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
-    """The 3^n disjoint pairs as a list, lex-by-row-then-column."""
-    if not 1 <= n <= MAX_WIDTH:
-        raise ValueError(f"n = {n} outside [1, {MAX_WIDTH}]")
-    return list(iter_disjoint_pairs(n))
+    """The 3^n disjoint pairs (a.b = 0), lex-by-row-then-column: the zeros of
+    the intersection table in row-major order."""
+    if not 1 <= n <= MAX_DENSE_N:
+        raise ValueError(f"n = {n} outside [1, {MAX_DENSE_N}]")
+    rows, cols = np.nonzero(intersection_table(n) == 0)
+    return [(BitString(n, a), BitString(n, b)) for a, b in zip(rows.tolist(), cols.tolist())]
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
 certificate assignments) are held as columns of integer codes into tables
 of JSON texts (bitstring labels, rectangle indices, and distinct values
 coded by ``bitcore.value_codes``, as the dense CSV is), and are rendered by
-one gather per column; each report is joined once.
+one gather per column from tables folded once per report; each report is
+joined once.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def _value_column(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return codes, [json.dumps(v) for v in distinct]
 
 
-def _dumps(obj: object, chunks: list[str], depth: int = 0) -> list[str]:
+def _dumps(obj: object, chunks: list[str], folded: dict, depth: int = 0) -> list[str]:
     """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
     ``chunks`` and return it; ``"".join(chunks)`` is the report.
 
@@ -233,12 +234,13 @@ def _dumps(obj: object, chunks: list[str], depth: int = 0) -> list[str]:
     table lookup: the template's literal text after each slot (and, after
     the last slot, the row separator) is folded into that column's texts,
     one gather per column fills a (rows, slots) array, and its strings join
-    the chunks, so no Python code runs per row."""
+    the chunks, so no Python code runs per row.  ``folded`` keeps each folded
+    table by (id(texts), tail), so lists sharing a table fold it once."""
     pad = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             chunks.append(("," if i else "{") + pad + json.dumps(str(key)) + ": ")
-            _dumps(obj[key], chunks, depth + 1)
+            _dumps(obj[key], chunks, folded, depth + 1)
         chunks.append(pad[:-2] + "}")
     elif isinstance(obj, _Rows) and len(obj.columns[0][0]):
         literals = obj.template.replace("\n", pad).split("%s")
@@ -246,7 +248,10 @@ def _dumps(obj: object, chunks: list[str], depth: int = 0) -> list[str]:
         tails = literals[1:-1] + [literals[-1] + separator]
         cells = np.empty((len(obj.columns[0][0]), len(obj.columns)), dtype=object)
         for j, ((codes, texts), tail) in enumerate(zip(obj.columns, tails)):
-            cells[:, j] = np.array([text + tail for text in texts], dtype=object)[codes]
+            key = (id(texts), tail)
+            if key not in folded:
+                folded[key] = np.array([text + tail for text in texts], dtype=object)
+            cells[:, j] = folded[key][codes]
         cells[-1, -1] = cells[-1, -1][:-len(separator)]
         chunks.append("[" + pad + literals[0])
         chunks += cells.ravel().tolist()
@@ -259,13 +264,13 @@ def _dumps(obj: object, chunks: list[str], depth: int = 0) -> list[str]:
 
 
 def _emit(report: str | dict, args: argparse.Namespace) -> None:
-    """Write a text report, or a dict laid out by ``_dumps`` and joined once,
-    to stdout or to ``--out`` (a relative path is taken under
-    $LIFTCERT_OUT_DIR when set)."""
+    """Write a text report, or a dict laid out by ``_dumps`` (folded tables
+    kept for this report only) and joined once, to stdout or to ``--out`` (a
+    relative path is taken under $LIFTCERT_OUT_DIR when set)."""
     if isinstance(report, str):
         text = report if report.endswith("\n") else report + "\n"
     else:
-        chunks = _dumps(report, [])
+        chunks = _dumps(report, [], {})
         chunks.append("\n")
         text = "".join(chunks)
     if args.out is None:

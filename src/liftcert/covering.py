@@ -5,15 +5,17 @@ only disjoint pairs.  A family of k rectangles *uniformly covers* a class of
 matrices when every member admits an injective assignment of its positive
 disjoint entries to rectangles containing them.  Coverings are certified
 exactly, not by sampling: the recursive family by its own construction with
-every certificate re-validated exactly, any other family by augmenting paths.
+every certificate re-validated exactly, any other family by augmenting paths
+on integer pair keys x << d | y.  Rectangles hold string values; ``BitString``
+appears only where pairs are taken or returned as strings.
 
 Two verification modes matter here:
 
-* ``verify_covering_maximal`` certifies the covering property for every
-  matrix vanishing on intersection-one pairs with at least one antidiagonal
-  zero.  Any such support is contained in one of the 2^d maximal supports
-  (all 3^d disjoint pairs minus one antidiagonal pair), and a certificate
-  restricts to any sub-support, so 2^d certificates decide the whole class.
+* ``maximal_assignments`` certifies the covering property for every matrix
+  vanishing on intersection-one pairs with at least one antidiagonal zero.
+  Any such support is contained in one of the 2^d maximal supports (all 3^d
+  disjoint pairs minus one antidiagonal pair), and a certificate restricts
+  to any sub-support, so 2^d certificates decide the whole class.
 * ``verify_patterns_d2`` certifies the 7-rectangle family for 4 x 4 atoms
   over 2 x 2 PSD cones by matching each of the six admissible sparsity
   patterns; ``phi_table_d2`` carries the six hand-built assignments.
@@ -32,8 +34,10 @@ entries by the sum of the counts of the aggregates.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import reduce
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from .bitcore import (
     BitString,
     SupportMatrix,
     _json_field,
-    all_strings,
     enumerate_disjoint_pairs,
     intersection_size,
     intersection_table,
@@ -58,36 +61,37 @@ Pair = tuple[BitString, BitString]
 
 @dataclass(frozen=True)
 class Rectangle:
-    """A product set of row and column strings supported on disjoint pairs."""
+    """A product set rows x cols of width-d strings supported on disjoint
+    pairs, each side held as a sorted tuple of distinct string values."""
 
     d: int
-    rows: frozenset[BitString]
-    cols: frozenset[BitString]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", frozenset(self.rows))
-        object.__setattr__(self, "cols", frozenset(self.cols))
-        for s in self.rows | self.cols:
-            if s.width != self.d:
-                raise ValueError(f"index {s} has width != {self.d}")
-        for x in self.rows:
-            for y in self.cols:
-                if intersection_size(x, y) != 0:
-                    raise ValueError(f"non-disjoint pair ({x}, {y}) in rectangle")
+        for side in ("rows", "cols"):
+            values = tuple(sorted(set(map(operator.index, getattr(self, side)))))
+            if values and not 0 <= values[0] <= values[-1] < 1 << self.d:
+                raise ValueError(f"{side} value outside [0, 2^{self.d})")
+            object.__setattr__(self, side, values)
+        if reduce(operator.or_, self.rows, 0) & reduce(operator.or_, self.cols, 0):
+            x, y = next((x, y) for x in self.rows for y in self.cols if x & y)
+            raise ValueError(f"non-disjoint pair ({x:0{self.d}b}, {y:0{self.d}b}) in rectangle")
 
     @classmethod
     def from_text(cls, d: int, rows: Iterable[str], cols: Iterable[str]) -> "Rectangle":
-        return cls(
-            d,
-            frozenset(BitString.from_text(r) for r in rows),
-            frozenset(BitString.from_text(c) for c in cols),
-        )
+        sides = [[BitString.from_text(s) for s in side] for side in (rows, cols)]
+        for s in sides[0] + sides[1]:
+            if s.width != d:
+                raise ValueError(f"index {s} has width != {d}")
+        return cls(d, *([s.value for s in side] for side in sides))
 
     def contains(self, x: BitString, y: BitString) -> bool:
-        return x in self.rows and y in self.cols
+        return x.width == y.width == self.d and x.value in self.rows and y.value in self.cols
 
     def pairs(self) -> list[Pair]:
-        return [(x, y) for x in sorted(self.rows) for y in sorted(self.cols)]
+        return [(BitString(self.d, x), BitString(self.d, y))
+                for x in self.rows for y in self.cols]
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,8 @@ class CoveringCertificate:
 
 def base_covering_d1() -> CoveringFamily:
     """The two-rectangle covering at width 1: {0} x {0,1} and {0,1} x {0}."""
-    return CoveringFamily(
-        1,
-        (
-            Rectangle.from_text(1, ["0"], ["0", "1"]),
-            Rectangle.from_text(1, ["0", "1"], ["0"]),
-        ),
-        label="base-d1",
-    )
+    return CoveringFamily(1, (Rectangle(1, (0,), (0, 1)), Rectangle(1, (0, 1), (0,))),
+                          label="base-d1")
 
 
 #: Order of the seven width-2 rectangles: one copy of the full-first-row
@@ -178,46 +176,27 @@ def recursive_covering(d: int) -> CoveringFamily:
     if d == 1:
         return base_covering_d1()
     top = 1 << (d - 1)  # a lift under prefix 0 keeps every value
-    spans = [([x.value for x in r.rows], [y.value for y in r.cols])
-             for r in recursive_covering(d - 1).rectangles]
-    for x, y in ((x.value, y.value) for x, y in enumerate_disjoint_pairs(d - 1)):
-        spans += [([x], [y, top | y]), ([x, top | x], [y])]
-    rects = (Rectangle(d, {BitString(d, v) for v in rows}, {BitString(d, v) for v in cols})
-             for rows, cols in spans)
+    rects = [Rectangle(d, r.rows, r.cols) for r in recursive_covering(d - 1).rectangles]
+    for x, y in zip(*(a.tolist() for a in np.nonzero(intersection_table(d - 1) == 0))):
+        rects += [Rectangle(d, (x,), (y, top | y)), Rectangle(d, (x, top | x), (y,))]
     return CoveringFamily(d, tuple(rects), label=f"recursive-d{d}")
 
 
-def find_certificate(
-    support: Iterable[Pair], family: CoveringFamily
-) -> Optional[CoveringCertificate]:
-    """Injective assignment of every support pair to a containing rectangle.
-
-    Augmenting-path maximum bipartite matching, searched depth-first with an
-    explicit stack.  Pairs are processed in lex order and each pair's
-    adjacency list is in family order, so the result is deterministic.  The
-    adjacency is built in one pass over the rectangles' pairs, keyed on ints
-    x << d | y, so the cost is O(sum_i |R_i| + augmentation).  Returns None
-    when no assignment saturates the support.
-    """
+def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
+    """(x, y, i) rows assigning each of the ascending keys x << d | y its own
+    rectangle i containing (x, y), or None.  Augmenting paths are searched
+    depth-first with an explicit stack, each key's rectangles in family order."""
     d = family.d
-    pairs = sorted(
-        set(support), key=lambda p: (p[0].width, p[0].value, p[1].width, p[1].value)
-    )
-    for x, y in pairs:
-        if x.width != d or y.width != d:
-            raise ValueError(f"pair ({x}, {y}) has width != {d}")
-        if intersection_size(x, y) != 0:
-            raise ValueError(f"non-disjoint pair ({x}, {y}) in support")
-    slot = {x.value << d | y.value: p for p, (x, y) in enumerate(pairs)}
-    adjacency: list[list[int]] = [[] for _ in pairs]
+    slot = {key: p for p, key in enumerate(keys)}
+    adjacency: list[list[int]] = [[] for _ in keys]
     for i, r in enumerate(family.rectangles):
         for x in r.rows:
             for y in r.cols:
-                p = slot.get(x.value << d | y.value)
+                p = slot.get(x << d | y)
                 if p is not None:
                     adjacency[p].append(i)
-    owner: dict[int, int] = {}  # rectangle -> position of the pair taking it
-    for root in range(len(pairs)):
+    owner: dict[int, int] = {}  # rectangle -> position of the key taking it
+    for root in range(len(keys)):
         # path[j] takes rectangle via[j]; the owner of via[j] is path[j + 1]
         seen: set[int] = set()
         path, via, frontier = [root], [], [iter(adjacency[root])]
@@ -239,7 +218,27 @@ def find_certificate(
             break
         else:
             return None
-    return CoveringCertificate({pairs[p]: i for i, p in owner.items()})
+    taken = {p: i for i, p in owner.items()}
+    rows = [(key >> d, key & ((1 << d) - 1), taken[p]) for p, key in enumerate(keys)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def find_certificate(
+    support: Iterable[Pair], family: CoveringFamily
+) -> Optional[CoveringCertificate]:
+    """Injective assignment of every support pair to a containing rectangle
+    (``_match`` of the pairs' keys), or None when no assignment saturates the
+    support.  Pairs of another width or that intersect raise ValueError."""
+    d = family.d
+    pairs = sorted(set(support))
+    for x, y in pairs:
+        if x.width != d or y.width != d:
+            raise ValueError(f"pair ({x}, {y}) has width != {d}")
+        if intersection_size(x, y) != 0:
+            raise ValueError(f"non-disjoint pair ({x}, {y}) in support")
+    rows = _match([x.value << d | y.value for x, y in pairs], family)
+    return None if rows is None else CoveringCertificate(
+        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
 
 
 def maximal_support(d: int, alpha: BitString) -> set[Pair]:
@@ -271,23 +270,28 @@ def recursive_certificate(d: int, alpha: int) -> np.ndarray:
     return cert[np.argsort(cert[:, 0] << d | cert[:, 1])]
 
 
+def _maximal_keys(d: int, alpha: int) -> np.ndarray:
+    """Keys x << d | y of maximal_support(d, alpha), in lex order."""
+    disjoint = np.flatnonzero(intersection_table(d) == 0)
+    return disjoint[disjoint != alpha << d | ((1 << d) - 1 - alpha)]
+
+
 def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
     """ValueError unless each alpha's (x, y, i) rows certify maximal_support(d,
     alpha): distinct indices in range, keys x << d | y the 3^d - 1 disjoint pairs
     but (alpha, complement), each pair in its rectangle by membership masks."""
-    d, k, side = family.d, family.k, 1 << family.d
-    member = np.zeros((2, k, side), dtype=bool)
+    d, k = family.d, family.k
+    member = np.zeros((2, k, 1 << d), dtype=bool)
     for i, r in enumerate(family.rectangles):
-        member[0, i, [x.value for x in r.rows]] = True
-        member[1, i, [y.value for y in r.cols]] = True
-    disjoint = np.flatnonzero(intersection_table(d) == 0)  # keys in lex order
+        member[0, i, r.rows] = True
+        member[1, i, r.cols] = True
     for alpha, rows in assignments.items():
         x, y, i = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
-        where = f"certificate for alpha = {BitString(d, alpha)}:"
+        where = f"certificate for alpha = {alpha:0{d}b}:"
         if not ((0 <= i) & (i < k)).all() or len(set(i.tolist())) < i.size:
             raise ValueError(f"{where} rectangle indices not distinct in [0, {k})")
-        support = disjoint[disjoint != alpha << d | (side - 1 - alpha)]
-        if ((x | y) >> d).any() or not np.array_equal(np.sort(x << d | y), support):
+        if ((x | y) >> d).any() or not np.array_equal(np.sort(x << d | y),
+                                                       _maximal_keys(d, alpha)):
             raise ValueError(f"{where} its pairs are not the maximal support")
         if not (member[0, i, x] & member[1, i, y]).all():
             raise ValueError(f"{where} a pair lies outside its rectangle")
@@ -304,8 +308,8 @@ def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray
         out = {alpha: recursive_certificate(d, alpha) for alpha in range(1 << d)}
         check_maximal_assignments(family, out)
         return out
-    certs = ((a.value, find_certificate(maximal_support(d, a), family)) for a in all_strings(d))
-    return {alpha: None if c is None else c.triples() for alpha, c in certs}
+    return {alpha: _match(_maximal_keys(d, alpha).tolist(), family)
+            for alpha in range(1 << d)}
 
 
 def maximal_certificates(
@@ -317,16 +321,6 @@ def maximal_certificates(
     return {BitString(d, alpha): rows if rows is None else CoveringCertificate(
         {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
         for alpha, rows in maximal_assignments(family).items()}
-
-
-def verify_covering_maximal(family: CoveringFamily) -> bool:
-    """Whether all 2^d maximal supports admit certificates.
-
-    By monotonicity (a certificate restricts to any sub-support) this
-    certifies the covering property for every matrix vanishing on
-    intersection-one pairs with at least one antidiagonal zero.
-    """
-    return all(rows is not None for rows in maximal_assignments(family).values())
 
 
 def pattern_certificates_d2(
@@ -407,8 +401,7 @@ def _aggregate_block(values: np.ndarray, family: CoveringFamily) -> np.ndarray:
     blocks = values.reshape(len(values), 1 << d, inner, 1 << d, inner)  # [t, x, a, y, b]
     out = np.empty((len(values), family.k, inner, inner), dtype=values.dtype)
     for i, r in enumerate(family.rectangles):
-        rows, cols = (sorted(s.value for s in strings) for strings in (r.rows, r.cols))
-        out[:, i] = blocks.take(rows, axis=1).take(cols, axis=3).sum(axis=(1, 3))
+        out[:, i] = blocks.take(r.rows, axis=1).take(r.cols, axis=3).sum(axis=(1, 3))
     return out
 
 
@@ -466,17 +459,9 @@ def check_induction_inequality(
 
 
 def family_to_json(family: CoveringFamily) -> str:
-    obj = {
-        "d": family.d,
-        "label": family.label,
-        "rectangles": [
-            {
-                "rows": sorted(str(x) for x in r.rows),
-                "cols": sorted(str(y) for y in r.cols),
-            }
-            for r in family.rectangles
-        ],
-    }
+    rects = [{side: [str(BitString(family.d, v)) for v in getattr(r, side)]
+              for side in ("rows", "cols")} for r in family.rectangles]
+    obj = {"d": family.d, "label": family.label, "rectangles": rects}
     return json.dumps(obj, sort_keys=True)
 
 
@@ -509,14 +494,16 @@ def certificate_from_json(
     text: str, family: Optional[CoveringFamily] = None
 ) -> CoveringCertificate:
     """Parse a certificate; injectivity always re-checked, containment if a
-    family is supplied."""
-    obj = json.loads(text)
-    cert = CoveringCertificate(
-        {
-            (BitString.from_text(x), BitString.from_text(y)): i
-            for (x, y), i in obj["assignment"]
-        }
-    )
+    family is supplied.  A malformed field raises ValueError naming it."""
+    assignment = {}
+    for j, row in enumerate(_json_field(json.loads(text), "assignment", list, "certificate")):
+        if not (type(row) is list and len(row) == 2 and type(row[0]) is list
+                and len(row[0]) == 2 and all(type(s) is str for s in row[0])
+                and type(row[1]) is int):
+            raise ValueError(f'certificate field "assignment" row {j} is not [[x, y], i]')
+        (x, y), i = row
+        assignment[(BitString.from_text(x), BitString.from_text(y))] = i
+    cert = CoveringCertificate(assignment)
     if family is not None:
         cert.validate_against(family)
     return cert

@@ -38,70 +38,66 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     return max(float(np.sum(cross * cross)), 0.0)
 
 
-def _eig_split(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eig_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of X = x x^T for a stack (..., d, m) of factors, in
     ascending eigenvalue order, and how many of them (the last ones) have an
-    eigenvalue above tol * lambda_max."""
+    eigenvalue above RANK_TOL * lambda_max."""
     w, v = np.linalg.eigh(x @ np.swapaxes(x, -1, -2))
     lam_max = np.maximum(w[..., -1:], 0.0)
-    return v, np.count_nonzero(w > tol * lam_max, axis=-1)
+    return v, np.count_nonzero(w > RANK_TOL * lam_max, axis=-1)
 
 
-def image(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def image(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of the eigenvectors of X = x x^T with
-    eigenvalue above tol * lambda_max."""
-    v, dims = _eig_split(x, tol)
+    eigenvalue above RANK_TOL * lambda_max."""
+    v, dims = _eig_split(x)
     return v[:, v.shape[1] - dims:]
 
 
-def kernel(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def kernel(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of the image, from the same
     decomposition."""
-    v, dims = _eig_split(x, tol)
+    v, dims = _eig_split(x)
     return v[:, : v.shape[1] - dims]
 
 
-def image_block(x: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def image_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``image`` of every factor in a stack (..., d, m), as ``(bases, dims)``:
     each (d, d) basis holds the image in its last ``dims`` columns and zeros
     in the others."""
-    v, dims = _eig_split(x, tol)
+    v, dims = _eig_split(x)
     d = v.shape[-1]
     return v * (np.arange(d) >= d - dims[..., None])[..., None, :], dims
 
 
-def _span(columns: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _span(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors of a stack (..., d, m) and how many of them (the
-    first ones) have a singular value above tol times the largest."""
+    first ones) have a singular value above RANK_TOL times the largest."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u, np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return u, np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def subspace_sum(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def subspace_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of the concatenated bases a and b."""
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"ambient mismatch: {a.shape[0]} vs {b.shape[0]}")
     columns = np.hstack([a, b])
     if columns.size == 0:
         return columns
-    u, dims = _span(columns, tol)
+    u, dims = _span(columns)
     return u[:, :dims]
 
 
-def subspace_sum_block(
-    a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def subspace_sum_block(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``subspace_sum`` of every pair in two stacks (..., d, d) of bases that
     may carry zero columns, as ``(bases, dims)``: each (d, d) basis holds the
     sum in its first ``dims`` columns and zeros in the others."""
-    u, dims = _span(np.concatenate([a, b], axis=-1), tol)
+    u, dims = _span(np.concatenate([a, b], axis=-1))
     d = u.shape[-1]
     return u * (np.arange(d) < dims[..., None])[..., None, :], dims
 
 
-def subspace_intersect(
-    factors: np.ndarray, tol: float = RANK_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def subspace_intersect(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Common kernels of stacks of PSD matrices, by one batched SVD.
 
     ``factors`` has shape (..., d, m): each d x m slice holds the Gram
@@ -109,7 +105,7 @@ def subspace_intersect(
     Returns ``(bases, dims)`` with bases of shape (..., d, d) and orthonormal
     columns: the first ``dims[...]`` columns of each slice span the
     intersection of the kernels, the left null space of the slice.  Singular
-    values at or below tol times the slice's largest count as zero; a slice
+    values at or below RANK_TOL times the slice's largest count as zero; a slice
     whose factors are all zero has the whole space, with basis exactly the
     identity.
     """
@@ -118,7 +114,7 @@ def subspace_intersect(
         factors = np.concatenate(
             [factors, np.zeros(factors.shape[:-1] + (d - m,))], axis=-1)
     u, s, _ = np.linalg.svd(factors, full_matrices=False)
-    dims = d - np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    dims = d - np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     # null directions have the smallest singular values, so they come last
     bases = np.where((s[..., :1] > 0)[..., None], u[..., ::-1], np.eye(d))
     return bases, dims

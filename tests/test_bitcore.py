@@ -21,7 +21,6 @@ from liftcert.bitcore import (
     has_antidiagonal_zero,
     intersection_size,
     is_atom_pattern,
-    iter_disjoint_pairs,
     matrix_from_entries,
     matrix_to_csv,
     matrix_to_json,
@@ -115,7 +114,29 @@ class TestIntersectionAndConcat:
         ) + intersection_size(a, b)
 
 
+def submask_walk(n: int):
+    """The disjoint pairs as the former generator listed them: for each row a,
+    the submasks of its complement, walked down and then reversed."""
+    for av in range(1 << n):
+        mask = ~av & ((1 << n) - 1)
+        subs, s = [mask], mask
+        while s:
+            s = (s - 1) & mask
+            subs.append(s)
+        for bv in reversed(subs):
+            yield BitString(n, av), BitString(n, bv)
+
+
 class TestDisjointPairs:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_submask_walk_in_order(self, n):
+        assert enumerate_disjoint_pairs(n) == list(submask_walk(n))
+
+    @pytest.mark.parametrize("n", [0, MAX_DENSE_N + 1])
+    def test_width_outside_dense_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            enumerate_disjoint_pairs(n)
+
     def test_n1_listing(self):
         pairs = enumerate_disjoint_pairs(1)
         assert [(str(a), str(b)) for a, b in pairs] == [("0", "0"), ("0", "1"), ("1", "0")]
@@ -130,7 +151,7 @@ class TestDisjointPairs:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_antidiagonal_pairs_present(self, n):
-        pairs = set(iter_disjoint_pairs(n))
+        pairs = set(enumerate_disjoint_pairs(n))
         for a in all_strings(n):
             assert (a, a.complement()) in pairs
 

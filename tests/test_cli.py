@@ -192,7 +192,26 @@ def both_layouts(failures: list) -> tuple[dict, dict]:
 ], ids=["no-failures", "failures"])
 def test_row_renderer_matches_indent_encoder(failures):
     rows, plain = both_layouts(failures)
-    assert "".join(_dumps(rows, [])) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(rows, [], {})) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_shared_tables_fold_once_per_tail():
+    """Row lists sharing their text tables, at one depth and one deeper, render
+    as the indent=2 encoder, and each (table, tail) is folded once."""
+    labels, indices = ['"0"', '"1"'], ["0", "1", "2"]
+
+    def cert(x, y, i):
+        columns = [(np.array(x), labels), (np.array(y), labels), (np.array(i), indices)]
+        return {"assignment": _Rows(PAIR_ROW, columns)}
+
+    obj = {"a": cert([0, 1], [1, 0], [2, 0]), "b": cert([0], [0], [1]),
+           "c": {"deeper": cert([1], [0], [0])}}
+    plain = {"a": {"assignment": [[["0", "1"], 2], [["1", "0"], 0]]},
+             "b": {"assignment": [[["0", "0"], 1]]},
+             "c": {"deeper": {"assignment": [[["1", "0"], 0]]}}}
+    folded = {}
+    assert "".join(_dumps(obj, [], folded)) == json.dumps(plain, indent=2, sort_keys=True)
+    assert len(folded) == 6  # three tails at each of two depths
 
 
 def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[str]):
@@ -207,7 +226,7 @@ def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[
         plain = [[a, b, c] for a, b, c in zip(x, y, values.tolist())]
     for depth, key in enumerate(keys):
         obj, plain = {key: obj, key + "~": depth}, {key: plain, key + "~": depth}
-    assert "".join(_dumps(obj, [])) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(obj, [], {})) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("template", [PAIR_ROW, ENTRY_ROW], ids=["pair", "entry"])

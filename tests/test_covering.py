@@ -54,7 +54,6 @@ from liftcert.covering import (
     phi_table_d2,
     recursive_certificate,
     recursive_covering,
-    verify_covering_maximal,
     verify_patterns_d2,
 )
 
@@ -117,11 +116,47 @@ class TestRectangle:
         ]
 
 
+    @given(st.data())
+    def test_accepts_exactly_the_pairwise_disjoint_products(self, data):
+        d = data.draw(st.integers(0, 4))
+        values = st.lists(st.integers(0, (1 << d) - 1), max_size=5)
+        rows, cols = data.draw(values), data.draw(values)
+        bad = [(BitString(d, x), BitString(d, y)) for x in sorted(rows) for y in sorted(cols)
+               if intersection_size(BitString(d, x), BitString(d, y)) != 0]
+        if bad:
+            with pytest.raises(ValueError, match=rf"\({bad[0][0]}, {bad[0][1]}\)"):
+                Rectangle(d, rows, cols)
+        else:
+            r = Rectangle(d, rows, cols)
+            assert (r.rows, r.cols) == (tuple(sorted(set(rows))), tuple(sorted(set(cols))))
+
+    def test_values_normalised_and_hashable(self):
+        r = Rectangle(2, [2, 0, 2], [np.int64(1)])
+        assert r == Rectangle(2, (0, 2), (1,)) and hash(r) == hash(Rectangle(2, (0, 2), (1,)))
+        assert r == Rectangle.from_text(2, ["10", "00"], ["01"])
+        assert type(r.cols[0]) is int
+
+    @pytest.mark.parametrize("rows, cols", [((4,), (0,)), ((0,), (-1,))])
+    def test_value_outside_width_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="outside"):
+            Rectangle(2, rows, cols)
+
+    def test_bitstrings_are_not_values(self):
+        with pytest.raises(TypeError):
+            Rectangle(1, [BitString(1, 0)], [BitString(1, 0)])
+
+    def test_contains_compares_widths(self):
+        r = Rectangle.from_text(2, ["00"], ["01"])
+        assert r.contains(BitString(2, 0), BitString(2, 1))
+        assert not r.contains(BitString(1, 0), BitString(2, 1))
+        assert not r.contains(BitString(2, 0), BitString(3, 1))
+
+
 class TestBaseCoverings:
     def test_base_d1_shape(self):
         fam = base_covering_d1()
         assert fam.k == 2 == 3**1 - 1
-        assert verify_covering_maximal(fam)
+        assert all(rows is not None for rows in maximal_assignments(fam).values())
 
     def test_explicit_d2_shape(self):
         fam = explicit_covering_d2()
@@ -213,7 +248,7 @@ class TestFindCertificate:
                 mask |= x.value
             free = [y for y in strings if y.value & mask == 0]
             cols = data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=3))
-            rects.append(Rectangle(d, frozenset(rows), frozenset(cols)))
+            rects.append(Rectangle(d, [x.value for x in rows], [y.value for y in cols]))
         family = CoveringFamily(d, tuple(rects))
         support = data.draw(st.sets(st.sampled_from(enumerate_disjoint_pairs(d))))
         assert find_certificate(support, family) == scan_certificate(support, family)
@@ -231,11 +266,11 @@ class TestMaximalVerification:
     def test_explicit_d2_fails_by_pigeonhole(self):
         # the 7-rectangle family covers the six patterns, not the whole
         # antidiagonal-zero class: a maximal support has 8 pairs
-        assert not verify_covering_maximal(explicit_covering_d2())
+        assert None in maximal_assignments(explicit_covering_d2()).values()
 
     def test_damaged_family_fails(self):
         fam = recursive_covering(2)
-        assert not verify_covering_maximal(drop_rectangle(fam, 0))
+        assert None in maximal_assignments(drop_rectangle(fam, 0)).values()
 
 
 def as_certificate(d: int, rows: np.ndarray) -> CoveringCertificate:
@@ -277,7 +312,7 @@ class TestRecursiveCertificate:
 
 class TestMaximalRouting:
     def test_relabelled_recursive_family_is_constructed(self, monkeypatch):
-        matched = spy(monkeypatch, "find_certificate")
+        matched = spy(monkeypatch, "_match")
         built = spy(monkeypatch, "recursive_certificate")
         family = CoveringFamily(4, recursive_covering(4).rectangles, label="mine")
         certs = maximal_certificates(family)
@@ -290,7 +325,7 @@ class TestMaximalRouting:
         lambda rects: rects + rects[5:6],  # a duplicated rectangle
     ], ids=["permuted", "duplicated"])
     def test_other_families_are_matched(self, monkeypatch, change):
-        matched = spy(monkeypatch, "find_certificate")
+        matched = spy(monkeypatch, "_match")
         built = spy(monkeypatch, "recursive_certificate")
         family = CoveringFamily(3, change(recursive_covering(3).rectangles))
         certs = maximal_certificates(family)
@@ -440,8 +475,7 @@ class TestBlockOps:
 
     def test_aggregate_single_corner_rectangle(self):
         m = udisj(3)
-        z2 = BitString.zero(2)
-        fam = CoveringFamily(2, (Rectangle(2, frozenset([z2]), frozenset([z2])),))
+        fam = CoveringFamily(2, (Rectangle(2, (0,), (0,)),))
         (only,) = aggregate(m, fam)
         assert only.n == 1
         assert np.array_equal(only.values, block_decompose(m, 2)[0, 0])
@@ -468,8 +502,7 @@ def ix_aggregate(values: np.ndarray, family: CoveringFamily) -> list[np.ndarray]
     prefix axes."""
     blocks = block_decompose(SupportMatrix(values.shape[0].bit_length() - 1, values),
                              family.d)
-    return [blocks[np.ix_(sorted(x.value for x in r.rows),
-                          sorted(y.value for y in r.cols))].sum(axis=(0, 1))
+    return [blocks[np.ix_(r.rows, r.cols)].sum(axis=(0, 1))
             for r in family.rectangles]
 
 
@@ -580,6 +613,17 @@ class TestSerialization:
         bad = '{"assignment": [[["01", "10"], 0]]}'
         with pytest.raises(ValueError):
             certificate_from_json(bad, explicit_covering_d2())
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '{"assignment": {}}', '{"assignment": [[["00", "01"], "x"]]}',
+        '{"assignment": [[["00", "01"], 1.5]]}', '{"assignment": [[["00", "00"], true]]}',
+        '{"assignment": [["00", "01", 0]]}', '{"assignment": [[["00", 1], 0]]}',
+        '{"assignment": [[["00", "01", "10"], 0]]}', '{"assignment": [0]}',
+    ])
+    @pytest.mark.parametrize("family", [None, explicit_covering_d2()], ids=["bare", "family"])
+    def test_malformed_certificate_rejected(self, text, family):
+        with pytest.raises(ValueError, match="certificate"):
+            certificate_from_json(text, family)
 
     def test_duplicate_copies_survive_round_trip(self):
         fam = family_from_json(family_to_json(explicit_covering_d2()))
