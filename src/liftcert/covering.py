@@ -502,7 +502,10 @@ def certificate_from_json(
                 and type(row[1]) is int):
             raise ValueError(f'certificate field "assignment" row {j} is not [[x, y], i]')
         (x, y), i = row
-        assignment[(BitString.from_text(x), BitString.from_text(y))] = i
+        pair = (BitString.from_text(x), BitString.from_text(y))
+        if pair in assignment:
+            raise ValueError(f'certificate field "assignment" repeats pair ({x}, {y})')
+        assignment[pair] = i
     cert = CoveringCertificate(assignment)
     if family is not None:
         cert.validate_against(family)

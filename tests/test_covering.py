@@ -619,6 +619,7 @@ class TestSerialization:
         '{"assignment": [[["00", "01"], 1.5]]}', '{"assignment": [[["00", "00"], true]]}',
         '{"assignment": [["00", "01", 0]]}', '{"assignment": [[["00", 1], 0]]}',
         '{"assignment": [[["00", "01", "10"], 0]]}', '{"assignment": [0]}',
+        '{"assignment": [[["00", "01"], 0], [["00", "01"], 1]]}',
     ])
     @pytest.mark.parametrize("family", [None, explicit_covering_d2()], ids=["bare", "family"])
     def test_malformed_certificate_rejected(self, text, family):
