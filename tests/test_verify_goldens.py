@@ -1,8 +1,9 @@
-"""Golden digests of ``covering verify`` reports.
+"""Golden digests of ``covering verify`` reports and ``covering build`` output.
 
 The reports carry every certificate the matcher emits, so these digests pin
 the matcher's choices byte for byte: a change to the adjacency order or the
-augmenting-path search that alters any certificate fails here.
+augmenting-path search that alters any certificate fails here.  The build
+digests pin each family's rectangles and their order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ from liftcert.covering import (
     recursive_covering,
 )
 
+GOLDEN_BUILD_RECURSIVE = {
+    1: "ae08083bc3f298b596feb3de47b7e8f13aa8511970cdb2f69d4af8fe481b627a",
+    2: "dba3c985f9e3bb634bd1f5c95e0af92e8a95ea70127714e16709a8bc9b817cb9",
+    3: "a14c4cc2316753597f209c7f0a5244c2004fe56605883547e0cd32d4cbe1687d",
+    4: "345a1e2038a1f1064d3e725e14c1952c8a3fe8ff1cffc63cf25069d7f78172dd",
+    5: "36d2e82c23fa88b9fd71326eba1fc37527bd9b623d67b2cde89c4a12a5103787",
+    6: "f28af1f22137497e4556ed71e7fc59279602a16a4956db648af66b018996d467",
+}
+GOLDEN_BUILD_EXPLICIT_D2 = "819889822c1a34000abc4f7b883c74d909aca0a187cdb14bba4f50c63400696b"
 GOLDEN_MAXIMAL_RECURSIVE = {
     1: "3187c1c4319982856c22406b3d73f0e7ab46123307dc9dcdae88cb8142333215",
     2: "7fb56df5f2c05efb022b64f2c1e79b2af065a508154ddba8b6c212556b2340f5",
@@ -32,6 +42,20 @@ GOLDEN_EXPLICIT_D2 = {
     "patterns-d2": "5879862f8bd8d2a3432d7c50354fa8f5de122b99929bb3edaf5d3cab75adb22e",
 }
 GOLDEN_DEFICIENT_D5 = "50f976dc19ce79da86654bb56476344706e1967230f4891fed9688cd8ee32b4e"
+
+
+def build_digest(capsys, *flags: str) -> tuple[int, str]:
+    code = main(["covering", "build", *flags])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_recursive_build_output(capsys, d):
+    assert build_digest(capsys, "--d", str(d)) == (0, GOLDEN_BUILD_RECURSIVE[d])
+
+
+def test_explicit_d2_build_output(capsys):
+    assert build_digest(capsys, "--d", "2", "--explicit-d2") == (0, GOLDEN_BUILD_EXPLICIT_D2)
 
 
 def verify_digest(tmp_path, capsys, family: CoveringFamily, mode: str) -> tuple[int, str]:
