@@ -54,7 +54,6 @@ from .bitcore import (
     SupportMatrix,
     _json_field,
     all_strings,
-    intersection_size,
     intersection_table,
     threshold_block,
 )
@@ -341,11 +340,15 @@ def pattern_template(pid: PatternId) -> frozenset[tuple[BitString, BitString]]:
     )
 
 
+def pattern_keys(pid: PatternId) -> np.ndarray:
+    """Keys a << 2 | b of the pattern's allowed disjoint pairs, ascending."""
+    return np.flatnonzero(_TEMPLATE_MASKS[PatternId(pid) - 1] & (intersection_table(2) == 0))
+
+
 def pattern_disjoint_support(pid: PatternId) -> frozenset[tuple[BitString, BitString]]:
     """The disjoint-pair portion of the pattern's allowed positions."""
-    return frozenset(
-        (a, b) for a, b in pattern_template(pid) if intersection_size(a, b) == 0
-    )
+    return frozenset((BitString(2, key >> 2), BitString(2, key & 3))
+                     for key in pattern_keys(pid).tolist())
 
 
 def pattern_block(support: np.ndarray) -> np.ndarray:

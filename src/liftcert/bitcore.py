@@ -54,21 +54,6 @@ class BitString:
             raise ValueError(f"not a 0/1 string: {text!r}")
         return cls(len(text), int(text, 2) if text else 0)
 
-    @classmethod
-    def zero(cls, width: int) -> "BitString":
-        return cls(width, 0)
-
-    @classmethod
-    def ones(cls, width: int) -> "BitString":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def unit(cls, width: int, i: int) -> "BitString":
-        """The string e_i with a single 1 in position i (1-indexed from the left)."""
-        if not 1 <= i <= width:
-            raise ValueError(f"position {i} outside [1, {width}]")
-        return cls(width, 1 << (width - i))
-
     def bit(self, i: int) -> int:
         """Bit in position i, 1-indexed from the left (most significant)."""
         if not 1 <= i <= self.width:
@@ -95,13 +80,6 @@ def intersection_size(a: BitString, b: BitString) -> int:
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
     return (a.value & b.value).bit_count()
-
-
-def concat(x: BitString, a: BitString) -> BitString:
-    """Concatenate, with x occupying the leading (most significant) positions."""
-    if x.width + a.width > MAX_WIDTH:
-        raise ValueError(f"combined width {x.width + a.width} exceeds {MAX_WIDTH}")
-    return BitString(x.width + a.width, (x.value << a.width) | a.value)
 
 
 def enumerate_disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:

@@ -60,7 +60,7 @@ from .covering import (
     family_to_json,
     induction_block,
     maximal_assignments,
-    pattern_certificates_d2,
+    pattern_assignments,
     recursive_covering,
 )
 
@@ -318,8 +318,7 @@ def _cmd_covering_verify(args: argparse.Namespace) -> int:
         failures = [{"alpha": alpha, "support_size": 3**d - 1, "k": k}
                     for alpha, rows in certs.items() if rows is None]
     else:
-        certs = {str(int(pid)): c if c is None else c.triples()
-                 for pid, c in pattern_certificates_d2(family).items()}
+        certs = {str(int(pid)): rows for pid, rows in pattern_assignments(family).items()}
         failures = [{"pattern": int(pid), "k": k}
                     for pid, rows in certs.items() if rows is None]
     labels, indices = _labels(d), [str(i) for i in range(k)]

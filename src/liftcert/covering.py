@@ -16,14 +16,15 @@ Two verification modes matter here:
   Any such support is contained in one of the 2^d maximal supports (all 3^d
   disjoint pairs minus one antidiagonal pair), and a certificate restricts
   to any sub-support, so 2^d certificates decide the whole class.
-* ``verify_patterns_d2`` certifies the 7-rectangle family for 4 x 4 atoms
-  over 2 x 2 PSD cones by matching each of the six admissible sparsity
-  patterns; ``phi_table_d2`` carries the six hand-built assignments.
+* ``pattern_assignments`` certifies the 7-rectangle family for 4 x 4 atoms
+  over 2 x 2 PSD cones by matching the keys of each of the six admissible
+  sparsity patterns; ``phi_table_d2`` carries the six hand-built assignments.
 
-The recursive construction produces 3^d - 1 rectangles at width d: the two
-base rectangles at d = 1, then per level one two-element row rectangle and
-one two-element column rectangle for each disjoint pair of the previous
-level, plus zero-prefixed lifts of the previous rectangles.
+The recursive family of 3^d - 1 rectangles is built in one loop over levels
+w < d, each directly at width d (a zero prefix keeps every value): two
+rectangles per disjoint pair of width w.  Each rectangle owns its largest
+pair, the owned pairs being the disjoint pairs other than (0, 0), and every
+maximal certificate keeps the owned pairs except along one chain of levels.
 
 The induction check (``induction_block``, on a stack of matrices) splits
 each matrix into 2^d x 2^d blocks indexed by width-d prefixes, aggregates
@@ -41,13 +42,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .atoms import PatternId, PsdFactorization, evaluate, pattern_disjoint_support
+from .atoms import PatternId, PsdFactorization, evaluate, pattern_keys
 from .bitcore import (
     EPS_ZERO,
+    MAX_DENSE_N,
     BitString,
     SupportMatrix,
     _json_field,
-    enumerate_disjoint_pairs,
     intersection_size,
     intersection_table,
     support_block,
@@ -138,16 +139,16 @@ class CoveringCertificate:
             missing = sorted(support - set(self.assignment))[0]
             raise ValueError(f"support pair ({missing[0]}, {missing[1]}) unassigned")
 
-    def triples(self) -> np.ndarray:
-        """The assignment as an (m, 3) array of (x, y, i) value rows in lex order."""
-        rows = sorted((x.value, y.value, i) for (x, y), i in self.assignment.items())
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+def _certificate(d: int, rows: np.ndarray) -> CoveringCertificate:
+    """The certificate of (x, y, i) value rows."""
+    return CoveringCertificate(
+        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
 
 
 def base_covering_d1() -> CoveringFamily:
     """The two-rectangle covering at width 1: {0} x {0,1} and {0,1} x {0}."""
-    return CoveringFamily(1, (Rectangle(1, (0,), (0, 1)), Rectangle(1, (0, 1), (0,))),
-                          label="base-d1")
+    return recursive_covering(1)
 
 
 #: Order of the seven width-2 rectangles: one copy of the full-first-row
@@ -165,21 +166,17 @@ def explicit_covering_d2() -> CoveringFamily:
 
 
 def recursive_covering(d: int) -> CoveringFamily:
-    """The 3^d - 1 rectangle family certified level by level.
-
-    Level d keeps zero-prefixed lifts of the level d-1 rectangles and, for
-    each disjoint pair (x, y) at width d-1, adds the two-element rectangles
-    {0x} x {0y, 1y} and {0x, 1x} x {0y}.
-    """
+    """The 3^d - 1 rectangle family certified level by level: for w = 0 .. d - 1
+    and each disjoint pair (x, y) of width w, in row-major order, the
+    two-element rectangles {x} x {y, 1y} and {x, 1x} x {y} (1 the bit 2^w)."""
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"d = {d} outside [1, {MAX_COVER_D}]")
-    if d == 1:
-        return base_covering_d1()
-    top = 1 << (d - 1)  # a lift under prefix 0 keeps every value
-    rects = [Rectangle(d, r.rows, r.cols) for r in recursive_covering(d - 1).rectangles]
-    for x, y in zip(*(a.tolist() for a in np.nonzero(intersection_table(d - 1) == 0))):
-        rects += [Rectangle(d, (x,), (y, top | y)), Rectangle(d, (x, top | x), (y,))]
-    return CoveringFamily(d, tuple(rects), label=f"recursive-d{d}")
+    rects = []
+    for w in range(d):
+        top = 1 << w
+        for x, y in zip(*(a.tolist() for a in np.nonzero(intersection_table(w) == 0))):
+            rects += [Rectangle(d, (x,), (y, top | y)), Rectangle(d, (x, top | x), (y,))]
+    return CoveringFamily(d, tuple(rects), label="base-d1" if d == 1 else f"recursive-d{d}")
 
 
 def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
@@ -237,43 +234,39 @@ def find_certificate(
         if intersection_size(x, y) != 0:
             raise ValueError(f"non-disjoint pair ({x}, {y}) in support")
     rows = _match([x.value << d | y.value for x, y in pairs], family)
-    return None if rows is None else CoveringCertificate(
-        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
-
-
-def maximal_support(d: int, alpha: BitString) -> set[Pair]:
-    """All 3^d disjoint pairs except the antidiagonal pair at alpha."""
-    pairs = set(enumerate_disjoint_pairs(d))
-    pairs.discard((alpha, alpha.complement()))
-    return pairs
-
-
-def recursive_certificate(d: int, alpha: int) -> np.ndarray:
-    """The certificate of maximal_support(d, alpha) against recursive_covering(d)
-    as (x, y, i) value rows in lex order, built level by level like the family:
-    for alpha = b.alpha', the rows for alpha' are kept, and the j-th disjoint pair
-    (x, y) of width d - 1 sends (0x, 1y) to rectangle 3^(d-1) - 1 + 2j and (1x, 0y)
-    to the next, except that the one of the dropped (alpha, complement), the first
-    if b = 0, takes (0 alpha', 0 complement of alpha') instead."""
-    if not 1 <= d <= MAX_COVER_D or not 0 <= alpha < 1 << d:
-        raise ValueError(f"no maximal support at d = {d}, alpha = {alpha}")
-    levels = []
-    for w in range(d):  # level w + 1 from level w, whose alpha is alpha's low w bits
-        top, base = 1 << w, 3**w - 1
-        x, y = np.divmod(np.flatnonzero(intersection_table(w) == 0), top)  # disjoint pairs
-        pairs = np.stack([x, top | y, top | x, y], 1).reshape(-1, 2)  # (0x, 1y), (1x, 0y)
-        rest = alpha & (top - 1)
-        j = np.flatnonzero((x == rest) & (y == top - 1 - rest))[0]
-        pairs[2 * j + (alpha >> w & 1)] = rest, top - 1 - rest
-        levels.append(np.column_stack([pairs, base + np.arange(len(pairs))]))
-    cert = np.concatenate(levels)
-    return cert[np.argsort(cert[:, 0] << d | cert[:, 1])]
+    return None if rows is None else _certificate(d, rows)
 
 
 def _maximal_keys(d: int, alpha: int) -> np.ndarray:
     """Keys x << d | y of maximal_support(d, alpha), in lex order."""
     disjoint = np.flatnonzero(intersection_table(d) == 0)
     return disjoint[disjoint != alpha << d | ((1 << d) - 1 - alpha)]
+
+
+def maximal_support(d: int, alpha: BitString) -> set[Pair]:
+    """All 3^d disjoint pairs except the antidiagonal pair at alpha."""
+    if not 1 <= d <= MAX_DENSE_N or alpha.width != d:
+        raise ValueError(f"no maximal support of width {d} at alpha = {alpha}")
+    return {(BitString(d, key >> d), BitString(d, key & ((1 << d) - 1)))
+            for key in _maximal_keys(d, alpha.value).tolist()}
+
+
+def recursive_certificates(d: int) -> np.ndarray:
+    """The (2^d, 3^d - 1, 3) stack of (x, y, i) rows in lex order whose alpha-th
+    entry certifies maximal_support(d, alpha) in recursive_covering(d): rectangle i
+    takes its own pair (rows[-1], cols[-1]), except that for w < d the owner of the
+    antidiagonal pair of alpha's low w + 1 bits takes that of its low w bits."""
+    owned = np.array([r.rows[-1] << d | r.cols[-1] for r in recursive_covering(d).rectangles])
+    owner = np.zeros(1 << 2 * d, dtype=np.int64)
+    owner[owned] = np.arange(len(owned))
+    low = (1 << np.arange(d + 1)) - 1  # low[w] masks w bits
+    alpha = np.arange(1 << d)[:, None]
+    chain = (alpha & low) << d | (low - (alpha & low))  # antidiagonal keys, w = 0 .. d
+    keys = np.tile(owned, (1 << d, 1))
+    keys[alpha, owner[chain[:, 1:]]] = chain[:, :-1]
+    index = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, index, axis=1)
+    return np.stack([keys >> d, keys & ((1 << d) - 1), index], axis=-1)
 
 
 def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
@@ -300,12 +293,12 @@ def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> N
 def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
     """Per alpha value, (x, y, i) rows in lex order certifying maximal_support(d,
     alpha), or None.  The rectangles of recursive_covering(d), in order, are certified
-    by recursive_certificate and re-validated; other families are matched."""
+    by recursive_certificates and re-validated; other families are matched."""
     d = family.d
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"family width {d} outside [1, {MAX_COVER_D}]")
     if family.rectangles == recursive_covering(d).rectangles:
-        out = {alpha: recursive_certificate(d, alpha) for alpha in range(1 << d)}
+        out = dict(enumerate(recursive_certificates(d)))
         check_maximal_assignments(family, out)
         return out
     return {alpha: _match(_maximal_keys(d, alpha).tolist(), family)
@@ -318,21 +311,24 @@ def maximal_certificates(
     """One certificate per maximal support, keyed by alpha: built and re-validated
     exactly for the recursive family, found by matching for any other."""
     d = family.d
-    return {BitString(d, alpha): rows if rows is None else CoveringCertificate(
-        {(BitString(d, x), BitString(d, y)): i for x, y, i in rows.tolist()})
-        for alpha, rows in maximal_assignments(family).items()}
+    return {BitString(d, alpha): rows if rows is None else _certificate(d, rows)
+            for alpha, rows in maximal_assignments(family).items()}
+
+
+def pattern_assignments(family: CoveringFamily) -> dict[PatternId, Optional[np.ndarray]]:
+    """Per admissible width-2 sparsity pattern, (x, y, i) rows in lex order
+    matching its disjoint support (``pattern_keys``) into the family, or None."""
+    if family.d != 2:
+        raise ValueError(f"pattern verification needs d = 2, got {family.d}")
+    return {pid: _match(pattern_keys(pid).tolist(), family) for pid in PatternId}
 
 
 def pattern_certificates_d2(
     family: CoveringFamily,
 ) -> dict[PatternId, Optional[CoveringCertificate]]:
     """One matching instance per admissible width-2 sparsity pattern."""
-    if family.d != 2:
-        raise ValueError(f"pattern verification needs d = 2, got {family.d}")
-    return {
-        pid: find_certificate(set(pattern_disjoint_support(pid)), family)
-        for pid in PatternId
-    }
+    return {pid: rows if rows is None else _certificate(2, rows)
+            for pid, rows in pattern_assignments(family).items()}
 
 
 def verify_patterns_d2(family: CoveringFamily) -> bool:
@@ -344,7 +340,9 @@ def _phi(pid: int, table: dict[tuple[str, str], int]) -> CoveringCertificate:
     cert = CoveringCertificate(
         {(BitString.from_text(x), BitString.from_text(y)): i for (x, y), i in table.items()}
     )
-    assert set(cert.assignment) == set(pattern_disjoint_support(PatternId(pid)))
+    keys = sorted(x.value << 2 | y.value for x, y in cert.assignment if x.width == y.width == 2)
+    if keys != pattern_keys(pid).tolist():
+        raise ValueError(f"phi table of pattern {pid} does not assign its disjoint support")
     return cert
 
 
@@ -499,8 +497,8 @@ def certificate_from_json(
     for j, row in enumerate(_json_field(json.loads(text), "assignment", list, "certificate")):
         if not (type(row) is list and len(row) == 2 and type(row[0]) is list
                 and len(row[0]) == 2 and all(type(s) is str for s in row[0])
-                and type(row[1]) is int):
-            raise ValueError(f'certificate field "assignment" row {j} is not [[x, y], i]')
+                and type(row[1]) is int and row[1] >= 0):
+            raise ValueError(f'certificate field "assignment" row {j} is not [[x, y], i >= 0]')
         (x, y), i = row
         pair = (BitString.from_text(x), BitString.from_text(y))
         if pair in assignment:

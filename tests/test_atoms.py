@@ -210,17 +210,17 @@ class TestAntidiagonalWitness:
     def test_full_image_chain_returns_all_ones(self):
         # V_10 = e1 e1^T, V_01 = e2 e2^T
         f = PsdFactorization(2, 2, np.zeros((4, 2, 2)), unit_columns(2, {2: 0, 1: 1}))
-        assert antidiagonal_witness(f) == BitString.ones(2)
+        assert antidiagonal_witness(f) == BitString(2, 0b11)
 
     def test_zero_first_column_returns_complement_e1(self):
         f = constant_factorization(2, 2, np.zeros((2, 2)))
-        assert antidiagonal_witness(f) == BitString.unit(2, 1).complement()
+        assert antidiagonal_witness(f) == BitString(2, 0b10).complement()
 
     def test_stalled_chain_returns_complement_of_stall(self):
         # V_10 = V_01 = e1 e1^T, so F_2 = F_1 = span(e1): the chain stalls
         # at p = 1; U_10 = e2 e2^T
         f = PsdFactorization(2, 2, unit_columns(2, {2: 1}), unit_columns(2, {2: 0, 1: 0}))
-        assert antidiagonal_witness(f) == BitString.unit(2, 2).complement()
+        assert antidiagonal_witness(f) == BitString(2, 0b01).complement()
 
     def test_non_atom_input_is_falsified(self):
         f = constant_factorization(2, 2, np.eye(2))
@@ -253,7 +253,7 @@ class TestPatternTemplates:
                 assert intersection_size(a, b) != 1
 
     def test_corner_is_allowed_everywhere(self):
-        ones = BitString.ones(2)
+        ones = BitString(2, 0b11)
         for pid in PatternId:
             assert (ones, ones) in pattern_template(pid)
 

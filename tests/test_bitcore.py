@@ -15,7 +15,6 @@ from liftcert.bitcore import (
     BitString,
     SupportMatrix,
     all_strings,
-    concat,
     cor_slack,
     enumerate_disjoint_pairs,
     has_antidiagonal_zero,
@@ -68,9 +67,9 @@ class TestBitString:
         assert str(s) == "0110"
 
     def test_unit_positions(self):
-        assert str(BitString.unit(3, 1)) == "100"
-        assert str(BitString.unit(3, 3)) == "001"
-        assert BitString.unit(3, 2).bit(2) == 1
+        assert str(BitString(3, 0b100)) == "100"
+        assert str(BitString(3, 0b001)) == "001"
+        assert BitString(3, 0b010).bit(2) == 1
 
     @given(bitstrings())
     def test_complement_involution(self, a: BitString):
@@ -88,30 +87,20 @@ class TestIntersectionAndConcat:
     def test_intersection_examples(self):
         assert intersection_size(BitString.from_text("00"), BitString.from_text("00")) == 0
         assert intersection_size(BitString.from_text("11"), BitString.from_text("01")) == 1
-        ones5 = BitString.ones(5)
+        ones5 = BitString(5, 0b11111)
         assert intersection_size(ones5, ones5) == 5
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             intersection_size(BitString.from_text("0"), BitString.from_text("00"))
 
-    def test_concat_example(self):
-        assert str(concat(BitString.from_text("1"), BitString.from_text("01"))) == "101"
-
-    @given(same_width_pairs(4))
-    def test_concat_msb_dominance(self, ab):
-        a, b = ab
-        zero = BitString.zero(1)
-        one = BitString(1, 1)
-        assert concat(zero, a) < concat(one, b)
-
     @given(same_width_pairs(4), same_width_pairs(4))
     def test_intersection_additive_under_concat(self, xy, ab):
         x, y = xy
         a, b = ab
-        assert intersection_size(concat(x, a), concat(y, b)) == intersection_size(
-            x, y
-        ) + intersection_size(a, b)
+        xa = BitString(x.width + a.width, x.value << a.width | a.value)
+        yb = BitString(y.width + b.width, y.value << b.width | b.value)
+        assert intersection_size(xa, yb) == intersection_size(x, y) + intersection_size(a, b)
 
 
 def submask_walk(n: int):
@@ -190,12 +179,12 @@ class TestUdisj:
 
 class TestCorSlack:
     def test_zero_row_always_one(self):
-        z = BitString.zero(4)
+        z = BitString(4, 0)
         for b in all_strings(4):
             assert cor_slack(z, b) == 1
 
     def test_e1_against_itself(self):
-        e1 = BitString.unit(3, 1)
+        e1 = BitString(3, 0b100)
         assert cor_slack(e1, e1) == 0
 
     def test_matches_udisj_entrywise_n3(self):
@@ -243,7 +232,7 @@ class TestValAndPatterns:
         assert has_antidiagonal_zero(udisj(1)) is None
 
     def test_antidiagonal_zero_of_zero_matrix(self):
-        assert has_antidiagonal_zero(SupportMatrix(2, np.zeros((4, 4)))) == BitString.zero(2)
+        assert has_antidiagonal_zero(SupportMatrix(2, np.zeros((4, 4)))) == BitString(2, 0)
 
     def test_antidiagonal_zero_lex_smallest(self):
         # positive at (00, 11) and (11, 00) only: 01 is the first zero
@@ -380,7 +369,7 @@ class TestSupportMatrix:
         raw = np.ones((2, 2))
         m = SupportMatrix(1, raw)
         raw[0, 0] = 5.0
-        assert m.value(BitString.zero(1), BitString.zero(1)) == 1.0
+        assert m.value(BitString(1, 0), BitString(1, 0)) == 1.0
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
 

@@ -139,14 +139,27 @@ class TestCoveringCommands:
         assert code == 0 and obj["passed"] and obj["label"] == "my-family"
         assert len(obj["certificates"]) == 8
 
+    def test_patterns_mode_builds_no_certificate_object(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def refuse(self):
+            raise AssertionError("a BitString-keyed certificate was built")
+
+        monkeypatch.setattr(CoveringCertificate, "__post_init__", refuse)
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(family_to_json(explicit_covering_d2()))
+        code, out = run_cli(capsys, "covering", "verify", "--family", str(fam_file),
+                            "--mode", "patterns-d2")
+        obj = json.loads(out)
+        assert code == 0 and obj["passed"] and len(obj["certificates"]) == 6
+
     def test_failed_revalidation_exits_2(self, tmp_path, capsys, monkeypatch):
-        def wrong_index(d, alpha):
-            rows = original(d, alpha).copy()
-            rows[0, 2] = rows[1, 2]
+        def wrong_index(d):
+            rows = original(d).copy()
+            rows[0, 0, 2] = rows[0, 1, 2]
             return rows
 
-        original = covering.recursive_certificate
-        monkeypatch.setattr(covering, "recursive_certificate", wrong_index)
+        original = covering.recursive_certificates
+        monkeypatch.setattr(covering, "recursive_certificates", wrong_index)
         fam_file = tmp_path / "fam.json"
         fam_file.write_text(family_to_json(recursive_covering(2)))
         code, err = run_cli_error(capsys, "covering", "verify", "--family", str(fam_file))

@@ -22,7 +22,6 @@ from liftcert.bitcore import (
     BitString,
     SupportMatrix,
     all_strings,
-    concat,
     enumerate_disjoint_pairs,
     intersection_size,
     is_atom_pattern,
@@ -50,12 +49,44 @@ from liftcert.covering import (
     maximal_assignments,
     maximal_certificates,
     maximal_support,
+    pattern_assignments,
     pattern_certificates_d2,
     phi_table_d2,
-    recursive_certificate,
+    recursive_certificates,
     recursive_covering,
     verify_patterns_d2,
 )
+
+
+def reference_recursive_covering(d: int) -> CoveringFamily:
+    """The recursive family as it was first built: zero-prefixed lifts of the
+    width d - 1 family, then {0x} x {0y, 1y} and {0x, 1x} x {0y} for each
+    disjoint pair (x, y) of width d - 1."""
+    if d == 1:
+        return CoveringFamily(1, (Rectangle(1, (0,), (0, 1)), Rectangle(1, (0, 1), (0,))),
+                              label="base-d1")
+    top = 1 << (d - 1)
+    rects = [Rectangle(d, r.rows, r.cols)
+             for r in reference_recursive_covering(d - 1).rectangles]
+    for x, y in enumerate_disjoint_pairs(d - 1):
+        rects += [Rectangle(d, (x.value,), (y.value, top | y.value)),
+                  Rectangle(d, (x.value, top | x.value), (y.value,))]
+    return CoveringFamily(d, tuple(rects), label=f"recursive-d{d}")
+
+
+def draw_family(data, d: int) -> CoveringFamily:
+    """Up to 3^d random width-d rectangles of at most 3 rows and 3 columns."""
+    strings = all_strings(d)
+    rects = []
+    for _ in range(data.draw(st.integers(0, 3**d))):
+        rows = data.draw(st.sets(st.sampled_from(strings), min_size=1, max_size=3))
+        mask = 0
+        for x in rows:
+            mask |= x.value
+        free = [y for y in strings if y.value & mask == 0]
+        cols = data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=3))
+        rects.append(Rectangle(d, [x.value for x in rows], [y.value for y in cols]))
+    return CoveringFamily(d, tuple(rects))
 
 
 def drop_rectangle(family: CoveringFamily, index: int) -> CoveringFamily:
@@ -193,6 +224,20 @@ class TestRecursiveCovering:
         with pytest.raises(ValueError):
             recursive_covering(7)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_recursive_construction(self, d):
+        family = recursive_covering(d)
+        assert family.rectangles == reference_recursive_covering(d).rectangles
+        assert family.label == ("base-d1" if d == 1 else f"recursive-d{d}")
+        assert base_covering_d1() == reference_recursive_covering(1)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_owned_pairs_are_the_nonzero_disjoint_pairs(self, d):
+        owned = [(r.rows[-1], r.cols[-1]) for r in recursive_covering(d).rectangles]
+        disjoint = [(x.value, y.value) for x, y in enumerate_disjoint_pairs(d)]
+        assert len(set(owned)) == len(owned)
+        assert sorted(owned) == disjoint[1:] and disjoint[0] == (0, 0)
+
 
 class TestFindCertificate:
     def test_empty_support(self):
@@ -239,17 +284,7 @@ class TestFindCertificate:
     @given(st.data())
     def test_matches_all_rectangles_scan(self, data):
         d = data.draw(st.integers(1, 3))
-        strings = all_strings(d)
-        rects = []
-        for _ in range(data.draw(st.integers(0, 3**d))):
-            rows = data.draw(st.sets(st.sampled_from(strings), min_size=1, max_size=3))
-            mask = 0
-            for x in rows:
-                mask |= x.value
-            free = [y for y in strings if y.value & mask == 0]
-            cols = data.draw(st.sets(st.sampled_from(free), min_size=1, max_size=3))
-            rects.append(Rectangle(d, [x.value for x in rows], [y.value for y in cols]))
-        family = CoveringFamily(d, tuple(rects))
+        family = draw_family(data, d)
         support = data.draw(st.sets(st.sampled_from(enumerate_disjoint_pairs(d))))
         assert find_certificate(support, family) == scan_certificate(support, family)
 
@@ -279,6 +314,11 @@ def as_certificate(d: int, rows: np.ndarray) -> CoveringCertificate:
     )
 
 
+def triples(cert: CoveringCertificate) -> list[list[int]]:
+    """The assignment as (x, y, i) value rows in lex order."""
+    return sorted([x.value, y.value, i] for (x, y), i in cert.assignment.items())
+
+
 def spy(monkeypatch, name: str) -> list:
     """Record the calls made to covering.<name> from inside the module."""
     calls = []
@@ -292,31 +332,35 @@ def spy(monkeypatch, name: str) -> list:
     return calls
 
 
-class TestRecursiveCertificate:
+class TestRecursiveCertificates:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_equals_matcher_and_validates(self, d):
         family = recursive_covering(d)
+        stack = recursive_certificates(d)
+        assert stack.shape == (2**d, 3**d - 1, 3)
         for alpha in all_strings(d):
             support = maximal_support(d, alpha)
-            rows = recursive_certificate(d, alpha.value)
-            assert rows.tolist() == find_certificate(support, family).triples().tolist()
+            rows = stack[alpha.value]
+            assert rows.tolist() == triples(find_certificate(support, family))
+            keys = covering._maximal_keys(d, alpha.value).tolist()
+            assert rows.tolist() == covering._match(keys, family).tolist()
             cert = as_certificate(d, rows)
             cert.validate_against(family, support=support)
             assert set(cert.assignment) == support
 
-    @pytest.mark.parametrize("d, alpha", [(0, 0), (MAX_COVER_D + 1, 0), (2, 4), (2, -1)])
-    def test_out_of_range_rejected(self, d, alpha):
+    @pytest.mark.parametrize("d", [0, MAX_COVER_D + 1])
+    def test_out_of_range_rejected(self, d):
         with pytest.raises(ValueError):
-            recursive_certificate(d, alpha)
+            recursive_certificates(d)
 
 
 class TestMaximalRouting:
     def test_relabelled_recursive_family_is_constructed(self, monkeypatch):
         matched = spy(monkeypatch, "_match")
-        built = spy(monkeypatch, "recursive_certificate")
+        built = spy(monkeypatch, "recursive_certificates")
         family = CoveringFamily(4, recursive_covering(4).rectangles, label="mine")
         certs = maximal_certificates(family)
-        assert (len(matched), len(built)) == (0, 16)
+        assert (len(matched), len(built)) == (0, 1)
         for alpha, cert in certs.items():
             cert.validate_against(family, support=maximal_support(4, alpha))
 
@@ -326,7 +370,7 @@ class TestMaximalRouting:
     ], ids=["permuted", "duplicated"])
     def test_other_families_are_matched(self, monkeypatch, change):
         matched = spy(monkeypatch, "_match")
-        built = spy(monkeypatch, "recursive_certificate")
+        built = spy(monkeypatch, "recursive_certificates")
         family = CoveringFamily(3, change(recursive_covering(3).rectangles))
         certs = maximal_certificates(family)
         assert (len(matched), len(built)) == (8, 0)
@@ -342,7 +386,7 @@ class TestMaximalRouting:
                 if cert is None:
                     assert rows[alpha.value] is None
                 else:
-                    assert rows[alpha.value].tolist() == cert.triples().tolist()
+                    assert rows[alpha.value].tolist() == triples(cert)
 
 
 class TestRevalidation:
@@ -352,10 +396,10 @@ class TestRevalidation:
         check_maximal_assignments(recursive_covering(self.D), {self.ALPHA: rows})
 
     def test_constructed_certificate_passes(self):
-        self.check(recursive_certificate(self.D, self.ALPHA))
+        self.check(recursive_certificates(self.D)[self.ALPHA])
 
     def test_index_out_of_range_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows = recursive_certificates(self.D)[self.ALPHA].copy()
         rows[0, 2] = 3**self.D - 1
         with pytest.raises(ValueError, match="indices"):
             self.check(rows)
@@ -364,39 +408,39 @@ class TestRevalidation:
             self.check(rows)
 
     def test_repeated_index_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows = recursive_certificates(self.D)[self.ALPHA].copy()
         rows[1, 2] = rows[0, 2]
         with pytest.raises(ValueError, match="indices"):
             self.check(rows)
 
     def test_missing_pair_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA)
+        rows = recursive_certificates(self.D)[self.ALPHA]
         with pytest.raises(ValueError, match="maximal support"):
             self.check(rows[1:])
 
     def test_antidiagonal_pair_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows = recursive_certificates(self.D)[self.ALPHA].copy()
         rows[0, :2] = self.ALPHA, self.ALPHA ^ 0b111
         with pytest.raises(ValueError, match="maximal support"):
             self.check(rows)
 
     def test_pair_outside_width_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows = recursive_certificates(self.D)[self.ALPHA].copy()
         rows[0, 1] += 1 << self.D
         with pytest.raises(ValueError, match="maximal support"):
             self.check(rows)
 
     def test_pair_outside_its_rectangle_rejected(self):
-        rows = recursive_certificate(self.D, self.ALPHA).copy()
+        rows = recursive_certificates(self.D)[self.ALPHA].copy()
         rows[[0, 1], 2] = rows[[1, 0], 2]
         with pytest.raises(ValueError, match="outside its rectangle"):
             self.check(rows)
 
     def test_failed_revalidation_is_an_error(self, monkeypatch):
-        def one_pair_short(d, alpha):
-            return recursive_certificate(d, alpha)[1:]
+        def one_pair_short(d):
+            return recursive_certificates(d)[:, 1:]
 
-        monkeypatch.setattr(covering, "recursive_certificate", one_pair_short)
+        monkeypatch.setattr(covering, "recursive_certificates", one_pair_short)
         with pytest.raises(ValueError, match="maximal support"):
             maximal_certificates(recursive_covering(2))
 
@@ -418,6 +462,23 @@ class TestPatternVerification:
         with pytest.raises(ValueError):
             verify_patterns_d2(base_covering_d1())
 
+    @staticmethod
+    def check_rows_equal_matcher(family: CoveringFamily) -> None:
+        for pid, rows in pattern_assignments(family).items():
+            cert = find_certificate(pattern_disjoint_support(pid), family)
+            assert (rows is None) == (cert is None)
+            if cert is not None:
+                assert rows.tolist() == triples(cert)
+
+    @pytest.mark.parametrize("make", [explicit_covering_d2, lambda: recursive_covering(2)],
+                             ids=["explicit", "recursive"])
+    def test_assignments_equal_find_certificate(self, make):
+        self.check_rows_equal_matcher(make())
+
+    @given(st.data())
+    def test_random_families_assign_as_find_certificate(self, data):
+        self.check_rows_equal_matcher(draw_family(data, 2))
+
 
 class TestPhiTables:
     def test_first_table_spot_values(self):
@@ -434,6 +495,16 @@ class TestPhiTables:
     def test_tables_cover_exactly_the_pattern_support(self):
         for pid, cert in zip(PatternId, phi_table_d2()):
             assert set(cert.assignment) == set(pattern_disjoint_support(pid))
+
+    @pytest.mark.parametrize("change", [
+        lambda table: table.pop(("00", "11")),
+        lambda table: table.update({("0", "11"): table.pop(("00", "11"))}),
+    ], ids=["missing", "short-string"])
+    def test_mistranscribed_table_rejected(self, change):
+        table = {(str(x), str(y)): i for (x, y), i in phi_table_d2()[0].assignment.items()}
+        change(table)
+        with pytest.raises(ValueError, match="phi table of pattern 1"):
+            covering._phi(1, table)
 
 
 class TestBlockOps:
@@ -460,7 +531,8 @@ class TestBlockOps:
                 for a in all_strings(3 - d):
                     for b in all_strings(3 - d):
                         assert blocks[x.value, y.value, a.value, b.value] == m.value(
-                            concat(x, a), concat(y, b)
+                            BitString(3, x.value << a.width | a.value),
+                            BitString(3, y.value << b.width | b.value),
                         )
 
     def test_val_splits_over_disjoint_blocks(self):
@@ -620,6 +692,7 @@ class TestSerialization:
         '{"assignment": [["00", "01", 0]]}', '{"assignment": [[["00", 1], 0]]}',
         '{"assignment": [[["00", "01", "10"], 0]]}', '{"assignment": [0]}',
         '{"assignment": [[["00", "01"], 0], [["00", "01"], 1]]}',
+        '{"assignment": [[["0", "1"], -1]]}',
     ])
     @pytest.mark.parametrize("family", [None, explicit_covering_d2()], ids=["bare", "family"])
     def test_malformed_certificate_rejected(self, text, family):
