@@ -26,8 +26,8 @@ stacks at once.  ``sample_atom``, ``evaluate``, ``classify_pattern_d2`` and
 sampler sit two falsifiable oracles:
 
 * ``antidiagonal_witness`` finds, for n = d, a pair (a, complement(a)) whose
-  entry is zero, by walking the nondecreasing chain of column-image sums
-  F_i = Im V_{e_1} + ... + Im V_{e_i}.  Every square atom has such a zero.
+  entry is zero, from the nondecreasing ranks of the stacked factors
+  [V_{e_1} ... V_{e_i}].  Every square atom has such a zero.
 * ``classify_pattern_d2`` checks that a 4 x 4 atom over 2 x 2 PSD matrices
   has one of six admissible sparsity patterns (hence at most 7 positive
   disjoint entries).
@@ -57,13 +57,7 @@ from .bitcore import (
     intersection_table,
     threshold_block,
 )
-from .linalg import (
-    MAX_DIM,
-    image_block,
-    random_psd,
-    subspace_intersect,
-    subspace_sum_block,
-)
+from .linalg import MAX_DIM, prefix_ranks, random_psd, subspace_intersect
 
 MAX_SAMPLE_N = 8
 
@@ -251,25 +245,20 @@ def witness_block(
     """Per trial of a block of square atoms, (T, 2^d, d, d) stacks, None or
     why its witnessed entry falsifies, and its antidiagonal witness row.
 
-    Walks F_i = Im V_{e_1} + ... + Im V_{e_i} for every trial at once: if
-    F_d is the full space the all-ones row is zero; if V_{e_1} = 0 the e_1
-    column is zero; otherwise the chain stalls at some first p with
-    F_p = F_{p+1}, and the complement of e_{p+1} indexes a zero row entry at
-    the antidiagonal.  Rows are given by value; a selected entry above its
-    trial's zero threshold would contradict the antidiagonal-zero property
-    of square atoms.
+    F_i = Im V_{e_1} + ... + Im V_{e_i} has dimension rank [V_{e_1} ...
+    V_{e_i}], read for every trial and i at once: if F_d is the full space
+    the all-ones row is zero; if V_{e_1} = 0 the e_1 column is zero; else
+    the chain stalls at some first p with F_p = F_{p+1}, and the complement
+    of e_{p+1} indexes a zero row entry at the antidiagonal.  Rows are given
+    by value; a selected entry above its trial's zero threshold would
+    contradict the antidiagonal-zero property of square atoms.
     """
     trials, size, d = v.shape[:3]
     n = size.bit_length() - 1
     if n != d:
         raise ValueError(f"witness needs a square-index atom, got n={n}, d={d}")
-    # F_i = Im V_{e_1} + ... + Im V_{e_i}; e_i has value 2^(d - i)
-    span, dim = image_block(v[:, 1 << (d - 1)])
-    dims = [dim]
-    for i in range(2, d + 1):
-        span, dim = subspace_sum_block(span, image_block(v[:, 1 << (d - i)])[0])
-        dims.append(dim)
-    dims = np.stack(dims, axis=1)
+    # dim F_i for i = 1..d; e_i has value 2^(d - i)
+    dims = prefix_ranks(v[:, 1 << np.arange(d - 1, -1, -1)])
     full, zero = dims[:, -1] == d, dims[:, 0] == 0
     stalled = dims[:, :-1] == dims[:, 1:]
     # a strictly increasing chain starting at dim >= 1 would reach dim d

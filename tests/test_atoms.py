@@ -222,6 +222,26 @@ class TestAntidiagonalWitness:
         f = PsdFactorization(2, 2, unit_columns(2, {2: 1}), unit_columns(2, {2: 0, 1: 0}))
         assert antidiagonal_witness(f) == BitString(2, 0b01).complement()
 
+    def test_small_first_factor_keeps_the_chain_nondecreasing(self):
+        # V_10 = diag(1, 1e-8) has rank 2 alone, but the larger V_01 =
+        # 1e4 e1 e1^T sets the chain's cutoff: F_1 = F_2 = span(e1), and the
+        # chain stalls at p = 1.  A cutoff per prefix would read dims 2, 1.
+        v = np.zeros((4, 2, 2))
+        v[0b10], v[0b01, 0, 0] = np.diag([1.0, 1e-8]), 1e4
+        f = PsdFactorization(2, 2, np.zeros((4, 2, 2)), v)
+        a = antidiagonal_witness(f)
+        assert a == BitString(2, 0b10)
+        assert evaluate(f).value(a, a.complement()) == 0.0
+
+    def test_small_singular_value_counts_toward_the_chain(self):
+        # V_10 = 0 here and V_01 has singular values 1.47 and 7.8e-6, so
+        # F_2 is the whole plane and the all-ones row is the witness.  A
+        # cutoff on the eigenvalues of V_01 V_01^T (ratio ~3e-11) read
+        # dim F_2 = 1 and took the zero column e_1 instead, row 01.
+        u, v = sample_block(2, 2, "uniform", [2002495], ["v-first"])
+        assert witness_block(u, v) == ([None], [0b11])
+        assert evaluate_block(u, v)[0, 0b11, 0b00] == 0.0
+
     def test_non_atom_input_is_falsified(self):
         f = constant_factorization(2, 2, np.eye(2))
         with pytest.raises(FalsificationError):

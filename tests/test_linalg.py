@@ -1,5 +1,5 @@
-"""PSD matrices as Gram factors, spectral image/kernel splits, and subspace
-arithmetic on orthonormal bases."""
+"""PSD matrices as Gram factors, image/kernel splits and subspace arithmetic
+on orthonormal bases, every rank decided on singular values."""
 
 from __future__ import annotations
 
@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from liftcert.linalg import (
+    RANK_TOL,
     image,
-    image_block,
     inner,
     kernel,
+    prefix_ranks,
     random_psd,
     subspace_intersect,
     subspace_sum,
-    subspace_sum_block,
 )
 
 
@@ -115,6 +115,16 @@ class TestImageKernel:
             x = random_psd(d, int(rng.integers(0, d + 1)), rng)
             assert image(x).shape[1] + kernel(x).shape[1] == d
 
+    def test_cut_on_singular_values(self):
+        # the input of test_intersect_cuts_on_singular_values, and a factor
+        # whose singular-value ratio 1e-6 is above RANK_TOL although its
+        # square, the eigenvalue ratio of x x^T, is below it
+        w = np.array([[1.0], [0.0]])
+        v = np.array([[1.0], [1e-7]])
+        assert image(np.hstack([w, v])).shape[1] == 2
+        assert kernel(np.hstack([w, v])).shape[1] == 0
+        assert image(np.diag([1.0, 1e-6])).shape[1] == 2
+
     def test_orthonormal_bases(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
@@ -213,34 +223,28 @@ class TestSubspaceOps:
         assert dims == 0
 
 
-class TestBlocks:
-    def test_image_block_pads_each_image(self):
+class TestPrefixRanks:
+    def test_match_images_of_prefixes(self):
         rng = np.random.default_rng(23)
         for d in range(1, 6):
-            stack = np.array([padded(random_psd(d, int(rng.integers(0, d + 1)), rng))
-                              for _ in range(40)])
-            bases, dims = image_block(stack)
-            assert bases.shape == stack.shape
-            for x, b, k in zip(stack, bases, dims.tolist()):
-                # the image in the last k columns, exactly as image() gives it
-                assert np.array_equal(b[:, d - k:], image(x))
-                assert not b[:, : d - k].any()
+            chains = np.array([[padded(random_psd(d, int(rng.integers(0, d + 1)), rng))
+                                for _ in range(d)] for _ in range(40)])
+            ranks = prefix_ranks(chains)
+            assert ranks.shape == (40, d)
+            for chain, got in zip(chains, ranks.tolist()):
+                assert got == [image(np.hstack(list(chain[:i]))).shape[1]
+                               for i in range(1, d + 1)]
 
-    def test_subspace_sum_block_pads_each_sum(self):
-        rng = np.random.default_rng(24)
-        for d in range(1, 6):
-            a = [image(random_psd(d, int(rng.integers(0, d + 1)), rng)) for _ in range(40)]
-            b = [image(random_psd(d, int(rng.integers(0, d + 1)), rng)) for _ in range(40)]
-            # zero columns around each basis, as image_block leaves them
-            bases, dims = subspace_sum_block(np.array([padded(x)[:, ::-1] for x in a]),
-                                             np.array([padded(y) for y in b]))
-            for x, y, s, k in zip(a, b, bases, dims.tolist()):
-                assert same_space(s[:, :k], subspace_sum(x, y))
-                assert not s[:, k:].any()
+    def test_prefixes_share_the_chain_cutoff(self):
+        # diag(1, 1e-8) alone has rank 2 (ratio 1e-8 > RANK_TOL), but not
+        # against the chain's largest singular value 1e4: a cutoff taken per
+        # prefix would read ranks 2, 1
+        first, second = np.diag([1.0, 1e-8]), np.diag([1e4, 0.0])
+        assert 1e-8 > RANK_TOL and image(first).shape[1] == 2
+        assert prefix_ranks(np.array([first, second])).tolist() == [1, 1]
 
-    def test_chain_of_zero_bases_is_empty(self):
-        bases, dims = subspace_sum_block(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
-        assert np.array_equal(dims, [0, 0]) and not bases.any()
+    def test_zero_chain_has_rank_zero(self):
+        assert not prefix_ranks(np.zeros((2, 3, 3, 3))).any()
 
 
 class TestRandomPsd:

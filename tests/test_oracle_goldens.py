@@ -67,6 +67,14 @@ CASES = [
         id="antidiagonal-d2-epsilon",
     ),
     pytest.param(
+        # V_01 has singular values 1.47 and 7.8e-6: the chain reaches the
+        # full plane and the witness row is 11
+        "atom sample --n 2 --d 2 --check antidiagonal --direction v-first"
+        " --seed 2002495 --trials 1", None, 0,
+        "a6d1eae8574bf212e41d935fbd306f00139922a9fb6479617cba750857f03307",
+        id="antidiagonal-d2-small-singular-value",
+    ),
+    pytest.param(
         "atom sample --n 4 --d 2 --trials 15 --seed 3 --check induction", None, 0,
         "24a5da430d74c1869d92a857d86aaf48abdb9426b4e118365078d4c3e60f2a69",
         id="atom-sample-induction",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,21 @@ def test_bound_sweep_past_the_double_range_exits_2():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         "error: n = 1800 too large for a bound report at d = 1, k = 2"]
+
+
+def test_rank_cutoff_has_a_margin_on_both_sides():
+    # every singular-value ratio of 300 seeded atoms at d = 2, 3 is rounding
+    # noise far below RANK_TOL = 1e-9 or a genuine ratio far above it
+    proc = run_script("rank_margin.py", ["--max-d", "3", "--trials", "300"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("d = ")]
+    assert len(rows) == 4  # chain and null space at d = 2, 3
+    for line in rows:
+        cut, kept = map(float, re.findall(r"(?:cut|kept) ([0-9.e+-]+)", line))
+        assert cut < 1e-11 and kept > 1e-7, line
+
+
+def test_rank_margin_bad_arguments_exit_2():
+    proc = run_script("rank_margin.py", ["--max-d", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: need 2 <= --max-d <= 6")
