@@ -52,7 +52,7 @@ def margins(d: int, trials: int, seed: int) -> dict[str, tuple[float, float]]:
     for lo in range(seed, seed + trials, step):
         seeds = range(lo, min(lo + step, seed + trials))
         for direction in ("u-first", "v-first"):
-            u, v = sample_block(d, d, "uniform", seeds, [direction] * len(seeds))
+            _, v = sample_block(d, d, "uniform", seeds, [direction] * len(seeds))
             found["chain"].append(chain_ratios(v))
             if direction == "v-first":  # the free side is the same either way
                 found["null space"].append(null_space_ratios(v))
