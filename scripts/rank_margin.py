@@ -17,45 +17,33 @@ import sys
 
 import numpy as np
 
-from liftcert.atoms import block_size, sample_block
-from liftcert.bitcore import intersection_table
-from liftcert.linalg import RANK_TOL
+from liftcert.atoms import _partner_factors, block_size, sample_block
+from liftcert.linalg import RANK_TOL, _prefixes
 
 
-def chain_ratios(v: np.ndarray) -> np.ndarray:
-    """Singular values of every prefix [V_{e_1} ... V_{e_i}] of each trial of
-    a (T, 2^d, d, d) stack, over the largest of the trial's whole chain."""
-    trials, _, d = v.shape[:3]
-    factors = v[:, 1 << np.arange(d - 1, -1, -1)].transpose(0, 2, 1, 3)
-    s = np.stack([np.linalg.svd(factors[:, :, :i].reshape(trials, d, i * d),
-                                compute_uv=False) for i in range(1, d + 1)], axis=1)
-    top = s[:, -1:, :1]
+def relative_singular_values(x: np.ndarray, top_axes: tuple[int, ...]) -> np.ndarray:
+    """Singular values of a stack of matrices, each over the largest along
+    ``top_axes`` of the singular values (NaN where that largest is zero)."""
+    s = np.linalg.svd(x, compute_uv=False)
+    top = np.max(s, axis=top_axes, keepdims=True)
     return (s / np.where(top > 0, top, np.nan)).ravel()
 
 
-def null_space_ratios(free: np.ndarray) -> np.ndarray:
-    """Singular values of each string's partner factors on the free side,
-    placed side by side, over their largest."""
-    trials, size, d = free.shape[:3]
-    n = size.bit_length() - 1
-    partner = (intersection_table(n) == 1)[:, None, :, None]
-    side_by_side = np.where(partner, free.transpose(0, 2, 1, 3)[:, None], 0.0)
-    s = np.linalg.svd(side_by_side.reshape(trials, size, d, size * d), compute_uv=False)
-    top = s[..., :1]
-    return (s / np.where(top > 0, top, np.nan)).ravel()
-
-
-def margins(d: int, trials: int, seed: int) -> dict[str, tuple[float, float]]:
+def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
     """Largest ratio cut and smallest kept, per SVD, over ``trials`` seeds."""
     found = {"chain": [], "null space": []}
     step = block_size(d)
-    for lo in range(seed, seed + trials, step):
-        seeds = range(lo, min(lo + step, seed + trials))
+    for lo in range(0, trials, step):
+        seeds = range(lo, min(lo + step, trials))
         for direction in ("u-first", "v-first"):
             _, v = sample_block(d, d, "uniform", seeds, [direction] * len(seeds))
-            found["chain"].append(chain_ratios(v))
+            # the chains' prefixes as the witness builds them, compared
+            # against the largest singular value of the whole chain
+            chains = _prefixes(v[:, 1 << np.arange(d - 1, -1, -1)])
+            found["chain"].append(relative_singular_values(chains, (-2, -1)))
             if direction == "v-first":  # the free side is the same either way
-                found["null space"].append(null_space_ratios(v))
+                found["null space"].append(
+                    relative_singular_values(_partner_factors(v), (-1,)))
     out = {}
     for kind, parts in found.items():
         ratios = np.concatenate(parts)
@@ -69,15 +57,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-d", type=int, default=5)
     parser.add_argument("--trials", type=int, default=4096, help="seeds per d")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if not 2 <= args.max_d <= 6 or args.trials < 1 or args.seed < 0:
-        print("error: need 2 <= --max-d <= 6, --trials >= 1 and --seed >= 0",
-              file=sys.stderr)
+    if not 2 <= args.max_d <= 6 or args.trials < 1:
+        print("error: need 2 <= --max-d <= 6 and --trials >= 1", file=sys.stderr)
         raise SystemExit(2)
-    print(f"RANK_TOL = {RANK_TOL:.1e}; {args.trials} seeds from {args.seed} per d")
+    print(f"RANK_TOL = {RANK_TOL:.1e}; seeds 0..{args.trials - 1} per d")
     for d in range(2, args.max_d + 1):
-        for kind, (cut, kept) in margins(d, args.trials, args.seed).items():
+        for kind, (cut, kept) in margins(d, args.trials).items():
             print(f"d = {d}, {kind}: largest cut {cut:.2e}, smallest kept {kept:.2e}")
 
 

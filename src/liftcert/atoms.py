@@ -156,31 +156,16 @@ def block_size(n: int) -> int:
     return max(1, (1 << 12) >> (2 * n))
 
 
-def _constrained_side(
-    free: np.ndarray, n: int, d: int, profile: str,
-    gens: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Gram factors spanned by vectors drawn inside the kernels of all
-    intersection-one partners on the free side, for a block of trials.
-
-    Row b of the intersection table marks b's partners; their factors placed
-    side by side (every other string's zeroed) have b's space as left null
-    space, so one batched SVD finds every string's space in every trial.
-    The loop draws only the ranks and normals, trial by trial in string
-    order, each from its trial's generator.
-    """
-    trials, size = free.shape[:2]
-    partner = (intersection_table(n) == 1)[:, None, :, None]
+def _partner_factors(free: np.ndarray) -> np.ndarray:
+    """For every trial and string b of a (T, 2^n, d, d) stack, the factors
+    of b's intersection-one partners placed side by side, every other
+    string's zeroed: a (T, 2^n, d, 2^n d) stack whose left null spaces are
+    the spaces the constrained side draws from."""
+    trials, size, d = free.shape[:3]
+    partner = (intersection_table(size.bit_length() - 1) == 1)[:, None, :, None]
     # entry [t, b, i, a, j] is free[t, a, i, j] when a is a partner of b, else 0
     side_by_side = np.where(partner, free.transpose(0, 2, 1, 3)[:, None], 0.0)
-    spaces, dims = subspace_intersect(side_by_side.reshape(trials, size, d, size * d))
-    out = np.zeros_like(free)
-    for gen, trial, space, dim in zip(gens, out, spaces, dims.tolist()):
-        for b, k in enumerate(dim):
-            r = _draw_rank(profile, gen, d)
-            if r and k:
-                trial[b, :, :r] = space[b, :, :k] @ gen.standard_normal((k, r))
-    return out
+    return side_by_side.reshape(trials, size, d, size * d)
 
 
 def sample_block(
@@ -212,7 +197,14 @@ def sample_block(
         for factor in trial:
             r = _draw_rank(rank_profile, gen, d)
             factor[:, :r] = random_psd(d, r, gen)
-    constrained = _constrained_side(free, n, d, rank_profile, gens)
+    # each constrained matrix spans normals drawn in its partners' common kernel
+    spaces, dims = subspace_intersect(_partner_factors(free))
+    constrained = np.zeros_like(free)
+    for gen, trial, space, dim in zip(gens, constrained, spaces, dims.tolist()):
+        for b, k in enumerate(dim):
+            r = _draw_rank(rank_profile, gen, d)
+            if r and k:
+                trial[b, :, :r] = space[b, :, :k] @ gen.standard_normal((k, r))
     u_first = np.array([dr == "u-first" for dr in directions])[:, None, None, None]
     return np.where(u_first, free, constrained), np.where(u_first, constrained, free)
 

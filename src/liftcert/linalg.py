@@ -24,31 +24,33 @@ import numpy as np
 
 MAX_DIM = 8
 
-#: Relative singular-value cutoff separating image from kernel: sampled ratios
-#: stay above 1e-6 and rounding noise below 1e-15 (scripts/rank_margin.py).
+#: Relative singular-value cutoff separating image from kernel.  Measured over
+#: 40,960 seeds per d at d = 2..5: smallest kept ratio 2.8e-6, largest cut
+#: 2.8e-16 (scripts/rank_margin.py).
 RANK_TOL = 1e-9
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:
     """trace(X Y) for Gram factors x, y, as a sum of squares and hence never
     negative."""
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     cross = x.T @ y
     return float(np.sum(cross * cross))
 
 
-def _svd(x: np.ndarray, nested: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rank(s: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """How many singular values ``s`` (last axis) exceed RANK_TOL * ``top``."""
+    return np.count_nonzero(s > RANK_TOL * top, axis=-1)
+
+
+def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left singular vectors (d per slice: narrow slices are zero-padded),
     singular values and ranks of a stack (..., d, m): a rank counts singular
-    values above RANK_TOL times the slice's largest, or if ``nested`` the
-    largest in the last slice along axis -3."""
+    values above RANK_TOL times the slice's largest."""
     d, m = x.shape[-2:]
     if m < d:
         x = np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    top = s[..., -1:, :1] if nested else s[..., :1]
-    return u, s, np.count_nonzero(s > RANK_TOL * top, axis=-1)
+    return u, s, _rank(s, s[..., :1])
 
 
 def image(x: np.ndarray) -> np.ndarray:
@@ -65,22 +67,27 @@ def kernel(x: np.ndarray) -> np.ndarray:
 
 def subspace_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of the concatenated bases a and b."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"ambient mismatch: {a.shape[0]} vs {b.shape[0]}")
     return image(np.hstack([a, b]))
 
 
-def prefix_ranks(factors: np.ndarray) -> np.ndarray:
-    """dim(Im X_1 + ... + Im X_i), the rank of [B_1 ... B_i], for i = 1..k
-    and stacks (..., k, d, m) of Gram factors, from one batched SVD of the
-    nested prefixes.  All prefixes share the cutoff of the whole chain, and
-    adding columns never lowers a singular value, so the ranks never
-    decrease."""
+def _prefixes(factors: np.ndarray) -> np.ndarray:
+    """The nested prefixes [B_1 ... B_i], i = 1..k, of stacks (..., k, d, m)
+    of Gram factors, each zero-filled to d x km: a stack (..., k, d, km)."""
     k, d, m = factors.shape[-3:]
     side_by_side = np.swapaxes(factors, -3, -2).reshape(factors.shape[:-3] + (d, k * m))
     # prefix i keeps the columns of its first i factors
     kept = np.arange(k * m) < m * np.arange(1, k + 1)[:, None, None]
-    return _svd(np.where(kept, side_by_side[..., None, :, :], 0.0), nested=True)[2]
+    return np.where(kept, side_by_side[..., None, :, :], 0.0)
+
+
+def prefix_ranks(factors: np.ndarray) -> np.ndarray:
+    """dim(Im X_1 + ... + Im X_i), the rank of [B_1 ... B_i], for i = 1..k
+    and stacks (..., k, d, m) of Gram factors, from the singular values of
+    the nested prefixes.  All prefixes share the cutoff of the whole chain,
+    and adding columns never lowers a singular value, so the ranks never
+    decrease."""
+    s = np.linalg.svd(_prefixes(factors), compute_uv=False)
+    return _rank(s, s[..., -1:, :1])
 
 
 def subspace_intersect(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -142,6 +142,10 @@ class TestSubspaceOps:
         assert s.shape[1] == 2
         assert contains(s, e1) and contains(s, e2)
 
+    def test_sum_ambient_mismatch(self):
+        with pytest.raises(ValueError):
+            subspace_sum(np.eye(2), np.eye(3))
+
     def test_intersect_with_full_space(self):
         # the full space is the kernel of the zero factor
         rng = np.random.default_rng(15)
