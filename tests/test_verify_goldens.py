@@ -42,6 +42,12 @@ GOLDEN_EXPLICIT_D2 = {
     "patterns-d2": "5879862f8bd8d2a3432d7c50354fa8f5de122b99929bb3edaf5d3cab75adb22e",
 }
 GOLDEN_DEFICIENT_D5 = "50f976dc19ce79da86654bb56476344706e1967230f4891fed9688cd8ee32b4e"
+#: Families the matcher certifies (not the recursive construction): the
+#: d = 4 rectangles in reverse order, and with rectangle 5 listed twice.
+GOLDEN_MATCHED_D4 = {
+    "reversed": "920b922e1eeac288d1c1b3368e666c74125ca70a719f51f3576de04c4b7fc6ec",
+    "rectangle-5-twice": "717ca150d9f10a52ef490eeb3e60d0568bdca9cc22c706807d5582f56b15ab42",
+}
 
 
 def build_digest(capsys, *flags: str) -> tuple[int, str]:
@@ -83,3 +89,12 @@ def test_deficient_d5_report(tmp_path, capsys):
     family = CoveringFamily(5, rects[:17] + rects[18:], label="recursive-d5-dropped")
     code, digest = verify_digest(tmp_path, capsys, family, "maximal")
     assert (code, digest) == (1, GOLDEN_DEFICIENT_D5)
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_MATCHED_D4))
+def test_matched_d4_reports(tmp_path, capsys, variant):
+    rects = recursive_covering(4).rectangles
+    rects = rects[::-1] if variant == "reversed" else rects[:6] + rects[5:]
+    family = CoveringFamily(4, rects, label=f"recursive-d4-{variant}")
+    code, digest = verify_digest(tmp_path, capsys, family, "maximal")
+    assert (code, digest) == (0, GOLDEN_MATCHED_D4[variant])
