@@ -53,6 +53,7 @@ from .bitcore import (
     BitString,
     SupportMatrix,
     _json_field,
+    _json_load,
     all_strings,
     intersection_table,
     threshold_block,
@@ -381,7 +382,7 @@ def factorization_from_json(text: str) -> PsdFactorization:
     """Parse a factorization; a missing or ill-typed field, a key set other
     than the width-n strings, or a factor that is not d rows of at most d
     finite numbers raises ValueError naming it."""
-    obj = json.loads(text)
+    obj = _json_load(text, "factorization")
     n, d = (_json_field(obj, key, int, "factorization") for key in ("n", "d"))
     if not (0 <= n <= MAX_DENSE_N and 1 <= d <= MAX_DIM):
         raise ValueError(f"factorization has n = {n}, d = {d} outside "

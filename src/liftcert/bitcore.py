@@ -271,3 +271,12 @@ def _json_field(obj: object, key: str, kind: type, where: str):
     if type(value) is not kind:
         raise ValueError(f'{where} has no "{key}" field of type {kind.__name__}')
     return value
+
+
+def _json_load(text: str, where: str) -> object:
+    """json.loads(text); input nested too deeply for the parser raises
+    ValueError naming what was read, as malformed JSON does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where} JSON is nested too deeply") from None

@@ -26,6 +26,13 @@ rectangles per disjoint pair of width w.  Each rectangle owns its largest
 pair, the owned pairs being the disjoint pairs other than (0, 0), and every
 maximal certificate keeps the owned pairs except along one chain of levels.
 
+Immutable objects are built once.  The recursive family is built once per
+width, and a family file listing its rectangles gets the same rectangle
+objects.  Each family builds one pair table: the matcher reads each key's
+rectangles from it, and the certificate check, run on all 2^d certificates
+as one array, reads containment from it.  Family JSON is read and written
+through width-d label tables.
+
 The induction check (``induction_block``, on a stack of matrices) splits
 each matrix into 2^d x 2^d blocks indexed by width-d prefixes, aggregates
 the blocks over each rectangle, and bounds the count of positive disjoint
@@ -37,7 +44,8 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,6 +57,8 @@ from .bitcore import (
     BitString,
     SupportMatrix,
     _json_field,
+    _json_load,
+    all_strings,
     intersection_size,
     intersection_table,
     support_block,
@@ -95,6 +105,10 @@ class Rectangle:
                 for x in self.rows for y in self.cols]
 
 
+#: Rectangles are immutable values: one object per (d, rows, cols) as given.
+_rectangle = lru_cache(maxsize=1 << 12)(Rectangle)
+
+
 @dataclass(frozen=True)
 class CoveringFamily:
     """An ordered list of same-width rectangles; duplicates are distinct copies."""
@@ -112,6 +126,16 @@ class CoveringFamily:
     @property
     def k(self) -> int:
         return len(self.rectangles)
+
+    @cached_property
+    def _pair_codes(self) -> np.ndarray:
+        """The pair -> containing-rectangles table, built once per family: the
+        sorted codes key * k + i of each pair key x << d | y of each rectangle
+        i, so a key's rectangles are consecutive and in family order."""
+        d, k = self.d, self.k
+        codes = [(x << d | y) * k + i for i, r in enumerate(self.rectangles)
+                 for x in r.rows for y in r.cols]
+        return np.sort(np.array(codes, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -168,38 +192,43 @@ def explicit_covering_d2() -> CoveringFamily:
 def recursive_covering(d: int) -> CoveringFamily:
     """The 3^d - 1 rectangle family certified level by level: for w = 0 .. d - 1
     and each disjoint pair (x, y) of width w, in row-major order, the
-    two-element rectangles {x} x {y, 1y} and {x, 1x} x {y} (1 the bit 2^w)."""
+    two-element rectangles {x} x {y, 1y} and {x, 1x} x {y} (1 the bit 2^w).
+    Built once per width; the family is immutable and shared."""
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"d = {d} outside [1, {MAX_COVER_D}]")
+    return _recursive_covering(d)
+
+
+@lru_cache(maxsize=None)
+def _recursive_covering(d: int) -> CoveringFamily:
     rects = []
     for w in range(d):
         top = 1 << w
         for x, y in zip(*(a.tolist() for a in np.nonzero(intersection_table(w) == 0))):
-            rects += [Rectangle(d, (x,), (y, top | y)), Rectangle(d, (x, top | x), (y,))]
+            rects += [_rectangle(d, (x,), (y, top | y)), _rectangle(d, (x, top | x), (y,))]
     return CoveringFamily(d, tuple(rects), label="base-d1" if d == 1 else f"recursive-d{d}")
 
 
 def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
     """(x, y, i) rows assigning each of the ascending keys x << d | y its own
     rectangle i containing (x, y), or None.  Augmenting paths are searched
-    depth-first with an explicit stack, each key's rectangles in family order."""
-    d = family.d
-    slot = {key: p for p, key in enumerate(keys)}
-    adjacency: list[list[int]] = [[] for _ in keys]
-    for i, r in enumerate(family.rectangles):
-        for x in r.rows:
-            for y in r.cols:
-                p = slot.get(x << d | y)
-                if p is not None:
-                    adjacency[p].append(i)
+    depth-first with an explicit stack, each key's rectangles (read from the
+    family's pair table) in family order."""
+    d, k, codes = family.d, family.k, family._pair_codes
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    rects = (codes % max(k, 1)).tolist()
+    adjacency = [rects[lo:hi] for lo, hi in
+                 zip(*np.searchsorted(codes, [keys * k, keys * k + k]).tolist())]
     owner: dict[int, int] = {}  # rectangle -> position of the key taking it
     for root in range(len(keys)):
         # path[j] takes rectangle via[j]; the owner of via[j] is path[j + 1]
         seen: set[int] = set()
         path, via, frontier = [root], [], [iter(adjacency[root])]
         while frontier:
-            i = next((i for i in frontier[-1] if i not in seen), None)
-            if i is None:
+            for i in frontier[-1]:
+                if i not in seen:
+                    break
+            else:  # every rectangle of the key on top is tried: back up
                 frontier.pop()
                 path.pop()
                 if via:
@@ -215,9 +244,9 @@ def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
             break
         else:
             return None
-    taken = {p: i for i, p in owner.items()}
-    rows = [(key >> d, key & ((1 << d) - 1), taken[p]) for p, key in enumerate(keys)]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    taken = np.empty(len(keys), dtype=np.int64)
+    taken[list(owner.values())] = list(owner)
+    return np.stack([keys >> d, keys & ((1 << d) - 1), taken], axis=-1)
 
 
 def find_certificate(
@@ -270,24 +299,41 @@ def recursive_certificates(d: int) -> np.ndarray:
 
 
 def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
-    """ValueError unless each alpha's (x, y, i) rows certify maximal_support(d,
-    alpha): distinct indices in range, keys x << d | y the 3^d - 1 disjoint pairs
-    but (alpha, complement), each pair in its rectangle by membership masks."""
-    d, k = family.d, family.k
-    member = np.zeros((2, k, 1 << d), dtype=bool)
-    for i, r in enumerate(family.rectangles):
-        member[0, i, r.rows] = True
-        member[1, i, r.cols] = True
-    for alpha, rows in assignments.items():
-        x, y, i = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
-        where = f"certificate for alpha = {alpha:0{d}b}:"
-        if not ((0 <= i) & (i < k)).all() or len(set(i.tolist())) < i.size:
-            raise ValueError(f"{where} rectangle indices not distinct in [0, {k})")
-        if ((x | y) >> d).any() or not np.array_equal(np.sort(x << d | y),
-                                                       _maximal_keys(d, alpha)):
-            raise ValueError(f"{where} its pairs are not the maximal support")
-        if not (member[0, i, x] & member[1, i, y]).all():
-            raise ValueError(f"{where} a pair lies outside its rectangle")
+    """ValueError unless the (x, y, i) rows of each alpha in [0, 2^d) certify
+    maximal_support(d, alpha): distinct indices in range, keys x << d | y the
+    3^d - 1 disjoint pairs but (alpha, complement), each pair in its rectangle
+    by the family's pair table.  All alphas are checked as one array, by
+    counting each alpha's uses of every index and every disjoint pair; the
+    error names the first failing alpha and its first failing check."""
+    d, k, m = family.d, family.k, 3**family.d
+    alphas = list(assignments)
+    blocks = [np.asarray(rows, dtype=np.int64).reshape(-1, 3) for rows in assignments.values()]
+    group = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    x, y, i = np.concatenate(blocks + [np.empty((0, 3), dtype=np.int64)]).T
+    keys = x << d | y
+    in_range = (0 <= i) & (i < k)
+    disjoint = ((x | y) >> d == 0) & (x & y == 0)
+    slot = np.cumsum(intersection_table(d).ravel() == 0) - 1  # rank of each disjoint key
+    uses = np.bincount(group[in_range] * k + i[in_range], minlength=len(blocks) * k)
+    pairs = np.bincount(group[disjoint] * m + slot[keys[disjoint]], minlength=len(blocks) * m)
+    want = np.ones((len(blocks), m), dtype=np.int64)
+    alpha = np.array(alphas, dtype=np.int64)
+    want[np.arange(len(blocks)), slot[alpha << d | ((1 << d) - 1 - alpha)]] = 0
+    code = keys * k + i
+    found = np.searchsorted(family._pair_codes, code, side="right") > np.searchsorted(
+        family._pair_codes, code)
+    bad = np.zeros((3, len(blocks)), dtype=bool)
+    for check, rows_bad in enumerate((~in_range, ~disjoint, ~found)):
+        bad[check, group[rows_bad]] = True
+    bad[0] |= (uses.reshape(len(blocks), k) > 1).any(axis=1)
+    bad[1] |= (pairs.reshape(len(blocks), m) != want).any(axis=1)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        a = failing[0]
+        raise ValueError(f"certificate for alpha = {alphas[a]:0{d}b}: " + (
+            f"rectangle indices not distinct in [0, {k})",
+            "its pairs are not the maximal support",
+            "a pair lies outside its rectangle")[bad[:, a].argmax()])
 
 
 def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
@@ -297,12 +343,12 @@ def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray
     d = family.d
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"family width {d} outside [1, {MAX_COVER_D}]")
-    if family.rectangles == recursive_covering(d).rectangles:
+    recursive = recursive_covering(d)
+    if family.rectangles == recursive.rectangles:
         out = dict(enumerate(recursive_certificates(d)))
-        check_maximal_assignments(family, out)
+        check_maximal_assignments(recursive, out)  # same rectangles, pair table kept
         return out
-    return {alpha: _match(_maximal_keys(d, alpha).tolist(), family)
-            for alpha in range(1 << d)}
+    return {alpha: _match(_maximal_keys(d, alpha), family) for alpha in range(1 << d)}
 
 
 def maximal_certificates(
@@ -320,7 +366,7 @@ def pattern_assignments(family: CoveringFamily) -> dict[PatternId, Optional[np.n
     matching its disjoint support (``pattern_keys``) into the family, or None."""
     if family.d != 2:
         raise ValueError(f"pattern verification needs d = 2, got {family.d}")
-    return {pid: _match(pattern_keys(pid).tolist(), family) for pid in PatternId}
+    return {pid: _match(pattern_keys(pid), family) for pid in PatternId}
 
 
 def pattern_certificates_d2(
@@ -456,10 +502,20 @@ def check_induction_inequality(
                            bool(total <= vals.sum()), bool(clean))
 
 
+@lru_cache(maxsize=None)
+def _labels(d: int) -> Mapping[str, int]:
+    """The width-d strings, for 0 <= d <= MAX_COVER_D, each mapped to its value,
+    read-only and in value order (``list`` gives the texts by value)."""
+    return MappingProxyType({str(s): s.value for s in all_strings(d)})
+
+
 def family_to_json(family: CoveringFamily) -> str:
-    rects = [{side: [str(BitString(family.d, v)) for v in getattr(r, side)]
-              for side in ("rows", "cols")} for r in family.rectangles]
-    obj = {"d": family.d, "label": family.label, "rectangles": rects}
+    d = family.d
+    text = list(_labels(d)) if 0 <= d <= MAX_COVER_D else None
+    rects = [{side: [str(BitString(d, v)) if text is None else text[v]
+                     for v in getattr(r, side)] for side in ("rows", "cols")}
+             for r in family.rectangles]
+    obj = {"d": d, "label": family.label, "rectangles": rects}
     return json.dumps(obj, sort_keys=True)
 
 
@@ -472,13 +528,20 @@ def _json_strings(obj: object, key: str, where: str) -> list[str]:
 
 def family_from_json(text: str) -> CoveringFamily:
     """Parse and re-validate (fields, widths, disjointness) a rectangle family;
-    a missing or ill-typed field raises ValueError naming it."""
-    obj = json.loads(text)
+    a missing or ill-typed field raises ValueError naming it.  Strings are
+    looked up in the width-d label table; a rectangle with any other string
+    is parsed by ``Rectangle.from_text``, which names the fault."""
+    obj = _json_load(text, "family")
     d = _json_field(obj, "d", int, "family")
+    values = _labels(d) if 0 <= d <= MAX_COVER_D else {}
     rects = []
     for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
         rows, cols = (_json_strings(r, key, f"rectangle {i}") for key in ("rows", "cols"))
-        rects.append(Rectangle.from_text(d, rows, cols))
+        try:
+            rects.append(_rectangle(d, tuple([values[s] for s in rows]),
+                                    tuple([values[s] for s in cols])))
+        except KeyError:
+            rects.append(Rectangle.from_text(d, rows, cols))
     label = _json_field({"label": "", **obj}, "label", str, "family")  # "" if absent
     return CoveringFamily(d, tuple(rects), label)
 
@@ -494,7 +557,8 @@ def certificate_from_json(
     """Parse a certificate; injectivity always re-checked, containment if a
     family is supplied.  A malformed field raises ValueError naming it."""
     assignment = {}
-    for j, row in enumerate(_json_field(json.loads(text), "assignment", list, "certificate")):
+    obj = _json_load(text, "certificate")
+    for j, row in enumerate(_json_field(obj, "assignment", list, "certificate")):
         if not (type(row) is list and len(row) == 2 and type(row[0]) is list
                 and len(row[0]) == 2 and all(type(s) is str for s in row[0])
                 and type(row[1]) is int and row[1] >= 0):

@@ -391,6 +391,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a JSON object"):
             factorization_from_json("[1, 2]")
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValueError, match="factorization JSON is nested too deeply"):
+            factorization_from_json('{"n": 1, "d": 1, "U": ' + "[" * 5000 + "]" * 5000 + "}")
+
 
 class TestFactorization:
     def test_factor_wider_than_d_rejected(self):

@@ -457,6 +457,16 @@ def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, te
     assert code == 2 and field in err
 
 
+@pytest.mark.parametrize("command", [["covering", "verify"],
+                                     ["induction", "--n", "2", "--d", "1"]])
+def test_deeply_nested_family_exits_2(tmp_path, capsys, command):
+    fam_file = tmp_path / "fam.json"
+    fam_file.write_text('{"d": 2, "rectangles": ' + "[" * 5000 + "]" * 5000 + "}")
+    code, err = run_cli_error(capsys, *command, "--family", str(fam_file))
+    assert code == 2
+    assert err == "error: family JSON is nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", [
     ["udisj", "--n", "2"],
     ["udisj", "--n", "2", "--format", "csv"],
@@ -493,6 +503,24 @@ class TestDeterminism:
                           "--out", "fam.json")
         assert code == 0
         assert (tmp_path / "fam.json").exists()
+
+
+def test_shared_parser_survives_errors_and_help(capsys):
+    """main parses with one parser per process; an argparse error or --help
+    must leave it as it was."""
+    bound, build = ["bound", "--n", "5", "--d", "2"], ["covering", "build", "--d", "3"]
+    before = [run_cli(capsys, *bound), run_cli(capsys, *build)]
+    for argv, exit_code in [(["bound", "--n", "x"], 2), (["--help"], 0),
+                            (["covering", "verify", "--help"], 0), (["covering"], 2)]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == exit_code
+    capsys.readouterr()
+    assert [run_cli(capsys, *bound), run_cli(capsys, *build)] == before
+    assert before[1] == (0, family_to_json(recursive_covering(3)) + "\n")
+    fresh = subprocess.run([sys.executable, "-m", "liftcert", *bound],
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout) == before[0]
 
 
 def test_module_entry_point():

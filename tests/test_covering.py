@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from liftcert.atoms import (
 from liftcert.bitcore import (
     BitString,
     SupportMatrix,
+    _json_field,
     all_strings,
     enumerate_disjoint_pairs,
     intersection_size,
@@ -223,6 +226,12 @@ class TestRecursiveCovering:
             recursive_covering(0)
         with pytest.raises(ValueError):
             recursive_covering(7)
+
+    def test_built_once_per_width_and_range_still_checked(self):
+        assert all(recursive_covering(d) is recursive_covering(d) for d in range(1, 7))
+        for d in (0, MAX_COVER_D + 1):
+            with pytest.raises(ValueError, match=f"d = {d} outside"):
+                recursive_covering(d)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_equals_the_recursive_construction(self, d):
@@ -445,6 +454,101 @@ class TestRevalidation:
             maximal_certificates(recursive_covering(2))
 
 
+def reference_check_maximal_assignments(family: CoveringFamily, assignments) -> None:
+    """The certificate check as one loop step per alpha, as it was before the
+    array check: membership masks, then per alpha its indices, its pairs and
+    its containment, raising at the first failure."""
+    d, k = family.d, family.k
+    member = np.zeros((2, k, 1 << d), dtype=bool)
+    for i, r in enumerate(family.rectangles):
+        member[0, i, r.rows] = True
+        member[1, i, r.cols] = True
+    for alpha, rows in assignments.items():
+        x, y, i = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+        where = f"certificate for alpha = {alpha:0{d}b}:"
+        if not ((0 <= i) & (i < k)).all() or len(set(i.tolist())) < i.size:
+            raise ValueError(f"{where} rectangle indices not distinct in [0, {k})")
+        if ((x | y) >> d).any() or not np.array_equal(np.sort(x << d | y),
+                                                       covering._maximal_keys(d, alpha)):
+            raise ValueError(f"{where} its pairs are not the maximal support")
+        if not (member[0, i, x] & member[1, i, y]).all():
+            raise ValueError(f"{where} a pair lies outside its rectangle")
+
+
+def check_outcome(check, family: CoveringFamily, assignments) -> Optional[str]:
+    """The error text of a certificate check, or None when it passes."""
+    try:
+        check(family, assignments)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+#: Edits of one alpha's (x, y, i) rows (d = 3, k = 26), each rejected.
+CERTIFICATE_MUTATIONS = {
+    "index-above-range": lambda rows, alpha: rows.__setitem__((0, 2), 26),
+    "index-below-range": lambda rows, alpha: rows.__setitem__((0, 2), -1),
+    "repeated-index": lambda rows, alpha: rows.__setitem__((1, 2), rows[0, 2]),
+    "pair-dropped": lambda rows, alpha: rows[1:],
+    "antidiagonal-pair": lambda rows, alpha: rows.__setitem__((0, slice(0, 2)),
+                                                             (alpha, alpha ^ 0b111)),
+    "pair-outside-width": lambda rows, alpha: rows.__setitem__((0, 1), rows[0, 1] + 8),
+    "indices-swapped": lambda rows, alpha: rows.__setitem__(([0, 1], 2), rows[[1, 0], 2]),
+}
+
+
+def mutated(mutation: str, rows: np.ndarray, alpha: int) -> np.ndarray:
+    rows = rows.copy()
+    out = CERTIFICATE_MUTATIONS[mutation](rows, alpha)
+    return rows if out is None else out
+
+
+class TestRevalidationAgainstTheLoop:
+    """The array check rejects as the per-alpha loop did: same text, same alpha."""
+
+    D = 3
+
+    def assignments(self) -> dict[int, np.ndarray]:
+        return dict(enumerate(recursive_certificates(self.D)))
+
+    @pytest.mark.parametrize("later", [None, *CERTIFICATE_MUTATIONS])
+    @pytest.mark.parametrize("mutation", sorted(CERTIFICATE_MUTATIONS))
+    def test_first_bad_alpha_named_as_by_the_loop(self, mutation, later):
+        family, out = recursive_covering(self.D), self.assignments()
+        out[0b101] = mutated(mutation, out[0b101], 0b101)
+        if later is not None:  # a second fault at a later alpha is not reported
+            out[0b110] = mutated(later, out[0b110], 0b110)
+        expected = check_outcome(reference_check_maximal_assignments, family, out)
+        assert expected is not None and "alpha = 101:" in expected
+        assert check_outcome(check_maximal_assignments, family, out) == expected
+
+    def test_untouched_certificates_pass_both(self):
+        family, out = recursive_covering(self.D), self.assignments()
+        assert check_outcome(reference_check_maximal_assignments, family, out) is None
+        assert check_outcome(check_maximal_assignments, family, out) is None
+        assert check_outcome(check_maximal_assignments, family, {}) is None
+
+    @given(st.data())
+    def test_random_edits_rejected_as_by_the_loop(self, data):
+        d = data.draw(st.integers(1, 3))
+        family, stack = recursive_covering(d), recursive_certificates(d)
+        alphas = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, unique=True))
+        out = {}
+        for alpha in alphas:
+            rows = stack[alpha].copy()
+            for _ in range(data.draw(st.integers(0, 2))):
+                r = data.draw(st.integers(0, len(rows) - 1))
+                c = data.draw(st.integers(0, 2))
+                rows[r, c] = data.draw(st.integers(-2, max(family.k, 1 << d) + 1))
+            if data.draw(st.booleans()):
+                rows = rows[data.draw(st.permutations(range(len(rows))))]
+            if data.draw(st.integers(0, 4)) == 0:
+                rows = rows[1:] if data.draw(st.booleans()) else np.vstack([rows, rows[:1]])
+            out[alpha] = rows
+        assert (check_outcome(check_maximal_assignments, family, out)
+                == check_outcome(reference_check_maximal_assignments, family, out))
+
+
 class TestPatternVerification:
     def test_explicit_d2_passes(self):
         certs = pattern_certificates_d2(explicit_covering_d2())
@@ -656,7 +760,84 @@ class TestInduction:
                 assert rep.aggregates_are_atoms == all(is_atom_pattern(p, eps) for p in parts)
 
 
+def reference_family_from_json(text: str) -> CoveringFamily:
+    """The family reader as it was before the label tables: one
+    ``Rectangle.from_text`` (one ``BitString`` per string) per rectangle."""
+    obj = json.loads(text)
+    d = _json_field(obj, "d", int, "family")
+    rects = []
+    for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
+        rows, cols = (covering._json_strings(r, key, f"rectangle {i}")
+                      for key in ("rows", "cols"))
+        rects.append(Rectangle.from_text(d, rows, cols))
+    label = _json_field({"label": "", **obj}, "label", str, "family")
+    return CoveringFamily(d, tuple(rects), label)
+
+
+def parse_outcome(parse, text: str):
+    """(family, label) as parsed, or the ValueError text."""
+    try:
+        family = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return family, family.label
+
+
+#: Strings that are not width-d labels, and entries that are not strings.
+CORRUPT_STRINGS = ["0b1", " 01", "1_0", "\uff10\uff11", "", "0" * 17, "2"]
+NON_STRINGS = [1, None, True, 0.0, ["0"], {"0": 1}]
+
+
+def draw_family_json(data) -> str:
+    """A family file of width d in 0..7 whose strings are mostly width-d
+    labels, some corrupted (wrong width, foreign characters, non-strings)."""
+    d = data.draw(st.integers(0, 7))
+    labels = [format(v, f"0{d}b") if d else "" for v in range(1 << min(d, 4))]
+
+    def string(free: list[str]):
+        kind = data.draw(st.integers(0, 9))
+        if kind == 0:
+            return data.draw(st.sampled_from(CORRUPT_STRINGS + NON_STRINGS))
+        if kind == 1:  # width d - 1 or d + 1
+            return data.draw(st.sampled_from([labels[0][1:], "0" + labels[0], "1" + labels[0]]))
+        return data.draw(st.sampled_from(free))
+
+    rects = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        rows = [string(labels) for _ in range(data.draw(st.integers(0, 3)))]
+        mask = 0
+        for x in rows:
+            if isinstance(x, str) and x in labels:
+                mask |= int(x, 2) if x else 0
+        free = [y for y in labels if not (int(y, 2) if y else 0) & mask] or labels
+        rects.append({"rows": rows, "cols": [string(free) for _ in range(
+            data.draw(st.integers(0, 3)))]})
+    return json.dumps({"d": d, "label": data.draw(st.sampled_from(["", "x"])),
+                       "rectangles": rects}, ensure_ascii=False)
+
+
 class TestSerialization:
+    @given(st.data())
+    def test_family_reader_parses_as_per_string_reference(self, data):
+        text = draw_family_json(data)
+        assert (parse_outcome(family_from_json, text)
+                == parse_outcome(reference_family_from_json, text))
+
+    @pytest.mark.parametrize("bad", CORRUPT_STRINGS + NON_STRINGS + ["000", "0"])
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_corrupt_string_rejected_as_by_the_reference(self, bad, side):
+        rect = {"rows": ["00"], "cols": ["01", "10"]}
+        rect[side] = rect[side] + [bad]
+        text = json.dumps({"d": 2, "rectangles": [rect, {"rows": ["1"], "cols": []}]})
+        expected = parse_outcome(reference_family_from_json, text)
+        assert isinstance(expected, str)
+        assert parse_outcome(family_from_json, text) == expected
+
+    @pytest.mark.parametrize("reader", [family_from_json, certificate_from_json])
+    def test_deep_nesting_is_a_value_error(self, reader):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            reader('{"d": 2, "rectangles": ' + "[" * 5000 + "]" * 5000 + "}")
+
     @pytest.mark.parametrize("make", [base_covering_d1, explicit_covering_d2])
     def test_family_round_trip(self, make):
         text = family_to_json(make())
