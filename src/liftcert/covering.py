@@ -307,33 +307,33 @@ def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> N
     error names the first failing alpha and its first failing check."""
     d, k, m = family.d, family.k, 3**family.d
     alphas = list(assignments)
+    a = len(alphas)
     blocks = [np.asarray(rows, dtype=np.int64).reshape(-1, 3) for rows in assignments.values()]
-    group = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    group = np.repeat(np.arange(a), [len(b) for b in blocks])
     x, y, i = np.concatenate(blocks + [np.empty((0, 3), dtype=np.int64)]).T
-    keys = x << d | y
-    in_range = (0 <= i) & (i < k)
-    disjoint = ((x | y) >> d == 0) & (x & y == 0)
+    keys, bad = x << d | y, np.zeros((3, a), dtype=bool)
+    ok = (0 <= i) & (i < k)
+    count = np.bincount(group[ok] * k + i[ok], minlength=a * k).reshape(a, k)
+    bad[0] = (count > 1).any(axis=1)
+    bad[0, group[~ok]] = True
+    ok = ((x | y) >> d == 0) & (x & y == 0)
     slot = np.cumsum(intersection_table(d).ravel() == 0) - 1  # rank of each disjoint key
-    uses = np.bincount(group[in_range] * k + i[in_range], minlength=len(blocks) * k)
-    pairs = np.bincount(group[disjoint] * m + slot[keys[disjoint]], minlength=len(blocks) * m)
-    want = np.ones((len(blocks), m), dtype=np.int64)
+    count = np.bincount(group[ok] * m + slot[keys[ok]], minlength=a * m).reshape(a, m)
     alpha = np.array(alphas, dtype=np.int64)
-    want[np.arange(len(blocks)), slot[alpha << d | ((1 << d) - 1 - alpha)]] = 0
-    code = keys * k + i
-    found = np.searchsorted(family._pair_codes, code, side="right") > np.searchsorted(
-        family._pair_codes, code)
-    bad = np.zeros((3, len(blocks)), dtype=bool)
-    for check, rows_bad in enumerate((~in_range, ~disjoint, ~found)):
-        bad[check, group[rows_bad]] = True
-    bad[0] |= (uses.reshape(len(blocks), k) > 1).any(axis=1)
-    bad[1] |= (pairs.reshape(len(blocks), m) != want).any(axis=1)
+    # with its antidiagonal pair added, an alpha's pairs are each disjoint pair once
+    count[np.arange(a), slot[alpha << d | ((1 << d) - 1 - alpha)]] += 1
+    bad[1] = (count != 1).any(axis=1)
+    bad[1, group[~ok]] = True
+    code, table = keys * k + i, family._pair_codes
+    outside = np.searchsorted(table, code, side="right") == np.searchsorted(table, code)
+    bad[2, group[outside]] = True
     failing = np.flatnonzero(bad.any(axis=0))
     if failing.size:
-        a = failing[0]
-        raise ValueError(f"certificate for alpha = {alphas[a]:0{d}b}: " + (
+        first = failing[0]
+        raise ValueError(f"certificate for alpha = {alphas[first]:0{d}b}: " + (
             f"rectangle indices not distinct in [0, {k})",
             "its pairs are not the maximal support",
-            "a pair lies outside its rectangle")[bad[:, a].argmax()])
+            "a pair lies outside its rectangle")[bad[:, first].argmax()])
 
 
 def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
