@@ -299,10 +299,10 @@ def recursive_certificates(d: int) -> np.ndarray:
 
 
 def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
-    """ValueError unless the (x, y, i) rows of each alpha in [0, 2^d) certify
+    """ValueError unless the (x, y, i) rows of each alpha certify
     maximal_support(d, alpha): distinct indices in range, keys x << d | y the
-    3^d - 1 disjoint pairs but (alpha, complement), each pair in its rectangle
-    by the family's pair table.  All alphas are checked as one array, by
+    3^d - 1 disjoint pairs but (alpha, complement), with alpha in [0, 2^d),
+    each pair in its rectangle by the family's pair table.  All alphas are checked as one array, by
     counting each alpha's uses of every index and every disjoint pair; the
     error names the first failing alpha and its first failing check."""
     d, k, m = family.d, family.k, 3**family.d
@@ -320,8 +320,9 @@ def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> N
     slot = np.cumsum(intersection_table(d).ravel() == 0) - 1  # rank of each disjoint key
     count = np.bincount(group[ok] * m + slot[keys[ok]], minlength=a * m).reshape(a, m)
     alpha = np.array(alphas, dtype=np.int64)
+    (inside,) = np.nonzero((0 <= alpha) & (alpha < 1 << d))  # others have no maximal support
     # with its antidiagonal pair added, an alpha's pairs are each disjoint pair once
-    count[np.arange(a), slot[alpha << d | ((1 << d) - 1 - alpha)]] += 1
+    count[inside, slot[alpha[inside] << d | ((1 << d) - 1 - alpha[inside])]] += 1
     bad[1] = (count != 1).any(axis=1)
     bad[1, group[~ok]] = True
     code, table = keys * k + i, family._pair_codes

@@ -445,6 +445,13 @@ class TestRevalidation:
         with pytest.raises(ValueError, match="outside its rectangle"):
             self.check(rows)
 
+    # -4 and 37 once wrapped onto alpha 101's own antidiagonal pair and passed
+    @pytest.mark.parametrize("alpha", [-4, -1, 1 << D, 37])
+    def test_alpha_outside_width_rejected(self, alpha):
+        rows = recursive_certificates(self.D)[self.ALPHA]
+        with pytest.raises(ValueError, match="maximal support"):
+            check_maximal_assignments(recursive_covering(self.D), {alpha: rows})
+
     def test_failed_revalidation_is_an_error(self, monkeypatch):
         def one_pair_short(d):
             return recursive_certificates(d)[:, 1:]
