@@ -15,7 +15,13 @@ Two verification modes matter here:
   vanishing on intersection-one pairs with at least one antidiagonal zero.
   Any such support is contained in one of the 2^d maximal supports (all 3^d
   disjoint pairs minus one antidiagonal pair), and a certificate restricts
-  to any sub-support, so 2^d certificates decide the whole class.
+  to any sub-support, so 2^d certificates decide the whole class.  Each
+  maximal support S is the set D of all disjoint keys less one key a, so
+  nu(S) <= nu(D) (nu the maximum matching size): a maximum matching of D
+  leaving two keys uncovered fails every S, one leaving none passes every S,
+  and one leaving only u uncovered passes S exactly when some maximum
+  matching misses a, that is (Gallai-Edmonds), when an alternating path
+  leads from u to a.  Only the passing S are then matched.
 * ``pattern_assignments`` certifies the 7-rectangle family for 4 x 4 atoms
   over 2 x 2 PSD cones by matching the keys of each of the six admissible
   sparsity patterns; ``phi_table_d2`` carries the six hand-built assignments.
@@ -26,12 +32,11 @@ rectangles per disjoint pair of width w.  Each rectangle owns its largest
 pair, the owned pairs being the disjoint pairs other than (0, 0), and every
 maximal certificate keeps the owned pairs except along one chain of levels.
 
-Immutable objects are built once.  The recursive family is built once per
-width, and a family file listing its rectangles gets the same rectangle
-objects.  Each family builds one pair table: the matcher reads each key's
-rectangles from it, and the certificate check, run on all 2^d certificates
-as one array, reads containment from it.  Family JSON is read and written
-through width-d label tables.
+Immutable objects are built once: the recursive family once per width (a
+family file listing its rectangles gets the same rectangle objects), and per
+family one pair table, from which the matcher's key -> rectangles adjacency
+and the one-array check of all 2^d certificates read containment.  Family
+JSON is read and written through width-d label tables.
 
 The induction check (``induction_block``, on a stack of matrices) splits
 each matrix into 2^d x 2^d blocks indexed by width-d prefixes, aggregates
@@ -137,6 +142,15 @@ class CoveringFamily:
                  for x in r.rows for y in r.cols]
         return np.sort(np.array(codes, dtype=np.int64))
 
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Each pair key's rectangles, in family order, from the pair table."""
+        k = max(self.k, 1)
+        keys, first = np.unique(self._pair_codes // k, return_index=True)
+        rects, first = (self._pair_codes % k).tolist(), first.tolist()
+        return {key: rects[lo:hi] for key, lo, hi in
+                zip(keys.tolist(), first, first[1:] + [len(rects)])}
+
 
 @dataclass(frozen=True)
 class CoveringCertificate:
@@ -209,18 +223,12 @@ def _recursive_covering(d: int) -> CoveringFamily:
     return CoveringFamily(d, tuple(rects), label="base-d1" if d == 1 else f"recursive-d{d}")
 
 
-def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
-    """(x, y, i) rows assigning each of the ascending keys x << d | y its own
-    rectangle i containing (x, y), or None.  Augmenting paths are searched
-    depth-first with an explicit stack, each key's rectangles (read from the
-    family's pair table) in family order."""
-    d, k, codes = family.d, family.k, family._pair_codes
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-    rects = (codes % max(k, 1)).tolist()
-    adjacency = [rects[lo:hi] for lo, hi in
-                 zip(*np.searchsorted(codes, [keys * k, keys * k + k]).tolist())]
-    owner: dict[int, int] = {}  # rectangle -> position of the key taking it
-    for root in range(len(keys)):
+def _augment(adjacency: Sequence[Sequence[int]]) -> tuple[dict[int, int], list[int]]:
+    """A maximum matching of positions j = 0, 1, ... to rectangles adjacency[j]
+    (rectangle -> position) and the positions left uncovered: per position in
+    turn one depth-first augmenting-path search (none opens for it later)."""
+    owner: dict[int, int] = {}
+    for root in range(len(adjacency)):
         # path[j] takes rectangle via[j]; the owner of via[j] is path[j + 1]
         seen: set[int] = set()
         path, via, frontier = [root], [], [iter(adjacency[root])]
@@ -228,11 +236,10 @@ def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
             for i in frontier[-1]:
                 if i not in seen:
                     break
-            else:  # every rectangle of the key on top is tried: back up
+            else:  # every rectangle of the position on top is tried: back up
                 frontier.pop()
                 path.pop()
-                if via:
-                    via.pop()
+                del via[-1:]
                 continue
             seen.add(i)
             via.append(i)
@@ -242,8 +249,18 @@ def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
                 continue
             owner.update(zip(via, path))
             break
-        else:
-            return None
+    return owner, sorted(set(range(len(adjacency))) - set(owner.values()))
+
+
+def _match(keys: Sequence[int], family: CoveringFamily) -> Optional[np.ndarray]:
+    """(x, y, i) rows assigning each of the ascending keys x << d | y its own
+    rectangle i containing (x, y), or None: ``_augment`` over each key's
+    rectangles in family order."""
+    d, adjacency = family.d, family._adjacency
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    owner, uncovered = _augment([adjacency.get(key, ()) for key in keys.tolist()])
+    if uncovered:
+        return None
     taken = np.empty(len(keys), dtype=np.int64)
     taken[list(owner.values())] = list(owner)
     return np.stack([keys >> d, keys & ((1 << d) - 1), taken], axis=-1)
@@ -291,10 +308,10 @@ def recursive_certificates(d: int) -> np.ndarray:
     low = (1 << np.arange(d + 1)) - 1  # low[w] masks w bits
     alpha = np.arange(1 << d)[:, None]
     chain = (alpha & low) << d | (low - (alpha & low))  # antidiagonal keys, w = 0 .. d
-    keys = np.tile(owned, (1 << d, 1))
-    keys[alpha, owner[chain[:, 1:]]] = chain[:, :-1]
-    index = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, index, axis=1)
+    disjoint = np.flatnonzero(intersection_table(d) == 0)
+    keys = disjoint[np.nonzero(disjoint != chain[:, -1:])[1]].reshape(1 << d, -1)
+    index = owner[keys]  # chain keys lie below the dropped key: same rank as in D
+    index[alpha, np.searchsorted(disjoint, chain[:, :-1])] = owner[chain[:, 1:]]
     return np.stack([keys >> d, keys & ((1 << d) - 1), index], axis=-1)
 
 
@@ -340,7 +357,8 @@ def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> N
 def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
     """Per alpha value, (x, y, i) rows in lex order certifying maximal_support(d,
     alpha), or None.  The rectangles of recursive_covering(d), in order, are certified
-    by recursive_certificates and re-validated; other families are matched."""
+    by recursive_certificates and re-validated; for other families one maximum
+    matching of all disjoint keys decides the alphas to match (module docstring)."""
     d = family.d
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"family width {d} outside [1, {MAX_COVER_D}]")
@@ -349,7 +367,18 @@ def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray
         out = dict(enumerate(recursive_certificates(d)))
         check_maximal_assignments(recursive, out)  # same rectangles, pair table kept
         return out
-    return {alpha: _match(_maximal_keys(d, alpha), family) for alpha in range(1 << d)}
+    keys = np.flatnonzero(intersection_table(d) == 0)
+    adjacency = [family._adjacency.get(key, ()) for key in keys.tolist()]
+    owner, uncovered = _augment(adjacency)
+    reached = set(uncovered if len(uncovered) == 1 else ())
+    stack = list(reached)
+    while stack:  # alternating paths; every rectangle next to a reached key is taken
+        step = {owner[i] for i in adjacency[stack.pop()]} - reached
+        reached |= step
+        stack += step
+    holes = np.searchsorted(keys, [a << d | (1 << d) - 1 - a for a in range(1 << d)])
+    return {alpha: _match(np.delete(keys, hole), family) if not uncovered or hole in reached
+            else None for alpha, hole in enumerate(holes.tolist())}
 
 
 def maximal_certificates(

@@ -398,6 +398,85 @@ class TestMaximalRouting:
                     assert rows[alpha.value].tolist() == triples(cert)
 
 
+def per_alpha_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
+    """Reference: the pinned matcher run on each maximal support in turn."""
+    return {alpha: covering._match(covering._maximal_keys(family.d, alpha), family)
+            for alpha in range(1 << family.d)}
+
+
+def matching_deficiency(family: CoveringFamily) -> int:
+    """|D| - nu(D) for the 3^d disjoint pairs D, by recursive augmenting paths
+    on a scan of every rectangle."""
+    owner: dict[int, tuple] = {}
+
+    def augment(p, seen) -> bool:
+        for i, r in enumerate(family.rectangles):
+            if i not in seen and r.contains(*p):
+                seen.add(i)
+                if i not in owner or augment(owner[i], seen):
+                    owner[i] = p
+                    return True
+        return False
+
+    return sum(not augment(p, set()) for p in enumerate_disjoint_pairs(family.d))
+
+
+def mutated_recursive(d: int, seed: int) -> CoveringFamily:
+    """recursive_covering(d) with, each at even odds, one rectangle dropped, one
+    duplicated (appended) and the order shuffled."""
+    rng = np.random.default_rng(seed)
+    rects = list(recursive_covering(d).rectangles)
+    if rng.random() < 0.5:
+        rects.pop(rng.integers(len(rects)))
+    if rng.random() < 0.5:
+        rects.append(rects[rng.integers(len(rects))])
+    if rng.random() < 0.5:
+        rects = [rects[j] for j in rng.permutation(len(rects))]
+    return CoveringFamily(d, tuple(rects), label=f"mutated-{seed}")
+
+
+class TestMaximalDecision:
+    """Non-recursive families: one maximum matching of all disjoint keys D picks
+    the alphas to match, by nu(D) = |D|, |D| - 1 (alternating paths) or less."""
+
+    def test_mutated_families_decided_as_per_alpha(self):
+        branches = set()
+        for seed in range(200):
+            d = 1 + seed % 4
+            family = mutated_recursive(d, seed)
+            got, want = maximal_assignments(family), per_alpha_assignments(family)
+            assert got.keys() == want.keys()
+            for alpha, rows in want.items():
+                assert (None if got[alpha] is None else got[alpha].tolist()) == (
+                    None if rows is None else rows.tolist()), (seed, alpha)
+            passing = sum(rows is not None for rows in want.values())
+            branch = min(matching_deficiency(family), 2)
+            assert passing == {0: 2**d, 2: 0}.get(branch, passing)
+            branches.add((branch, "mixed" if 0 < passing < 2**d else passing > 0))
+        assert {(0, True), (1, True), (1, "mixed"), (2, False)} <= branches
+
+    @pytest.mark.parametrize("d, change, deficiency, passing", [
+        # cover-maximal's deficient family: two keys uncovered, every alpha fails
+        (5, lambda rects: rects[:17] + rects[18:], 2, set()),
+        # rectangle 5 listed twice (GOLDEN_MATCHED_D4): all of D matched
+        (4, lambda rects: rects[:6] + rects[5:], 0, set(range(16))),
+        # reversed (GOLDEN_MATCHED_D4): one key uncovered, every hole reachable
+        (4, lambda rects: rects[::-1], 1, set(range(16))),
+        # {0} x {1, 3} dropped, {0} x {3, 7} listed twice: one key uncovered
+        (3, lambda rects: rects[:4] + rects[5:] + rects[14:15], 1, {1, 2, 3, 5, 6, 7}),
+    ], ids=["deficient-d5", "rectangle-5-twice-d4", "reversed-d4", "mixed-d3"])
+    def test_each_branch(self, monkeypatch, d, change, deficiency, passing):
+        family = CoveringFamily(d, change(recursive_covering(d).rectangles))
+        assert matching_deficiency(family) == deficiency
+        matched = spy(monkeypatch, "_match")
+        rows = maximal_assignments(family)
+        assert {alpha for alpha, r in rows.items() if r is not None} == passing
+        assert len(matched) == len(passing)  # a failing alpha runs no search
+        for alpha in passing:
+            as_certificate(d, rows[alpha]).validate_against(
+                family, support=maximal_support(d, BitString(d, alpha)))
+
+
 class TestRevalidation:
     D, ALPHA = 3, 0b101
 
