@@ -18,10 +18,10 @@ Two verification modes matter here:
   to any sub-support, so 2^d certificates decide the whole class.  Each
   maximal support S is the set D of all disjoint keys less one key a, so
   nu(S) <= nu(D) (nu the maximum matching size): a maximum matching of D
-  leaving two keys uncovered fails every S, one leaving none passes every S,
-  and one leaving only u uncovered passes S exactly when some maximum
-  matching misses a, that is (Gallai-Edmonds), when an alternating path
-  leads from u to a.  Only the passing S are then matched.
+  leaving two or more keys uncovered fails every S, one leaving none passes
+  every S, and one leaving only u uncovered passes S exactly when some
+  maximum matching misses a, that is (Gallai-Edmonds), when an alternating
+  path leads from u to a.  Only the passing S are then matched.
 * ``pattern_assignments`` certifies the 7-rectangle family for 4 x 4 atoms
   over 2 x 2 PSD cones by matching the keys of each of the six admissible
   sparsity patterns; ``phi_table_d2`` carries the six hand-built assignments.

@@ -451,9 +451,10 @@ class TestMaximalDecision:
                     None if rows is None else rows.tolist()), (seed, alpha)
             passing = sum(rows is not None for rows in want.values())
             branch = min(matching_deficiency(family), 2)
-            assert passing == {0: 2**d, 2: 0}.get(branch, passing)
-            branches.add((branch, "mixed" if 0 < passing < 2**d else passing > 0))
-        assert {(0, True), (1, True), (1, "mixed"), (2, False)} <= branches
+            if branch != 1:  # nu(D) = |D| passes every alpha, nu(D) <= |D| - 2 none
+                assert passing == (2**d if branch == 0 else 0), seed
+            branches.add((branch, 0 < passing < 2**d))
+        assert {(0, False), (1, True), (2, False)} <= branches  # (1, True): mixed
 
     @pytest.mark.parametrize("d, change, deficiency, passing", [
         # cover-maximal's deficient family: two keys uncovered, every alpha fails
