@@ -15,6 +15,7 @@ import pytest
 from liftcert.cli import main
 from liftcert.covering import (
     CoveringFamily,
+    Rectangle,
     explicit_covering_d2,
     family_to_json,
     recursive_covering,
@@ -42,6 +43,12 @@ GOLDEN_EXPLICIT_D2 = {
     "patterns-d2": "5879862f8bd8d2a3432d7c50354fa8f5de122b99929bb3edaf5d3cab75adb22e",
 }
 GOLDEN_DEFICIENT_D5 = "50f976dc19ce79da86654bb56476344706e1967230f4891fed9688cd8ee32b4e"
+#: Reports that interleave failures (``null``) and certificates: the d = 5
+#: family without rectangle 0 and with rectangle 7 listed twice (16 of 32
+#: alphas pass), and the explicit d = 2 family with b1 narrowed to
+#: {00} x {00, 01} (patterns 4 and 5 fail).
+GOLDEN_MIXED_D5 = "d42de8fd3151366b7fd832d55315edaac65969ea82f149691225c398c62e8890"
+GOLDEN_NARROWED_D2 = "4ab058843b7fd1afbe6caaf5dcd4f6634a65e91847c878a61d6223c852446d9a"
 #: Families the matcher certifies (not the recursive construction): the
 #: d = 4 rectangles in reverse order, and with rectangle 5 listed twice.
 GOLDEN_MATCHED_D4 = {
@@ -98,3 +105,18 @@ def test_matched_d4_reports(tmp_path, capsys, variant):
     family = CoveringFamily(4, rects, label=f"recursive-d4-{variant}")
     code, digest = verify_digest(tmp_path, capsys, family, "maximal")
     assert (code, digest) == (0, GOLDEN_MATCHED_D4[variant])
+
+
+def test_mixed_d5_report(tmp_path, capsys):
+    rects = recursive_covering(5).rectangles
+    family = CoveringFamily(5, rects[1:] + rects[7:8], label="recursive-d5-mixed")
+    code, digest = verify_digest(tmp_path, capsys, family, "maximal")
+    assert (code, digest) == (1, GOLDEN_MIXED_D5)
+
+
+def test_narrowed_d2_patterns_report(tmp_path, capsys):
+    rects = explicit_covering_d2().rectangles
+    b1 = Rectangle.from_text(2, ["00"], ["00", "01"])
+    family = CoveringFamily(2, (rects[0], b1) + rects[2:], label="explicit-d2-b1-narrowed")
+    code, digest = verify_digest(tmp_path, capsys, family, "patterns-d2")
+    assert (code, digest) == (1, GOLDEN_NARROWED_D2)
