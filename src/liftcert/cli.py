@@ -15,9 +15,12 @@ JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
 certificate assignments) are held as columns of integer codes into tables
 of JSON texts (bitstring labels, rectangle indices, and distinct values
-coded by ``bitcore.value_codes``, as the dense CSV is), and are rendered by
-one gather per column from tables folded once per report; each report is
-joined once.
+coded by ``bitcore.value_codes``, as the dense CSV is).  All the lists of a
+report that share a layout and their tables (the 2^d certificates of a
+``covering verify`` report, one stack from construction on) are rendered
+together by one gather per column from tables folded once per report, with
+the text around each list folded into its first and last cells; each report
+is joined once.
 """
 
 from __future__ import annotations
@@ -228,41 +231,84 @@ def _value_column(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return codes, [json.dumps(v) for v in distinct]
 
 
-def _dumps(obj: object, chunks: list[str], folded: dict, depth: int = 0) -> list[str]:
-    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
-    ``chunks`` and return it; ``"".join(chunks)`` is the report.
+@functools.lru_cache(maxsize=None)
+def _row_layout(template: str, depth: int) -> tuple[str, list[str], str]:
+    """A _Rows list's text at ``depth``: its opening, the literal text after
+    each slot (after the last slot, the row separator too) and the text that
+    replaces that last one after its final row."""
+    pad = "\n" + "  " * (depth + 1)
+    literals = template.replace("\n", pad).split("%s")
+    tails = literals[1:-1] + [literals[-1] + "," + pad + literals[0]]
+    return "[" + pad + literals[0], tails, literals[-1] + pad[:-2] + "]"
 
-    Dicts and _Rows lists are laid out here.  A _Rows list is rendered by
-    table lookup: the template's literal text after each slot (and, after
-    the last slot, the row separator) is folded into that column's texts,
-    one gather per column fills a (rows, slots) array, and its strings join
-    the chunks, so no Python code runs per row.  ``folded`` keeps each folded
-    table by (id(texts), tail), so lists sharing a table fold it once."""
+
+def _walk(obj: object, depth: int, chunks: list[str], lists: list) -> None:
+    """Lay out ``obj`` at ``depth`` into ``chunks``; each non-empty _Rows list
+    is noted in ``lists`` with the number of chunks before it and its depth."""
     pad = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             chunks.append(("," if i else "{") + pad + json.dumps(str(key)) + ": ")
-            _dumps(obj[key], chunks, folded, depth + 1)
+            _walk(obj[key], depth + 1, chunks, lists)
         chunks.append(pad[:-2] + "}")
     elif isinstance(obj, _Rows) and len(obj.columns[0][0]):
-        literals = obj.template.replace("\n", pad).split("%s")
-        separator = "," + pad + literals[0]
-        tails = literals[1:-1] + [literals[-1] + separator]
-        cells = np.empty((len(obj.columns[0][0]), len(obj.columns)), dtype=object)
-        for j, ((codes, texts), tail) in enumerate(zip(obj.columns, tails)):
-            key = (id(texts), tail)
-            if key not in folded:
-                folded[key] = np.array([text + tail for text in texts], dtype=object)
-            cells[:, j] = folded[key][codes]
-        cells[-1, -1] = cells[-1, -1][:-len(separator)]
-        chunks.append("[" + pad + literals[0])
-        chunks += cells.ravel().tolist()
-        chunks.append(pad[:-2] + "]")
+        lists.append((len(chunks), obj, depth))
     elif isinstance(obj, _Rows):
         chunks.append("[]")
     else:
         chunks.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad[:-2]))
-    return chunks
+
+
+def _dumps(obj: object, folded: dict) -> list[str]:
+    """Pieces whose join is ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    Dicts and _Rows lists are laid out here.  Text outside the non-empty
+    _Rows lists goes in order into ``chunks``.  The lists that share a
+    template, a depth and their text tables form one group, whose cells (one
+    per slot of each row) are filled by one gather per column from the
+    column's texts with the slot's tail folded in, so no Python code runs per
+    row or per list.  The text before each list (keys, openings, ``null``
+    entries) is then folded into its first cell and its closing text into its
+    last, and the groups' cells are taken in document order.  ``folded``
+    keeps each folded table by (id(texts), tail), so lists sharing a table
+    fold it once."""
+    chunks: list[str] = []
+    lists: list[tuple[int, _Rows, int]] = []
+    _walk(obj, 0, chunks, lists)
+    groups: dict[tuple, list[_Rows]] = {}  # (template, depth, id of each table) -> lists
+    sizes: dict[tuple, int] = {}  # cells per group
+    placed = []  # (chunks before, group, first cell, end) of each list in document order
+    for before, rows, depth in lists:
+        group = (rows.template, depth, *(id(texts) for _, texts in rows.columns))
+        groups.setdefault(group, []).append(rows)
+        start = sizes.get(group, 0)
+        sizes[group] = start + len(rows.columns[0][0]) * len(rows.columns)
+        placed.append((before, group, start, sizes[group]))
+    cells = {}
+    for group, members in groups.items():
+        tails = _row_layout(*group[:2])[1]
+        block = np.empty((sizes[group] // len(tails), len(tails)), dtype=object)
+        for j, tail in enumerate(tails):
+            texts = members[0].columns[j][1]
+            if (id(texts), tail) not in folded:
+                folded[id(texts), tail] = np.array([text + tail for text in texts], dtype=object)
+            codes = np.concatenate([r.columns[j][0] for r in members])
+            block[:, j] = folded[id(texts), tail][codes]
+        cells[group] = block.ravel()
+    done = 0
+    for before, group, start, end in placed:
+        opening, tails, last = _row_layout(*group[:2])
+        flat = cells[group]
+        flat[start] = "".join(chunks[done:before]) + opening + flat[start]
+        flat[end - 1] = flat[end - 1][:-len(tails[-1])] + last
+        done = before
+    if len(cells) == 1:  # one group: its cells are every list's, in document order
+        pieces = next(iter(cells.values())).tolist()
+    else:
+        pieces = [piece for _, group, start, end in placed
+                  for piece in cells[group][start:end].tolist()]
+    pieces += chunks[done:]
+    return pieces
 
 
 def _emit(report: str | dict, args: argparse.Namespace) -> None:
@@ -272,9 +318,9 @@ def _emit(report: str | dict, args: argparse.Namespace) -> None:
     if isinstance(report, str):
         text = report if report.endswith("\n") else report + "\n"
     else:
-        chunks = _dumps(report, [], {})
-        chunks.append("\n")
-        text = "".join(chunks)
+        pieces = _dumps(report, {})
+        pieces.append("\n")
+        text = "".join(pieces)
     if args.out is None:
         sys.stdout.write(text)
         return

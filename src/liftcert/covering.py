@@ -32,11 +32,11 @@ rectangles per disjoint pair of width w.  Each rectangle owns its largest
 pair, the owned pairs being the disjoint pairs other than (0, 0), and every
 maximal certificate keeps the owned pairs except along one chain of levels.
 
-Immutable objects are built once: the recursive family once per width (a
-family file listing its rectangles gets the same rectangle objects), and per
-family one pair table, from which the matcher's key -> rectangles adjacency
-and the one-array check of all 2^d certificates read containment.  Family
-JSON is read and written through width-d label tables.
+Immutable objects are built once: per width the recursive family and its
+read-only certificate stack (re-validated on every use), and per family the
+matcher's key -> rectangles adjacency and the row and column membership tables
+that the one-array check of all 2^d certificates reads.  Family JSON is read
+and written through width-d label tables.
 
 The induction check (``induction_block``, on a stack of matrices) splits
 each matrix into 2^d x 2^d blocks indexed by width-d prefixes, aggregates
@@ -133,23 +133,23 @@ class CoveringFamily:
         return len(self.rectangles)
 
     @cached_property
-    def _pair_codes(self) -> np.ndarray:
-        """The pair -> containing-rectangles table, built once per family: the
-        sorted codes key * k + i of each pair key x << d | y of each rectangle
-        i, so a key's rectangles are consecutive and in family order."""
-        d, k = self.d, self.k
-        codes = [(x << d | y) * k + i for i, r in enumerate(self.rectangles)
-                 for x in r.rows for y in r.cols]
-        return np.sort(np.array(codes, dtype=np.int64))
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Each pair key x << d | y's rectangles, in family order, built once."""
+        adjacency: dict[int, list[int]] = {}
+        for i, r in enumerate(self.rectangles):
+            for key in (x << self.d | y for x in r.rows for y in r.cols):
+                adjacency.setdefault(key, []).append(i)
+        return adjacency
 
     @cached_property
-    def _adjacency(self) -> dict[int, list[int]]:
-        """Each pair key's rectangles, in family order, from the pair table."""
-        k = max(self.k, 1)
-        keys, first = np.unique(self._pair_codes // k, return_index=True)
-        rects, first = (self._pair_codes % k).tolist(), first.tolist()
-        return {key: rects[lo:hi] for key, lo, hi in
-                zip(keys.tolist(), first, first[1:] + [len(rects)])}
+    def _members(self) -> np.ndarray:
+        """Read-only (2, k, 2^d) tables, built once: x in rows_i at [0, i, x], y in
+        cols_i at [1, i, y].  R_i is a product set: (x, y) is in it when both are."""
+        member = np.zeros((2, self.k, 1 << self.d), dtype=bool)
+        for i, r in enumerate(self.rectangles):
+            member[0, i, list(r.rows)] = member[1, i, list(r.cols)] = True
+        member.setflags(write=False)
+        return member
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,15 @@ def maximal_support(d: int, alpha: BitString) -> set[Pair]:
 
 
 def recursive_certificates(d: int) -> np.ndarray:
-    """The (2^d, 3^d - 1, 3) stack of (x, y, i) rows in lex order whose alpha-th
-    entry certifies maximal_support(d, alpha) in recursive_covering(d): rectangle i
-    takes its own pair (rows[-1], cols[-1]), except that for w < d the owner of the
-    antidiagonal pair of alpha's low w + 1 bits takes that of its low w bits."""
+    """The (2^d, 3^d - 1, 3) stack of (x, y, i) rows in lex order whose alpha-th entry
+    certifies maximal_support(d, alpha) in recursive_covering(d): rectangle i takes its
+    own pair (rows[-1], cols[-1]), except that for w < d the owner of the antidiagonal
+    pair of alpha's low w + 1 bits takes that of its low w bits.  Built once, read-only."""
+    return _recursive_certificates(d)
+
+
+@lru_cache(maxsize=None)
+def _recursive_certificates(d: int) -> np.ndarray:
     owned = np.array([r.rows[-1] << d | r.cols[-1] for r in recursive_covering(d).rectangles])
     owner = np.zeros(1 << 2 * d, dtype=np.int64)
     owner[owned] = np.arange(len(owned))
@@ -312,39 +317,39 @@ def recursive_certificates(d: int) -> np.ndarray:
     keys = disjoint[np.nonzero(disjoint != chain[:, -1:])[1]].reshape(1 << d, -1)
     index = owner[keys]  # chain keys lie below the dropped key: same rank as in D
     index[alpha, np.searchsorted(disjoint, chain[:, :-1])] = owner[chain[:, 1:]]
-    return np.stack([keys >> d, keys & ((1 << d) - 1), index], axis=-1)
+    stack = np.stack([keys >> d, keys & ((1 << d) - 1), index], axis=-1)
+    stack.setflags(write=False)
+    return stack
 
 
 def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> None:
-    """ValueError unless the (x, y, i) rows of each alpha certify
-    maximal_support(d, alpha): distinct indices in range, keys x << d | y the
-    3^d - 1 disjoint pairs but (alpha, complement), with alpha in [0, 2^d),
-    each pair in its rectangle by the family's pair table.  All alphas are checked as one array, by
-    counting each alpha's uses of every index and every disjoint pair; the
-    error names the first failing alpha and its first failing check."""
-    d, k, m = family.d, family.k, 3**family.d
+    """ValueError unless the (x, y, i) rows of each alpha certify maximal_support(d,
+    alpha): distinct indices in [0, k), keys x << d | y the 3^d - 1 disjoint pairs but
+    (alpha, complement) for alpha in [0, 2^d), each pair in its rectangle (membership
+    tables).  One array check counts each alpha's uses of every index and disjoint pair;
+    the error names the first failing alpha and its first failing check."""
     alphas = list(assignments)
-    a = len(alphas)
+    d, k, m, a = family.d, family.k, 3**family.d, len(alphas)
     blocks = [np.asarray(rows, dtype=np.int64).reshape(-1, 3) for rows in assignments.values()]
     group = np.repeat(np.arange(a), [len(b) for b in blocks])
-    x, y, i = np.concatenate(blocks + [np.empty((0, 3), dtype=np.int64)]).T
-    keys, bad = x << d | y, np.zeros((3, a), dtype=bool)
-    ok = (0 <= i) & (i < k)
-    count = np.bincount(group[ok] * k + i[ok], minlength=a * k).reshape(a, k)
+    x, y, i = np.concatenate([b.T for b in blocks] + [np.empty((3, 0), dtype=np.int64)], axis=1)
+    bad, indexed = np.zeros((3, a), dtype=bool), (0 <= i) & (i < k)
+    count = np.bincount(group[indexed] * k + i[indexed], minlength=a * k).reshape(a, k)
     bad[0] = (count > 1).any(axis=1)
-    bad[0, group[~ok]] = True
+    bad[0, group[~indexed]] = True
     ok = ((x | y) >> d == 0) & (x & y == 0)
     slot = np.cumsum(intersection_table(d).ravel() == 0) - 1  # rank of each disjoint key
-    count = np.bincount(group[ok] * m + slot[keys[ok]], minlength=a * m).reshape(a, m)
+    count = np.bincount(group[ok] * m + slot[(x << d | y)[ok]], minlength=a * m).reshape(a, m)
     alpha = np.array(alphas, dtype=np.int64)
     (inside,) = np.nonzero((0 <= alpha) & (alpha < 1 << d))  # others have no maximal support
     # with its antidiagonal pair added, an alpha's pairs are each disjoint pair once
     count[inside, slot[alpha[inside] << d | ((1 << d) - 1 - alpha[inside])]] += 1
     bad[1] = (count != 1).any(axis=1)
     bad[1, group[~ok]] = True
-    code, table = keys * k + i, family._pair_codes
-    outside = np.searchsorted(table, code, side="right") == np.searchsorted(table, code)
-    bad[2, group[outside]] = True
+    del count  # not held through the lookups below
+    ok &= indexed  # only rows in range are looked up: no index wraps
+    rows, cols, at = *family._members.reshape(2, -1), i[ok] << d  # flat (i, value) index
+    bad[2, group[ok][~(rows[at | x[ok]] & cols[at | y[ok]])]] = True
     failing = np.flatnonzero(bad.any(axis=0))
     if failing.size:
         first = failing[0]
@@ -365,7 +370,7 @@ def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray
     recursive = recursive_covering(d)
     if family.rectangles == recursive.rectangles:
         out = dict(enumerate(recursive_certificates(d)))
-        check_maximal_assignments(recursive, out)  # same rectangles, pair table kept
+        check_maximal_assignments(recursive, out)  # same rectangles, tables kept
         return out
     keys = np.flatnonzero(intersection_table(d) == 0)
     adjacency = [family._adjacency.get(key, ()) for key in keys.tolist()]
@@ -540,38 +545,33 @@ def _labels(d: int) -> Mapping[str, int]:
 
 
 def family_to_json(family: CoveringFamily) -> str:
+    """``json.dumps`` of the family with sorted keys, from the quoted labels."""
     d = family.d
-    text = list(_labels(d)) if 0 <= d <= MAX_COVER_D else None
-    rects = [{side: [str(BitString(d, v)) if text is None else text[v]
-                     for v in getattr(r, side)] for side in ("rows", "cols")}
-             for r in family.rectangles]
-    obj = {"d": d, "label": family.label, "rectangles": rects}
-    return json.dumps(obj, sort_keys=True)
-
-
-def _json_strings(obj: object, key: str, where: str) -> list[str]:
-    value = _json_field(obj, key, list, where)
-    if not all(isinstance(s, str) for s in value):
-        raise ValueError(f'{where} field "{key}" is not a list of strings')
-    return value
+    quoted = (['"%s"' % s for s in _labels(d)] if 0 <= d <= MAX_COVER_D else
+              {v: '"%s"' % BitString(d, v) for r in family.rectangles for v in r.rows + r.cols})
+    rects = ", ".join(['{"cols": [%s], "rows": [%s]}' % tuple(", ".join([quoted[v] for v in side])
+                       for side in (r.cols, r.rows)) for r in family.rectangles])
+    return f'{{"d": {json.dumps(d)}, "label": {json.dumps(family.label)}, "rectangles": [{rects}]}}'
 
 
 def family_from_json(text: str) -> CoveringFamily:
-    """Parse and re-validate (fields, widths, disjointness) a rectangle family;
-    a missing or ill-typed field raises ValueError naming it.  Strings are
-    looked up in the width-d label table; a rectangle with any other string
-    is parsed by ``Rectangle.from_text``, which names the fault."""
+    """Parse and re-validate (fields, widths, disjointness) a rectangle family, its
+    strings looked up in the width-d label table; a fault raises ValueError naming it."""
     obj = _json_load(text, "family")
     d = _json_field(obj, "d", int, "family")
     values = _labels(d) if 0 <= d <= MAX_COVER_D else {}
     rects = []
-    for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
-        rows, cols = (_json_strings(r, key, f"rectangle {i}") for key in ("rows", "cols"))
-        try:
-            rects.append(_rectangle(d, tuple([values[s] for s in rows]),
-                                    tuple([values[s] for s in cols])))
-        except KeyError:
-            rects.append(Rectangle.from_text(d, rows, cols))
+    for j, r in enumerate(_json_field(obj, "rectangles", list, "family")):
+        sides = (r.get("rows"), r.get("cols")) if type(r) is dict else (None, None)
+        try:  # two lists of width-d labels
+            if type(sides[0]) is not list or type(sides[1]) is not list:
+                raise TypeError
+            rects.append(_rectangle(d, *(tuple([values[s] for s in side]) for side in sides)))
+        except (KeyError, TypeError):  # else name the fault: fields, strings, then labels
+            for key in ("rows", "cols"):
+                if not all(isinstance(s, str) for s in _json_field(r, key, list, f"rectangle {j}")):
+                    raise ValueError(f'rectangle {j} field "{key}" is not a list of strings')
+            rects.append(Rectangle.from_text(d, r["rows"], r["cols"]))
     label = _json_field({"label": "", **obj}, "label", str, "family")  # "" if absent
     return CoveringFamily(d, tuple(rects), label)
 

@@ -205,7 +205,7 @@ def both_layouts(failures: list) -> tuple[dict, dict]:
 ], ids=["no-failures", "failures"])
 def test_row_renderer_matches_indent_encoder(failures):
     rows, plain = both_layouts(failures)
-    assert "".join(_dumps(rows, [], {})) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(rows, {})) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 def test_shared_tables_fold_once_per_tail():
@@ -223,7 +223,7 @@ def test_shared_tables_fold_once_per_tail():
              "b": {"assignment": [[["0", "0"], 1]]},
              "c": {"deeper": {"assignment": [[["1", "0"], 0]]}}}
     folded = {}
-    assert "".join(_dumps(obj, [], folded)) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(obj, folded)) == json.dumps(plain, indent=2, sort_keys=True)
     assert len(folded) == 6  # three tails at each of two depths
 
 
@@ -239,7 +239,7 @@ def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[
         plain = [[a, b, c] for a, b, c in zip(x, y, values.tolist())]
     for depth, key in enumerate(keys):
         obj, plain = {key: obj, key + "~": depth}, {key: plain, key + "~": depth}
-    assert "".join(_dumps(obj, [], {})) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(obj, {})) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("template", [PAIR_ROW, ENTRY_ROW], ids=["pair", "entry"])
@@ -263,14 +263,44 @@ ROW_VALUES = {
 }
 
 
+def draw_document(data, depth: int, labels: list, values: list) -> tuple[dict, dict]:
+    """A dict at ``depth`` of None, integers, row lists (either template, empty
+    or not, every list coded into the same label and value tables) and, down
+    to depth 3, nested dicts; and the same dict with the lists written out."""
+    label_texts, value_texts = [json.dumps(x) for x in labels], [json.dumps(v) for v in values]
+    obj, plain = {}, {}
+    for key in data.draw(st.lists(st.text(max_size=3), max_size=4, unique=True)):
+        kind = data.draw(st.sampled_from(["none", "int", "rows", "dict"][:4 if depth < 3 else 3]))
+        if kind == "rows":
+            template = data.draw(st.sampled_from([PAIR_ROW, ENTRY_ROW]))
+            codes = data.draw(st.lists(st.tuples(st.integers(0, len(labels) - 1),
+                                                 st.integers(0, len(labels) - 1),
+                                                 st.integers(0, len(values) - 1)), max_size=6))
+            x, y, v = (np.array(column, dtype=np.int64).reshape(-1)
+                       for column in (zip(*codes) if codes else ([], [], [])))
+            obj[key] = _Rows(template, [(x, label_texts), (y, label_texts), (v, value_texts)])
+            shape = ((lambda a, b, c: [[a, b], c]) if template == PAIR_ROW else
+                     (lambda a, b, c: [a, b, c]))
+            plain[key] = [shape(labels[a], labels[b], values[c]) for a, b, c in codes]
+        elif kind == "dict":
+            obj[key], plain[key] = draw_document(data, depth + 1, labels, values)
+        else:
+            obj[key] = plain[key] = None if kind == "none" else data.draw(st.integers(-9, 9))
+    return obj, plain
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([PAIR_ROW, ENTRY_ROW]), st.sampled_from(sorted(ROW_VALUES)),
        st.lists(st.text(max_size=3), max_size=4))
 def test_random_row_lists_render_as_indent_encoder(data, template, dtype, keys):
-    labels = st.sampled_from(data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=4)))
-    values = st.sampled_from(data.draw(st.lists(ROW_VALUES[dtype], min_size=1, max_size=5)))
-    rows = data.draw(st.lists(st.tuples(labels, labels, values), max_size=12))
+    labels = data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=4))
+    values = data.draw(st.lists(ROW_VALUES[dtype], min_size=1, max_size=5))
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                                        st.sampled_from(values)), max_size=12))
     assert_rows_render(template, rows, dtype, keys)
+    # several lists sharing their tables, with None values and empty lists, at depths 0-3
+    obj, plain = draw_document(data, 0, labels, values)
+    assert "".join(_dumps(obj, {})) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 class TestAtomSample:
@@ -444,6 +474,10 @@ class TestInductionCommand:
         pytest.param("{}", '"d"', id="empty-object"),
         pytest.param('{"d": 1, "rectangles": [{"rows": ["0"]}]}', '"cols"',
                      id="rectangle-without-cols"),
+        pytest.param('{"d": 1, "rectangles": [{"rows": "0", "cols": ["1"]}]}', '"rows"',
+                     id="rows-a-string-of-labels"),
+        pytest.param('{"d": 1, "rectangles": [{"rows": ["0"], "cols": {"1": 0}}]}', '"cols"',
+                     id="cols-an-object-of-labels"),
         pytest.param("[]", "family is not a JSON object", id="top-level-list"),
         pytest.param('{"d": 1, "label": 5, "rectangles": []}', '"label"', id="label-int"),
         pytest.param('{"d": 1, "label": null, "rectangles": []}', '"label"', id="label-null"),

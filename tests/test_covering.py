@@ -362,6 +362,22 @@ class TestRecursiveCertificates:
         with pytest.raises(ValueError):
             recursive_certificates(d)
 
+    def test_built_once_and_read_only(self):
+        stack, family = recursive_certificates(3), recursive_covering(3)
+        assert recursive_certificates(3) is stack
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 2] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            maximal_assignments(family)[0b101][0, 2] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            family._members[0, 0, 0] = True
+
+    def test_every_call_revalidates(self, monkeypatch):
+        checked = spy(monkeypatch, "check_maximal_assignments")
+        family = family_from_json(family_to_json(recursive_covering(4)))
+        assert maximal_assignments(family).keys() == maximal_assignments(family).keys()
+        assert len(checked) == 2
+
 
 class TestMaximalRouting:
     def test_relabelled_recursive_family_is_constructed(self, monkeypatch):
@@ -580,6 +596,9 @@ CERTIFICATE_MUTATIONS = {
     "antidiagonal-pair": lambda rows, alpha: rows.__setitem__((0, slice(0, 2)),
                                                              (alpha, alpha ^ 0b111)),
     "pair-outside-width": lambda rows, alpha: rows.__setitem__((0, 1), rows[0, 1] + 8),
+    # x = 2^d and y = -1: rows out of range are never looked up, so no index wraps
+    "x-at-2^d": lambda rows, alpha: rows.__setitem__((0, 0), 8),
+    "y-below-zero": lambda rows, alpha: rows.__setitem__((-1, 1), -1),
     "indices-swapped": lambda rows, alpha: rows.__setitem__(([0, 1], 2), rows[[1, 0], 2]),
 }
 
@@ -847,6 +866,21 @@ class TestInduction:
                 assert rep.aggregates_are_atoms == all(is_atom_pattern(p, eps) for p in parts)
 
 
+def reference_json_strings(obj: object, key: str, where: str) -> list[str]:
+    value = _json_field(obj, key, list, where)
+    if not all(isinstance(s, str) for s in value):
+        raise ValueError(f'{where} field "{key}" is not a list of strings')
+    return value
+
+
+def reference_family_to_json(family: CoveringFamily) -> str:
+    """The family writer as it was before the quoted label tables."""
+    rects = [{side: [str(BitString(family.d, v)) for v in getattr(r, side)]
+              for side in ("rows", "cols")} for r in family.rectangles]
+    return json.dumps({"d": family.d, "label": family.label, "rectangles": rects},
+                      sort_keys=True)
+
+
 def reference_family_from_json(text: str) -> CoveringFamily:
     """The family reader as it was before the label tables: one
     ``Rectangle.from_text`` (one ``BitString`` per string) per rectangle."""
@@ -854,7 +888,7 @@ def reference_family_from_json(text: str) -> CoveringFamily:
     d = _json_field(obj, "d", int, "family")
     rects = []
     for i, r in enumerate(_json_field(obj, "rectangles", list, "family")):
-        rows, cols = (covering._json_strings(r, key, f"rectangle {i}")
+        rows, cols = (reference_json_strings(r, key, f"rectangle {i}")
                       for key in ("rows", "cols"))
         rects.append(Rectangle.from_text(d, rows, cols))
     label = _json_field({"label": "", **obj}, "label", str, "family")
@@ -877,7 +911,8 @@ NON_STRINGS = [1, None, True, 0.0, ["0"], {"0": 1}]
 
 def draw_family_json(data) -> str:
     """A family file of width d in 0..7 whose strings are mostly width-d
-    labels, some corrupted (wrong width, foreign characters, non-strings)."""
+    labels, some corrupted (wrong width, foreign characters, non-strings), and
+    whose sides are lists but for a few strings or objects of labels."""
     d = data.draw(st.integers(0, 7))
     labels = [format(v, f"0{d}b") if d else "" for v in range(1 << min(d, 4))]
 
@@ -889,6 +924,10 @@ def draw_family_json(data) -> str:
             return data.draw(st.sampled_from([labels[0][1:], "0" + labels[0], "1" + labels[0]]))
         return data.draw(st.sampled_from(free))
 
+    def side(strings: list) -> object:  # mostly a list; else its labels joined or keyed
+        kind = data.draw(st.integers(0, 19))
+        return {0: "".join(strings), 1: dict.fromkeys(strings, 0)}.get(kind, strings)
+
     rects = []
     for _ in range(data.draw(st.integers(0, 4))):
         rows = [string(labels) for _ in range(data.draw(st.integers(0, 3)))]
@@ -897,8 +936,10 @@ def draw_family_json(data) -> str:
             if isinstance(x, str) and x in labels:
                 mask |= int(x, 2) if x else 0
         free = [y for y in labels if not (int(y, 2) if y else 0) & mask] or labels
-        rects.append({"rows": rows, "cols": [string(free) for _ in range(
-            data.draw(st.integers(0, 3)))]})
+        cols = [string(free) for _ in range(data.draw(st.integers(0, 3)))]
+        if all(isinstance(x, str) for x in rows + cols):
+            rows, cols = side(rows), side(cols)
+        rects.append({"rows": rows, "cols": cols})
     return json.dumps({"d": d, "label": data.draw(st.sampled_from(["", "x"])),
                        "rectangles": rects}, ensure_ascii=False)
 
@@ -926,6 +967,26 @@ class TestSerialization:
         again = family_from_json(text)
         assert family_to_json(again) == text
         assert again == make()
+
+    @given(st.data())
+    def test_family_writer_writes_as_json_dumps(self, data):
+        d = data.draw(st.integers(1, 4))
+        family = CoveringFamily(d, draw_family(data, d).rectangles,
+                                label=data.draw(st.text(max_size=4)))
+        assert family_to_json(family) == reference_family_to_json(family)
+
+    @pytest.mark.parametrize("family", [
+        CoveringFamily(0, (Rectangle(0, (0,), (0,)),), label="width 0"),
+        CoveringFamily(7, (Rectangle(7, (1,), (2, 4)),), label="width 7"),
+        CoveringFamily(2, explicit_covering_d2().rectangles,
+                       label='a "quoted" \\ label, \u00e9 \u2713 \U0001d11e'),
+    ], ids=["d0", "d7", "quotes-backslash-non-ascii"])
+    def test_family_round_trip_at_other_widths_and_labels(self, family):
+        text = family_to_json(family)
+        assert text == reference_family_to_json(family)
+        again = family_from_json(text)
+        assert (again, again.label) == (family, family.label)
+        assert family_to_json(again) == text
 
     def test_family_revalidates_on_load(self):
         bad = '{"d": 1, "label": "x", "rectangles": [{"rows": ["1"], "cols": ["1"]}]}'

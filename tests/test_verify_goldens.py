@@ -17,6 +17,7 @@ from liftcert.covering import (
     CoveringFamily,
     Rectangle,
     explicit_covering_d2,
+    family_from_json,
     family_to_json,
     recursive_covering,
 )
@@ -69,6 +70,18 @@ def test_recursive_build_output(capsys, d):
 
 def test_explicit_d2_build_output(capsys):
     assert build_digest(capsys, "--d", "2", "--explicit-d2") == (0, GOLDEN_BUILD_EXPLICIT_D2)
+
+
+@pytest.mark.parametrize("flags, golden", [
+    *((("--d", str(d)), GOLDEN_BUILD_RECURSIVE[d]) for d in range(1, 7)),
+    (("--d", "2", "--explicit-d2"), GOLDEN_BUILD_EXPLICIT_D2),
+], ids=[*(f"d{d}" for d in range(1, 7)), "explicit-d2"])
+def test_pinned_build_output_round_trips(capsys, flags, golden):
+    main(["covering", "build", *flags])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+    text = out.removesuffix("\n")
+    assert family_to_json(family_from_json(text)) == text
 
 
 def verify_digest(tmp_path, capsys, family: CoveringFamily, mode: str) -> tuple[int, str]:
