@@ -13,12 +13,15 @@ The central object is UDISJ(n), the 2^n x 2^n matrix with entry
 val(UDISJ(n)) = 3^n.
 
 At the text boundary ``value_codes`` codes a matrix's values into its few
-distinct ones, so each is rendered once and a gather fills the dense CSV.
+distinct ones.  The dense CSV renders each run of four of them once, when
+that makes no more texts than the matrix has runs, and a gather fills the
+runs; otherwise runs are single cells.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -228,15 +231,30 @@ def value_codes(values: np.ndarray) -> tuple[np.ndarray, list]:
     return np.searchsorted(distinct, bits), distinct.view(values.dtype).tolist()
 
 
+def _csv_run(side: int, k: int) -> int:
+    """Cells per CSV piece for rows of ``side`` cells over ``k`` distinct
+    values: 4 when 4 divides a row and the k^4 texts of a run number no more
+    than the runs, else 1."""
+    return 4 if side % 4 == 0 and k**4 <= side * side // 4 else 1
+
+
 def matrix_to_csv(m: SupportMatrix) -> str:
-    """Dense CSV with lex-ordered bitstring headers: each distinct value's
-    ``repr`` is made once, one gather fills the cells, and one join ends it."""
+    """Dense CSV with lex-ordered bitstring headers.  Each run of
+    ``_csv_run`` cells is one piece: the texts of every run of distinct
+    values are made once (``itertools.product`` order, so a run's code is
+    the base-k number of its value codes), one gather fills the pieces, and
+    one join ends it."""
     labels = [str(s) for s in all_strings(m.n)]
     codes, distinct = value_codes(m.values)
-    cells = np.empty((len(labels), len(labels) + 1), dtype=object)
-    cells[:, 0] = ["\n" + label for label in labels]
-    cells[:, 1:] = np.array(["," + repr(v) for v in distinct], dtype=object)[codes]
-    return "," + ",".join(labels) + "".join(cells.ravel().tolist()) + "\n"
+    side, k = len(labels), len(distinct)
+    run = _csv_run(side, k)
+    texts = ["".join(cells) for cells in
+             itertools.product(["," + repr(v) for v in distinct], repeat=run)]
+    runs = codes.reshape(side, side // run, run) @ k ** np.arange(run - 1, -1, -1)
+    pieces = np.empty((side, side // run + 1), dtype=object)
+    pieces[:, 0] = ["\n" + label for label in labels]
+    pieces[:, 1:] = np.array(texts, dtype=object)[runs]
+    return "," + ",".join(labels) + "".join(pieces.ravel().tolist()) + "\n"
 
 
 def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:

@@ -19,8 +19,9 @@ coded by ``bitcore.value_codes``, as the dense CSV is).  All the lists of a
 report that share a layout and their tables (the 2^d certificates of a
 ``covering verify`` report, one stack from construction on) are rendered
 together by one gather per column from tables folded once per report, with
-the text around each list folded into its first and last cells; each report
-is joined once.
+the text around each list folded into its first and last cells.  A report
+goes to stdout joined once, and to an ``--out`` file joined and written in
+slices of ``_WRITE_SLICE`` pieces, so no report-sized text is built there.
 """
 
 from __future__ import annotations
@@ -311,25 +312,34 @@ def _dumps(obj: object, folded: dict) -> list[str]:
     return pieces
 
 
+#: Pieces joined per write to an ``--out`` file (about 0.4 MB of udisj
+#: text): no report-sized str or bytes is built, and writes stay few.
+_WRITE_SLICE = 1 << 14
+
+
 def _emit(report: str | dict, args: argparse.Namespace) -> None:
     """Write a text report, or a dict laid out by ``_dumps`` (folded tables
-    kept for this report only) and joined once, to stdout or to ``--out`` (a
-    relative path is taken under $LIFTCERT_OUT_DIR when set)."""
+    kept for this report only), to stdout as one joined text, or to
+    ``--out`` (a relative path is taken under $LIFTCERT_OUT_DIR when set)
+    in slices of ``_WRITE_SLICE`` pieces, with ``Path.write_text``'s mode
+    and encoding: the file is truncated, and a link is written through."""
     if isinstance(report, str):
-        text = report if report.endswith("\n") else report + "\n"
+        pieces = [report if report.endswith("\n") else report + "\n"]
     else:
         pieces = _dumps(report, {})
         pieces.append("\n")
-        text = "".join(pieces)
     if args.out is None:
-        sys.stdout.write(text)
+        # one write: a StringIO stdout keeps that str without a copy
+        sys.stdout.write("".join(pieces))
         return
     target = Path(args.out)
     base = os.environ.get(OUT_DIR_ENV)
     if base and not target.is_absolute():
         target = Path(base) / target
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text)
+    with target.open("w") as out:
+        for start in range(0, len(pieces), _WRITE_SLICE):
+            out.write("".join(pieces[start:start + _WRITE_SLICE]))
 
 
 def _cmd_udisj(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcert import bitcore
 from liftcert.bitcore import (
     MAX_DENSE_N,
     BitString,
@@ -317,6 +318,49 @@ def csv_matrices(draw) -> SupportMatrix:
     pool = draw(st.lists(CSV_VALUES[dtype], min_size=1, max_size=6))
     entries = draw(st.lists(st.sampled_from(pool), min_size=4**n, max_size=4**n))
     return SupportMatrix(n, np.array(entries, dtype=dtype).reshape(1 << n, 1 << n))
+
+
+def csv_runs(monkeypatch) -> list[int]:
+    """The run length of each ``matrix_to_csv`` call made after this."""
+    runs, real = [], bitcore._csv_run
+
+    def spy(side: int, k: int) -> int:
+        runs.append(real(side, k))
+        return runs[-1]
+
+    monkeypatch.setattr(bitcore, "_csv_run", spy)
+    return runs
+
+
+class TestCsvRuns:
+    """Four cells per piece once the k^4 run texts are no more than the runs."""
+
+    @pytest.mark.parametrize("n, run", [(6, 1), (7, 4), (8, 4), (9, 4), (10, 4)])
+    def test_udisj(self, monkeypatch, n, run):
+        # UDISJ(n) has k = n distinct values at n >= 2: 6^4 = 1,296 exceeds
+        # the 1,024 runs of n = 6, while 7^4 = 2,401 fits in 4,096.
+        runs = csv_runs(monkeypatch)
+        m = udisj(n)
+        assert matrix_to_csv(m) == reference_csv(m)
+        assert runs == [run]
+
+    def test_many_distinct_floats_take_runs_of_one(self, monkeypatch):
+        runs = csv_runs(monkeypatch)
+        pool = np.linspace(0.0, 1.0, 23) ** 3 / 7
+        m = SupportMatrix(7, np.random.default_rng(5).choice(pool, size=(128, 128)))
+        assert len(value_codes(m.values)[1]) == 23
+        assert matrix_to_csv(m) == reference_csv(m)
+        assert runs == [1]
+
+    def test_run_of_four_keeps_both_signed_zeros(self, monkeypatch):
+        runs = csv_runs(monkeypatch)
+        values = np.random.default_rng(6).choice([-0.0, 0.0, 0.5, 5e-324], size=(128, 128))
+        values[0, :4] = [-0.0, 0.0, 0.0, -0.0]
+        m = SupportMatrix(7, values)
+        text = matrix_to_csv(m)
+        assert text == reference_csv(m)
+        assert text.splitlines()[1].startswith("0000000,-0.0,0.0,0.0,-0.0,")
+        assert runs == [4]
 
 
 class TestEmission:

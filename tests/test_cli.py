@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert import covering
+from liftcert import cli, covering
 from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, _value_column, main
 from liftcert.covering import (
     MAX_COVER_D,
@@ -529,6 +529,48 @@ class TestDeterminism:
                           "--out", "fam.json")
         assert code == 0
         assert (tmp_path / "fam.json").exists()
+
+
+class TestOutFile:
+    """``--out`` writes the stdout bytes in slices, with ``Path.write_text``'s
+    file semantics."""
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 3, 7])
+    def test_any_slice_size_writes_the_stdout_bytes(self, tmp_path, capsys, monkeypatch,
+                                                    slice_size):
+        fam_file, target = tmp_path / "family.json", tmp_path / "report"
+        fam_file.write_text(family_to_json(recursive_covering(3)))
+        monkeypatch.setattr(cli, "_WRITE_SLICE", slice_size)
+        for argv in (["udisj", "--n", "3"],
+                     ["covering", "verify", "--family", str(fam_file)],
+                     ["covering", "build", "--d", "2"],
+                     ["bound", "--n", "6", "--d", "2", "--format", "text"]):
+            code, out = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
+            assert target.read_bytes() == out.encode()
+
+    def test_longer_file_is_truncated(self, tmp_path, capsys):
+        target = tmp_path / "report"
+        target.write_text("x" * 100_000)
+        _, out = run_cli(capsys, "bound", "--n", "4", "--d", "1")
+        assert run_cli(capsys, "bound", "--n", "4", "--d", "1", "--out", str(target)) == (0, "")
+        assert target.read_text() == out
+
+    def test_links_are_written_through(self, tmp_path, capsys):
+        target, link, hard = tmp_path / "target", tmp_path / "link", tmp_path / "hard"
+        target.write_text("stale\n" * 1000)
+        link.symlink_to(target)
+        hard.hardlink_to(target)
+        _, out = run_cli(capsys, "udisj", "--n", "2")
+        assert run_cli(capsys, "udisj", "--n", "2", "--out", str(link)) == (0, "")
+        assert link.is_symlink() and target.read_text() == out and hard.read_text() == out
+
+    def test_dev_null(self, capsys):
+        assert run_cli(capsys, "udisj", "--n", "3", "--out", "/dev/null") == (0, "")
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        code, err = run_cli_error(capsys, "udisj", "--n", "3", "--out", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_shared_parser_survives_errors_and_help(capsys):

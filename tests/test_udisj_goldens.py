@@ -5,7 +5,9 @@ digests pin the matrix formats byte for byte: the JSON entry list (order,
 labels, integer values), the dense CSV with its headers, and the text
 report's val line.  n = 10 is the dense cap: 851,746 entries, with
 two-digit values up to 81.  At ``--epsilon 0.5`` the threshold hides the
-1-entries, so val falls short of 3^n and the report exits 1.
+1-entries, so val falls short of 3^n and the report exits 1.  The n = 4, 9
+and 10 cases are also written through ``--out``, whose file must hash to the
+same digest.
 """
 
 from __future__ import annotations
@@ -68,3 +70,15 @@ def test_udisj_report(capsys, invocation, exit_code, digest):
     code = cli.main(invocation.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+OUT_CASES = [c for c in CASES if c[0].split()[2] in ("4", "9", "10")]
+
+
+@pytest.mark.parametrize("invocation, exit_code, digest", OUT_CASES,
+                         ids=[c[0].replace(" ", "_") for c in OUT_CASES])
+def test_udisj_report_through_out(tmp_path, capsys, invocation, exit_code, digest):
+    target = tmp_path / "report"
+    code = cli.main([*invocation.split(), "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    assert (code, hashlib.sha256(target.read_bytes()).hexdigest()) == (exit_code, digest)

@@ -98,6 +98,18 @@ def test_recursive_maximal_reports(tmp_path, capsys, d):
     assert (code, digest) == (0, GOLDEN_MAXIMAL_RECURSIVE[d])
 
 
+def test_recursive_d6_report_through_out(tmp_path, capsys):
+    """The d = 6 report is about 140,000 pieces, so its file is written in
+    several slices; the file hashes to the stdout digest."""
+    fam_file, target = tmp_path / "family.json", tmp_path / "report.json"
+    fam_file.write_text(family_to_json(recursive_covering(6)))
+    code = main(["covering", "verify", "--family", str(fam_file), "--mode", "maximal",
+                 "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert (code, digest) == (0, GOLDEN_MAXIMAL_RECURSIVE[6])
+
+
 @pytest.mark.parametrize("mode, exit_code", [("maximal", 1), ("patterns-d2", 0)])
 def test_explicit_d2_reports(tmp_path, capsys, mode, exit_code):
     code, digest = verify_digest(tmp_path, capsys, explicit_covering_d2(), mode)
