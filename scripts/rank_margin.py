@@ -5,9 +5,10 @@ Every rank the oracles decide counts the singular values above RANK_TOL
 times the largest.  For seeded blocks at n = d = 2..max-d this prints, for
 the witness chain [V_{e_1} ... V_{e_i}] (both sampling directions) and for
 the null-space SVD of the constrained side (each string's partners placed
-side by side), the largest singular-value ratio cut as zero and the smallest
-one kept.  By-construction zeros carry only rounding noise and should sit
-far below RANK_TOL, every genuine ratio far above it.
+side by side, reduced to d x d by one QR as the library reduces them), the
+largest singular-value ratio cut as zero and the smallest one kept.
+By-construction zeros carry only rounding noise and should sit far below
+RANK_TOL, every genuine ratio far above it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from liftcert.atoms import _partner_factors, block_size, sample_block
-from liftcert.linalg import RANK_TOL, _prefixes
+from liftcert.linalg import RANK_TOL, _prefixes, _reduced
 
 
 def relative_singular_values(x: np.ndarray, top_axes: tuple[int, ...]) -> np.ndarray:
@@ -43,7 +44,7 @@ def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
             found["chain"].append(relative_singular_values(chains, (-2, -1)))
             if direction == "v-first":  # the free side is the same either way
                 found["null space"].append(
-                    relative_singular_values(_partner_factors(v), (-1,)))
+                    relative_singular_values(_reduced(_partner_factors(v)), (-1,)))
     out = {}
     for kind, parts in found.items():
         ratios = np.concatenate(parts)

@@ -13,13 +13,15 @@ The sampler constructs such factorizations directly: one side is drawn at
 random, and each matrix on the other side is built inside the intersection of
 the kernels of its intersection-one partners, so the required zeros hold by
 construction (numerically they land many orders below the classification
-threshold).  Each string's partners are one row of the intersection table,
-and every string's space comes from one batched SVD of the partners' factors
-placed side by side.
+threshold).  Each string's partners are gathered from a cached table of
+their values, and every string's space comes from the partners' factors
+placed side by side: one batched QR reduces each such d x pd slice to d x d,
+and one batched d x d SVD of the reduced factors gives the null spaces
+(Chan's R-SVD; see ``linalg``).
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
 draws each trial from its own seed, exactly as ``sample_atom`` would, but
-finds the null spaces of the whole block in one SVD, and ``evaluate_block``,
+finds the null spaces of the whole block at once, and ``evaluate_block``,
 ``pattern_block`` and ``witness_block`` check the block's (T, 2^n, d, d)
 stacks at once.  ``sample_atom``, ``evaluate``, ``classify_pattern_d2`` and
 ``antidiagonal_witness`` are the one-trial case of these.  On top of the
@@ -40,6 +42,7 @@ sparsity analysis and is the most valuable possible output of the suite.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -157,16 +160,33 @@ def block_size(n: int) -> int:
     return max(1, (1 << 12) >> (2 * n))
 
 
+@functools.lru_cache(maxsize=None)
+def _partner_table(n: int) -> np.ndarray:
+    """Read-only (2^n, p) table whose row b lists the values of b's
+    intersection-one partners in ascending order, padded with 2^n (the index
+    of an appended zero factor) to the largest partner count p."""
+    partner = intersection_table(n) == 1
+    # a stable sort of the non-partner flags puts the partners first, in order
+    order = np.argsort(~partner, axis=1, kind="stable")[:, :partner.sum(axis=1).max()]
+    table = np.where(np.take_along_axis(partner, order, axis=1), order, 1 << n)
+    table.setflags(write=False)
+    return table
+
+
 def _partner_factors(free: np.ndarray) -> np.ndarray:
     """For every trial and string b of a (T, 2^n, d, d) stack, the factors
-    of b's intersection-one partners placed side by side, every other
-    string's zeroed: a (T, 2^n, d, 2^n d) stack whose left null spaces are
-    the spaces the constrained side draws from."""
+    of b's intersection-one partners placed side by side in ascending value,
+    then zero factors up to the largest partner count p: a (T, 2^n, d, p d)
+    stack whose left null spaces are the spaces the constrained side draws
+    from."""
     trials, size, d = free.shape[:3]
-    partner = (intersection_table(size.bit_length() - 1) == 1)[:, None, :, None]
-    # entry [t, b, i, a, j] is free[t, a, i, j] when a is a partner of b, else 0
-    side_by_side = np.where(partner, free.transpose(0, 2, 1, 3)[:, None], 0.0)
-    return side_by_side.reshape(trials, size, d, size * d)
+    table = _partner_table(size.bit_length() - 1)
+    # gathered from the transposed factors, so that each slice's transpose,
+    # which the QR reads, is contiguous: its row s d + j is column j of the
+    # s-th partner's factor
+    padded = np.concatenate([free.swapaxes(-1, -2), np.zeros((trials, 1, d, d))], axis=1)
+    stacked = padded[:, table].reshape(trials, size, table.shape[1] * d, d)
+    return stacked.swapaxes(-1, -2)
 
 
 def sample_block(
@@ -181,7 +201,7 @@ def sample_block(
 
     Trial t draws from its own ``default_rng(seeds[t])`` in the one-trial
     order (free side in string order, then constrained side in string
-    order); only the null-space SVD is shared by the block.
+    order); only the null-space QR and SVD are shared by the block.
     """
     if not 1 <= n <= MAX_SAMPLE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")

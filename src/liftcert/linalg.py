@@ -11,9 +11,13 @@ one SVD rule: the image of B B^T is the column span of B, so images, kernels
 and sums of subspaces split the left singular vectors of the columns at
 RANK_TOL times the largest singular value.  Intersections of kernels are left
 null spaces: x lies in the kernel of every B_i B_i^T exactly when x^T B_i = 0
-for all i, that is when x^T [B_1 ... B_k] = 0, so one SVD of the factors
-placed side by side gives the whole intersection, and a stack of such
-problems is one batched SVD.  ``prefix_ranks`` gives a chain of image sums.
+for all i, that is when x^T [B_1 ... B_k] = 0, so the left singular vectors
+of the factors placed side by side give the whole intersection.  A wide
+d x m slice is first reduced to d x d by a QR of its transpose, x^T = Q R:
+x x^T = R^T R, so R^T has the singular values and left singular vectors of x
+and only its d x d SVD remains (Chan's R-SVD, ACM TOMS 8(1), 1982).  A stack
+of such problems is one batched QR and one batched d x d SVD.
+``prefix_ranks`` gives a chain of image sums.
 The key fact the oracles lean on: <X, Y> = 0 for PSD X, Y exactly when the
 image of Y lies inside the kernel of X.
 """
@@ -42,14 +46,23 @@ def _rank(s: np.ndarray, top: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s > RANK_TOL * top, axis=-1)
 
 
-def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left singular vectors (d per slice: narrow slices are zero-padded),
-    singular values and ranks of a stack (..., d, m): a rank counts singular
-    values above RANK_TOL times the slice's largest."""
+def _reduced(x: np.ndarray) -> np.ndarray:
+    """A stack (..., d, d) with the singular values and left singular vectors
+    of the stack x (..., d, m): narrow slices zero-padded, wide ones replaced
+    by R^T from the QR x^T = Q R, since x x^T = R^T R."""
     d, m = x.shape[-2:]
     if m < d:
-        x = np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+        return np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
+    if m > d:
+        return np.linalg.qr(x.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    return x
+
+
+def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left singular vectors (d per slice), singular values and ranks of a
+    stack (..., d, m), from the d x d SVD of its ``_reduced`` form: a rank
+    counts singular values above RANK_TOL times the slice's largest."""
+    u, s, _ = np.linalg.svd(_reduced(x))
     return u, s, _rank(s, s[..., :1])
 
 
@@ -91,7 +104,8 @@ def prefix_ranks(factors: np.ndarray) -> np.ndarray:
 
 
 def subspace_intersect(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common kernels of stacks of PSD matrices, by one batched SVD.
+    """Common kernels of stacks of PSD matrices, by one batched QR and one
+    batched d x d SVD (see ``_reduced``).
 
     ``factors`` has shape (..., d, m): each d x m slice holds the Gram
     factors of one problem placed side by side (zero columns are allowed).

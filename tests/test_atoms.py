@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from liftcert import atoms
 from liftcert.atoms import (
     NOISE_REL,
     FalsificationError,
@@ -36,12 +37,15 @@ from liftcert.bitcore import (
     enumerate_disjoint_pairs,
     has_antidiagonal_zero,
     intersection_size,
+    intersection_table,
     is_atom_pattern,
     matrix_from_entries,
     support_block,
     val,
 )
-from liftcert.linalg import image, inner
+from liftcert.cli import pattern_check
+from liftcert.covering import induction_block, recursive_covering
+from liftcert.linalg import RANK_TOL, _svd, image, inner, subspace_intersect
 
 
 def constant_factorization(n: int, d: int, factor: np.ndarray) -> PsdFactorization:
@@ -204,6 +208,120 @@ class TestSampleBlock:
             sample_block(2, 2, "uniform", [1, 2], ["u-first"])
         with pytest.raises(ValueError, match="sideways"):
             sample_block(2, 2, "uniform", [1, 2], ["u-first", "sideways"])
+
+
+def zero_filled_partner_factors(free: np.ndarray) -> np.ndarray:
+    """The partner stack before gathering: every string's partners' factors
+    side by side with every other string's zeroed, (T, 2^n, d, 2^n d)."""
+    trials, size, d = free.shape[:3]
+    partner = (intersection_table(size.bit_length() - 1) == 1)[:, None, :, None]
+    side_by_side = np.where(partner, free.transpose(0, 2, 1, 3)[:, None], 0.0)
+    return side_by_side.reshape(trials, size, d, size * d)
+
+
+def reference_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD rule before the QR reduction: a full SVD of the stack
+    (..., d, m), narrow slices zero-padded to d columns."""
+    d, m = x.shape[-2:]
+    if m < d:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u, s, np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+
+
+def reference_intersect(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``subspace_intersect`` on ``reference_svd``."""
+    u, s, rank = reference_svd(factors)
+    d = u.shape[-1]
+    return np.where((s[..., :1] > 0)[..., None], u[..., ::-1], np.eye(d)), d - rank
+
+
+def projectors(bases: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Orthogonal projectors onto the spans of the first ``dims`` columns."""
+    kept = bases * (np.arange(bases.shape[-1]) < dims[..., None, None])
+    return kept @ kept.swapaxes(-1, -2)
+
+
+def free_sides(n: int, d: int) -> np.ndarray:
+    """Seeded free sides, (T, 2^n, d, d), alternating the sampling direction."""
+    seeds = range(100, 100 + max(4, block_size(n)))
+    directions = ["u-first", "v-first"] * (len(seeds) // 2)
+    u, v = sample_block(n, d, "uniform", seeds, directions)
+    return np.where(np.array(directions)[:, None, None, None] == "u-first", u, v)
+
+
+class TestNullSpaces:
+    """The gathered partner stack and the QR-reduced SVD against the
+    zero-filled stack and the full SVD they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_partner_table_lists_partners_in_order(self, n):
+        table, size = atoms._partner_table(n), 1 << n
+        partner = intersection_table(n) == 1
+        assert table.shape == (size, partner.sum(axis=1).max())
+        assert not table.flags.writeable
+        for b, row in enumerate(table.tolist()):
+            count = int(partner[b].sum())
+            assert row == np.flatnonzero(partner[b]).tolist() + [size] * (len(row) - count)
+
+    def test_partner_stack_widths(self):
+        # 96 columns instead of 192 at (6, 3), 12 instead of 24 at (3, 3)
+        assert atoms._partner_factors(np.zeros((1, 64, 3, 3))).shape == (1, 64, 3, 96)
+        assert atoms._partner_factors(np.zeros((2, 8, 3, 3))).shape == (2, 8, 3, 12)
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3)])
+    def test_gathered_partners_are_the_zero_filled_ones(self, n, d):
+        free = free_sides(n, d)
+        gathered, filled = atoms._partner_factors(free), zero_filled_partner_factors(free)
+        partner = intersection_table(n) == 1
+        for b in range(1 << n):
+            columns = np.repeat(partner[b], d)
+            count = int(columns.sum())
+            assert np.array_equal(gathered[:, b, :, :count], filled[:, b][..., columns])
+            assert not gathered[:, b, :, count:].any()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3)])
+    def test_null_spaces_match_the_full_svd(self, n, d):
+        free = free_sides(n, d)
+        bases, dims = subspace_intersect(atoms._partner_factors(free))
+        ref_bases, ref_dims = reference_intersect(zero_filled_partner_factors(free))
+        assert np.array_equal(dims, ref_dims)
+        assert dims.min() == 0 and dims.max() == d  # trivial and full spaces both occur
+        diff = projectors(bases, dims) - projectors(ref_bases, ref_dims)
+        assert np.abs(diff).max() <= 1e-12
+        # string 0 has no partners: its space is exactly the identity
+        assert np.array_equal(bases[:, 0], np.broadcast_to(np.eye(d), (len(free), d, d)))
+        assert (dims[:, 0] == d).all()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3)])
+    def test_reduced_svd_keeps_ranks_and_spans(self, n, d):
+        for x in (atoms._partner_factors(free_sides(n, d)),
+                  zero_filled_partner_factors(free_sides(n, d))):
+            assert x.shape[-1] > d  # wide, so _svd reduces it by a QR
+            u, _, rank = _svd(x)
+            ref_u, _, ref_rank = reference_svd(x)
+            assert np.array_equal(rank, ref_rank)
+            diff = projectors(u, rank) - projectors(ref_u, ref_rank)
+            assert np.abs(diff).max() <= 1e-12
+
+    # each block holds factorizations that the two paths give different bits
+    @pytest.mark.parametrize("n, d, start, check", [
+        pytest.param(3, 3, 0, witness_block, id="witness-d3"),
+        pytest.param(2, 2, 0, pattern_check, id="patterns"),
+        pytest.param(4, 3, 32, lambda u, v: [
+            a.tolist() for a in induction_block(evaluate_block(u, v), recursive_covering(3))
+        ], id="induction-n4-d3"),
+    ])
+    def test_oracle_outcomes_match_reference_null_spaces(self, monkeypatch, n, d, start,
+                                                         check):
+        seeds = range(start, start + block_size(n))
+        directions = ["u-first", "v-first"] * (len(seeds) // 2)
+        sampled = sample_block(n, d, "uniform", seeds, directions)
+        monkeypatch.setattr(atoms, "_partner_factors", zero_filled_partner_factors)
+        monkeypatch.setattr(atoms, "subspace_intersect", reference_intersect)
+        reference = sample_block(n, d, "uniform", seeds, directions)
+        assert not all(map(np.array_equal, sampled, reference))
+        assert check(*sampled) == check(*reference)
 
 
 class TestAntidiagonalWitness:
