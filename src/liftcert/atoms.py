@@ -334,14 +334,6 @@ _TEMPLATE_MASKS = np.array([
 ])
 
 
-def pattern_template(pid: PatternId) -> frozenset[tuple[BitString, BitString]]:
-    """Allowed-positive positions of the pattern (including the '?' corner)."""
-    return frozenset(
-        (BitString(2, a), BitString(2, b))
-        for a, b in np.argwhere(_TEMPLATE_MASKS[PatternId(pid) - 1]).tolist()
-    )
-
-
 def pattern_keys(pid: PatternId) -> np.ndarray:
     """Keys a << 2 | b of the pattern's allowed disjoint pairs, ascending."""
     return np.flatnonzero(_TEMPLATE_MASKS[PatternId(pid) - 1] & (intersection_table(2) == 0))

@@ -24,7 +24,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -85,15 +84,6 @@ def intersection_size(a: BitString, b: BitString) -> int:
     return (a.value & b.value).bit_count()
 
 
-def enumerate_disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
-    """The 3^n disjoint pairs (a.b = 0), lex-by-row-then-column: the zeros of
-    the intersection table in row-major order."""
-    if not 1 <= n <= MAX_DENSE_N:
-        raise ValueError(f"n = {n} outside [1, {MAX_DENSE_N}]")
-    rows, cols = np.nonzero(intersection_table(n) == 0)
-    return [(BitString(n, a), BitString(n, b)) for a, b in zip(rows.tolist(), cols.tolist())]
-
-
 @functools.lru_cache(maxsize=None)
 def intersection_table(n: int) -> np.ndarray:
     """Read-only (2^n, 2^n) table of a.b = popcount(a & b) over values a, b."""
@@ -137,15 +127,6 @@ class SupportMatrix:
         if a.width != self.n or b.width != self.n:
             raise ValueError(f"index ({a}, {b}) has width != {self.n}")
         return self.values[a.value, b.value].item()
-
-    @property
-    def scale(self) -> float:
-        """Largest entry; 0 for the zero matrix."""
-        return self.values.max().item()
-
-    def threshold(self, eps: float = EPS_ZERO) -> float:
-        """eps * scale (see ``threshold_block``)."""
-        return threshold_block(self.values, eps).item()
 
     def support(self, eps: float = EPS_ZERO) -> np.ndarray:
         """Boolean mask of the entries above the zero-classification threshold."""
@@ -209,16 +190,6 @@ def is_atom_pattern(m: SupportMatrix, eps: float = EPS_ZERO) -> bool:
     return not np.any(m.support(eps) & (intersection_table(m.n) == 1))
 
 
-def has_antidiagonal_zero(
-    m: SupportMatrix, eps: float = EPS_ZERO
-) -> Optional[BitString]:
-    """Lex-smallest a with a numerically zero entry at (a, complement(a)), if any."""
-    idx = np.arange(1 << m.n)
-    # the complement of value a is 2^n - 1 - a
-    hits = np.flatnonzero(m.values[idx, idx[::-1]] <= m.threshold(eps))
-    return BitString(m.n, int(hits[0])) if hits.size else None
-
-
 def value_codes(values: np.ndarray) -> tuple[np.ndarray, list]:
     """Codes, of the shape of ``values``, into its distinct values as Python
     scalars, told apart by bit pattern (so -0.0 and 0.0 stay apart).  One
@@ -264,21 +235,6 @@ def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
     r, c = np.nonzero(m.support(eps))
     entries = list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))
     return json.dumps({"n": m.n, "entries": entries}, sort_keys=True)
-
-
-def matrix_from_entries(
-    n: int, items: Iterable[tuple[str, str, float]]
-) -> SupportMatrix:
-    """Build a matrix from (row text, column text, value) triples; the dtype
-    is that of the values, and a repeated pair keeps its last value."""
-    items = list(items)
-    values = np.zeros((1 << n, 1 << n), dtype=np.array([v for *_, v in items]).dtype)
-    for row, col, v in items:
-        a, b = BitString.from_text(row), BitString.from_text(col)
-        if a.width != n or b.width != n:
-            raise ValueError(f"index ({a}, {b}) has width != {n}")
-        values[a.value, b.value] = v
-    return SupportMatrix(n, values)
 
 
 def _json_field(obj: object, key: str, kind: type, where: str):

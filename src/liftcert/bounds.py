@@ -68,11 +68,11 @@ def theorem_constants(d: int) -> tuple[float, float]:
     return kappa, c
 
 
-def t_constant(d: int) -> float:
-    """Per-level growth rate (3^d - 1)^(1/d), strictly below 3."""
+def t_constant(d: int, k: int) -> float:
+    """Per-level growth rate k^(1/d), strictly below 3 for k <= 3^d - 1."""
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
-    return float(3**d - 1) ** (1.0 / d)
+    return float(k) ** (1.0 / d)
 
 
 def refined_d2_lower(n: int) -> float:
@@ -139,7 +139,7 @@ def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:
         lift_lower=Fraction(3**n, rho_upper(n, d, k)),
         kappa=kappa,
         c=c,
-        t=t_constant(d),
+        t=t_constant(d, k),
         refined_d2=refined_d2_lower(n) if d == 2 else None,
     )
 
@@ -166,7 +166,7 @@ def report_to_text(report: BoundReport) -> str:
     rows = [
         ("n", str(report.n)),
         ("d", str(report.d)),
-        ("k = 3^d - 1", str(report.k)),
+        ("k = 3^d - 1" if report.k == 3**report.d - 1 else "k", str(report.k)),
         ("rho upper bound k^(floor((n-1)/d)+1)", str(report.rho_upper)),
         (
             "lift-size lower bound 3^n / rho",

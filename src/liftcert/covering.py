@@ -456,20 +456,6 @@ def phi_table_d2() -> list[CoveringCertificate]:
     return [_phi(pid, table) for pid, table in enumerate(tables, start=1)]
 
 
-def block_decompose(m: SupportMatrix, d: int) -> np.ndarray:
-    """Split into a 2^d x 2^d grid of blocks indexed by width-d prefixes.
-
-    Entry [x, y, a, b] of the returned (read-only) array is
-    M[x concat a, y concat b]: the prefix is the more significant part of the
-    index, so this is a reshape.  Blocks have side 2^(n-d).  Requires
-    1 <= d <= n.
-    """
-    if not 1 <= d <= m.n:
-        raise ValueError(f"block width d = {d} outside [1, {m.n}]")
-    outer, inner = 1 << d, 1 << (m.n - d)
-    return m.values.reshape(outer, inner, outer, inner).transpose(0, 2, 1, 3)
-
-
 def _aggregate_block(values: np.ndarray, family: CoveringFamily) -> np.ndarray:
     """``aggregate`` of a (T, 2^n, 2^n) stack as a (T, k, 2^(n-d), 2^(n-d)) stack;
     each sum adds its gathered blocks in the same order whatever T is."""

@@ -24,7 +24,6 @@ from liftcert.atoms import (
     factorization_to_json,
     pattern_block,
     pattern_disjoint_support,
-    pattern_template,
     sample_atom,
     sample_block,
     witness_block,
@@ -34,13 +33,11 @@ from liftcert.bitcore import (
     BitString,
     SupportMatrix,
     all_strings,
-    enumerate_disjoint_pairs,
-    has_antidiagonal_zero,
     intersection_size,
     intersection_table,
     is_atom_pattern,
-    matrix_from_entries,
     support_block,
+    threshold_block,
     val,
 )
 from liftcert.cli import pattern_check
@@ -65,7 +62,10 @@ def unit_columns(d: int, columns: dict[int, int]) -> np.ndarray:
 
 def ones_at(pairs) -> SupportMatrix:
     """The width-2 matrix with 1.0 at the given pairs and 0 elsewhere."""
-    return matrix_from_entries(2, [(str(a), str(b), 1.0) for a, b in pairs])
+    values = np.zeros((4, 4))
+    for a, b in pairs:
+        values[a.value, b.value] = 1.0
+    return SupportMatrix(2, values)
 
 
 def reference_evaluate(f: PsdFactorization) -> np.ndarray:
@@ -87,7 +87,7 @@ class TestEvaluate:
     def test_all_zero_factors(self):
         f = constant_factorization(2, 2, np.zeros((2, 2)))
         m = evaluate(f)
-        assert np.array_equal(m.values, np.zeros((4, 4))) and m.scale == 0
+        assert np.array_equal(m.values, np.zeros((4, 4)))
 
     def test_all_identity_factors(self):
         f = constant_factorization(2, 3, np.eye(3))
@@ -141,7 +141,7 @@ class TestSampleAtom:
         z, o = BitString(1, 0), BitString(1, 1)
         for seed in range(100):
             m = evaluate(sample_atom(1, 1, rng=seed))
-            thr = m.threshold()
+            thr = threshold_block(m.values)
             assert m.value(z, o) <= thr or m.value(o, z) <= thr
 
     def test_bad_direction_rejected(self):
@@ -375,25 +375,26 @@ class TestAntidiagonalWitness:
             f = sample_atom(d, d, rng=seed)
             a = antidiagonal_witness(f)
             m = evaluate(f)
-            assert m.value(a, a.complement()) <= m.threshold()
-            # independent route: the dense scan also finds some zero
-            assert has_antidiagonal_zero(m) is not None
+            thr = threshold_block(m.values)
+            assert m.value(a, a.complement()) <= thr
+            # independent route: a scan of the antidiagonal (a, 2^d - 1 - a)
+            # also finds some zero
+            idx = np.arange(1 << d)
+            assert (m.values[idx, idx[::-1]] <= thr).any()
 
 
 class TestPatternTemplates:
+    """The allowed-positive masks that ``pattern_block`` matches supports against."""
+
     def test_each_template_has_seven_disjoint_slots(self):
         for pid in PatternId:
             assert len(pattern_disjoint_support(pid)) == 7
 
     def test_templates_allow_no_intersection_one_pair(self):
-        for pid in PatternId:
-            for a, b in pattern_template(pid):
-                assert intersection_size(a, b) != 1
+        assert not (atoms._TEMPLATE_MASKS & (intersection_table(2) == 1)).any()
 
     def test_corner_is_allowed_everywhere(self):
-        ones = BitString(2, 0b11)
-        for pid in PatternId:
-            assert (ones, ones) in pattern_template(pid)
+        assert atoms._TEMPLATE_MASKS[:, 0b11, 0b11].all()
 
 
 class TestClassify:
@@ -403,11 +404,12 @@ class TestClassify:
     def test_exact_template_support(self):
         for pid in PatternId:
             assert classify_pattern_d2(ones_at(pattern_disjoint_support(pid))) == pid
-            assert classify_pattern_d2(ones_at(pattern_template(pid))) == pid
+            template = atoms._TEMPLATE_MASKS[pid - 1]
+            assert classify_pattern_d2(SupportMatrix(2, template.astype(float))) == pid
 
     def test_all_disjoint_positive_matches_nothing(self):
         with pytest.raises(NoPatternMatches, match=r"^support \{\(00, 00\), \(00, 01\)"):
-            classify_pattern_d2(ones_at(enumerate_disjoint_pairs(2)))
+            classify_pattern_d2(SupportMatrix(2, (intersection_table(2) == 0).astype(float)))
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
@@ -442,7 +444,7 @@ class TestClassify:
             i01, i10 = image(f.V[s01.value]), image(f.V[s10.value])
             if np.allclose(i01 @ i01.T, i10 @ i10.T, rtol=0, atol=1e-9):
                 m = evaluate(f)
-                thr = m.threshold()
+                thr = threshold_block(m.values)
                 assert m.value(s01, s10) <= thr
                 assert m.value(s10, s01) <= thr
                 checked += 1

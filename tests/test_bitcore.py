@@ -17,11 +17,9 @@ from liftcert.bitcore import (
     SupportMatrix,
     all_strings,
     cor_slack,
-    enumerate_disjoint_pairs,
-    has_antidiagonal_zero,
     intersection_size,
+    intersection_table,
     is_atom_pattern,
-    matrix_from_entries,
     matrix_to_csv,
     matrix_to_json,
     support_block,
@@ -46,6 +44,15 @@ def same_width_pairs(max_width: int = 8) -> st.SearchStrategy[tuple[BitString, B
             st.integers(0, 2**w - 1).map(lambda v: BitString(w, v)),
         )
     )
+
+
+def from_entries(n: int, items: list[tuple[str, str, float]]) -> SupportMatrix:
+    """The width-n matrix with the given (row text, column text, value)
+    entries and zeros elsewhere."""
+    values = np.zeros((1 << n, 1 << n))
+    for row, col, v in items:
+        values[int(row, 2), int(col, 2)] = v
+    return SupportMatrix(n, values)
 
 
 def small_matrices(max_n: int = 3) -> st.SearchStrategy[SupportMatrix]:
@@ -117,33 +124,37 @@ def submask_walk(n: int):
             yield BitString(n, av), BitString(n, bv)
 
 
+def disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
+    """The zeros of the intersection table in row-major order, as string pairs."""
+    rows, cols = np.nonzero(intersection_table(n) == 0)
+    return [(BitString(n, a), BitString(n, b)) for a, b in zip(rows.tolist(), cols.tolist())]
+
+
 class TestDisjointPairs:
+    """The zeros of ``intersection_table``, which ``val_block`` and the
+    covering builders read as the disjoint pairs."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_submask_walk_in_order(self, n):
-        assert enumerate_disjoint_pairs(n) == list(submask_walk(n))
-
-    @pytest.mark.parametrize("n", [0, MAX_DENSE_N + 1])
-    def test_width_outside_dense_range_rejected(self, n):
-        with pytest.raises(ValueError):
-            enumerate_disjoint_pairs(n)
+        assert disjoint_pairs(n) == list(submask_walk(n))
 
     def test_n1_listing(self):
-        pairs = enumerate_disjoint_pairs(1)
+        pairs = disjoint_pairs(1)
         assert [(str(a), str(b)) for a, b in pairs] == [("0", "0"), ("0", "1"), ("1", "0")]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_count_is_3_to_the_n(self, n):
-        assert len(enumerate_disjoint_pairs(n)) == 3**n
+        assert np.count_nonzero(intersection_table(n) == 0) == 3**n
 
     def test_lex_row_major_order(self):
-        pairs = enumerate_disjoint_pairs(3)
+        pairs = disjoint_pairs(3)
         assert pairs == sorted(pairs)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_antidiagonal_pairs_present(self, n):
-        pairs = set(enumerate_disjoint_pairs(n))
-        for a in all_strings(n):
-            assert (a, a.complement()) in pairs
+        idx = np.arange(1 << n)
+        # the complement of value a is 2^n - 1 - a
+        assert (intersection_table(n)[idx, idx[::-1]] == 0).all()
 
 
 class TestUdisj:
@@ -214,7 +225,7 @@ class TestValAndPatterns:
             ("11", "00", 1.0),
             ("11", "11", 1.0),
         ]
-        m = matrix_from_entries(2, items)
+        m = from_entries(2, items)
         assert val(m) == 7
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -225,20 +236,9 @@ class TestValAndPatterns:
         assert not is_atom_pattern(SupportMatrix(2, np.ones((4, 4))))
 
     def test_tiny_noise_below_threshold_is_zero(self):
-        m = matrix_from_entries(2, [("00", "00", 1.0), ("01", "01", 1e-15)])
+        m = from_entries(2, [("00", "00", 1.0), ("01", "01", 1e-15)])
         assert is_atom_pattern(m)
         assert val(m) == 1
-
-    def test_antidiagonal_zero_of_udisj_is_none(self):
-        assert has_antidiagonal_zero(udisj(1)) is None
-
-    def test_antidiagonal_zero_of_zero_matrix(self):
-        assert has_antidiagonal_zero(SupportMatrix(2, np.zeros((4, 4)))) == BitString(2, 0)
-
-    def test_antidiagonal_zero_lex_smallest(self):
-        # positive at (00, 11) and (11, 00) only: 01 is the first zero
-        m = matrix_from_entries(2, [("00", "11", 1.0), ("11", "00", 1.0)])
-        assert has_antidiagonal_zero(m) == BitString.from_text("01")
 
     @given(small_matrices(), st.sampled_from([0.0, 1e-9, 0.2, 0.5]))
     def test_masks_match_per_entry_reference(self, m: SupportMatrix, eps: float):
@@ -250,8 +250,6 @@ class TestValAndPatterns:
         assert is_atom_pattern(m, eps) == all(
             intersection_size(a, b) != 1 for a, b in support
         )
-        zeros = [a for a in all_strings(m.n) if (a, a.complement()) not in support]
-        assert has_antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
 
 
 def assert_codes_give_back_bits(values: np.ndarray):
@@ -387,14 +385,14 @@ class TestEmission:
         assert [["0", "0", 1], ["0", "1", 1], ["1", "0", 1]] == obj["entries"]
 
     def test_float_entries_keep_full_precision(self):
-        m = matrix_from_entries(1, [("1", "0", 0.1), ("0", "1", 2.5)])
+        m = SupportMatrix(1, np.array([[0.0, 2.5], [0.1, 0.0]]))
         obj = json.loads(matrix_to_json(m))
         assert obj["entries"] == [["0", "1", 2.5], ["1", "0", 0.1]]
         assert matrix_to_csv(m).splitlines()[1:] == ["0,0.0,2.5", "1,0.1,0.0"]
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
-            matrix_from_entries(1, [("0", "0", -1.0)])
+            SupportMatrix(1, np.array([[-1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestSupportMatrix:
@@ -406,8 +404,6 @@ class TestSupportMatrix:
     def test_wrong_shape_or_width_rejected(self):
         with pytest.raises(ValueError):
             SupportMatrix(2, np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            matrix_from_entries(2, [("0", "1", 1.0)])
 
     def test_values_are_a_read_only_copy(self):
         raw = np.ones((2, 2))
@@ -426,7 +422,7 @@ class TestSupportMatrix:
     @pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, 1.0, 1e9, math.inf])
     def test_epsilon_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            udisj(2).threshold(eps)
+            threshold_block(udisj(2).values, eps)
         with pytest.raises(ValueError):
             val(udisj(2), eps)
 
@@ -443,10 +439,11 @@ class TestSupportMatrix:
             values = np.array([m.values for m in same])
             thresholds, supports = threshold_block(values, eps), support_block(values, eps)
             for m, thr, sup, v in zip(same, thresholds, supports, val_block(supports)):
-                assert thr == m.threshold(eps) and np.array_equal(sup, m.support(eps))
+                assert thr == threshold_block(m.values, eps)
+                assert np.array_equal(sup, m.support(eps))
                 assert v == val(m, eps)
 
     def test_epsilon_zero_keeps_every_positive_entry(self):
-        m = matrix_from_entries(1, [("0", "0", 1.0), ("0", "1", 1e-300)])
-        assert m.threshold(0.0) == 0.0
+        m = from_entries(1, [("0", "0", 1.0), ("0", "1", 1e-300)])
+        assert threshold_block(m.values, 0.0) == 0.0
         assert val(m, 0.0) == 2

@@ -367,6 +367,14 @@ class TestBound:
     def test_oversized_k_rejected(self, capsys):
         assert run_cli(capsys, "bound", "--n", "4", "--d", "1", "--k", "5")[0] == 2
 
+    def test_t_and_the_k_row_follow_k(self, capsys):
+        argv = ["bound", "--n", "4", "--d", "2", "--k", "5", "--format"]
+        assert json.loads(run_cli(capsys, *argv, "json")[1])["t"] == 5 ** 0.5
+        code, out = run_cli(capsys, *argv, "text")
+        rows = dict(line.rsplit(None, 1) for line in out.splitlines())
+        assert code == 0 and rows["k"] == "5" and "3^d - 1" not in out
+        assert float(rows["t(d) = k^(1/d)"]) == pytest.approx(5 ** 0.5, rel=1e-11)
+
     #: The largest n whose report prints (sha256 of the JSON and the text
     #: report): past it a float overflows (d = 1: the closed form; d = 1 with
     #: k = 1: float(3^n); d = 2: the refined bound) or an exact integer passes
@@ -377,8 +385,8 @@ class TestBound:
                      "ad1bab56d9a96e097b17e11d447f41e180b4688f0cb183a157bd3f1094e4fed4",
                      id="d1"),
         pytest.param(646, 1, ["--k", "1"],
-                     "f8df43f4c9ce7d18a3819eef1c3a19fa13162ecded313e00439e9027fd904906",
-                     "1423e4d35b12ecdfc6132536ebc729671bacddd22975c57ff781c1de91e69101",
+                     "9e4f0186ff4a328ade13e2a9777917e8c33d6b74f49871c88678e5dd5100e50a",
+                     "a7969ed4cfdecc1d0827f4f37947f3eb2d63039626f7279fa3a615bdef39e818",
                      id="d1-k1"),
         pytest.param(5648, 2, [],
                      "0ee6c4327304b770259a06aa2a1a64928e64e8710754938b1f7e467c18b0a648",
@@ -398,8 +406,8 @@ class TestBound:
                      id="d6"),
         # k = 2 * 3^5: the 3s cancel from 3^n / k^m, so rho = k^m binds
         pytest.param(9600, 6, ["--k", "486"],
-                     "2ff9bb140ae09a4468432caa89131966632c6d3449fc69a5ecd34be991c7b054",
-                     "f16c131c5d4926fa03c88c0362f9e8b38343071ad0e758bb7478bcf53aa5bdb2",
+                     "c97724a4a2f85edff46154db150a23ecbe3a669cd74377491e8244c0d398c833",
+                     "0af857524e314d54cf47b49c37a19892c7c1839db6729b0fff02111745092689",
                      id="d6-k486"),
     ]
 

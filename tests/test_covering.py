@@ -25,8 +25,8 @@ from liftcert.bitcore import (
     SupportMatrix,
     _json_field,
     all_strings,
-    enumerate_disjoint_pairs,
     intersection_size,
+    intersection_table,
     is_atom_pattern,
     udisj,
     val,
@@ -39,7 +39,6 @@ from liftcert.covering import (
     Rectangle,
     aggregate,
     base_covering_d1,
-    block_decompose,
     certificate_from_json,
     certificate_to_json,
     check_induction_inequality,
@@ -61,6 +60,20 @@ from liftcert.covering import (
 )
 
 
+def disjoint_pairs(n: int) -> list[tuple[BitString, BitString]]:
+    """The zeros of the intersection table in row-major order, as string pairs."""
+    rows, cols = np.nonzero(intersection_table(n) == 0)
+    return [(BitString(n, a), BitString(n, b)) for a, b in zip(rows.tolist(), cols.tolist())]
+
+
+def blocks_of(values: np.ndarray, d: int) -> np.ndarray:
+    """The 2^d x 2^d grid of blocks indexed by width-d prefixes: entry
+    [x, y, a, b] is M[x concat a, y concat b].  A prefix is the more
+    significant part of an index, so this is a reshape."""
+    outer, inner = 1 << d, values.shape[-1] >> d
+    return values.reshape(outer, inner, outer, inner).transpose(0, 2, 1, 3)
+
+
 def reference_recursive_covering(d: int) -> CoveringFamily:
     """The recursive family as it was first built: zero-prefixed lifts of the
     width d - 1 family, then {0x} x {0y, 1y} and {0x, 1x} x {0y} for each
@@ -71,7 +84,7 @@ def reference_recursive_covering(d: int) -> CoveringFamily:
     top = 1 << (d - 1)
     rects = [Rectangle(d, r.rows, r.cols)
              for r in reference_recursive_covering(d - 1).rectangles]
-    for x, y in enumerate_disjoint_pairs(d - 1):
+    for x, y in disjoint_pairs(d - 1):
         rects += [Rectangle(d, (x.value,), (y.value, top | y.value)),
                   Rectangle(d, (x.value, top | x.value), (y.value,))]
     return CoveringFamily(d, tuple(rects), label=f"recursive-d{d}")
@@ -243,7 +256,7 @@ class TestRecursiveCovering:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_owned_pairs_are_the_nonzero_disjoint_pairs(self, d):
         owned = [(r.rows[-1], r.cols[-1]) for r in recursive_covering(d).rectangles]
-        disjoint = [(x.value, y.value) for x, y in enumerate_disjoint_pairs(d)]
+        disjoint = [(x.value, y.value) for x, y in disjoint_pairs(d)]
         assert len(set(owned)) == len(owned)
         assert sorted(owned) == disjoint[1:] and disjoint[0] == (0, 0)
 
@@ -259,7 +272,7 @@ class TestFindCertificate:
         assert cert is not None and cert.assignment[pair] == 0
 
     def test_pigeonhole_failure(self):
-        support = enumerate_disjoint_pairs(1)  # 3 pairs, 2 rectangles
+        support = disjoint_pairs(1)  # 3 pairs, 2 rectangles
         assert find_certificate(support, base_covering_d1()) is None
 
     def test_non_disjoint_support_rejected(self):
@@ -294,7 +307,7 @@ class TestFindCertificate:
     def test_matches_all_rectangles_scan(self, data):
         d = data.draw(st.integers(1, 3))
         family = draw_family(data, d)
-        support = data.draw(st.sets(st.sampled_from(enumerate_disjoint_pairs(d))))
+        support = data.draw(st.sets(st.sampled_from(disjoint_pairs(d))))
         assert find_certificate(support, family) == scan_certificate(support, family)
 
 
@@ -434,7 +447,7 @@ def matching_deficiency(family: CoveringFamily) -> int:
                     return True
         return False
 
-    return sum(not augment(p, set()) for p in enumerate_disjoint_pairs(family.d))
+    return sum(not augment(p, set()) for p in disjoint_pairs(family.d))
 
 
 def mutated_recursive(d: int, seed: int) -> CoveringFamily:
@@ -718,23 +731,11 @@ class TestPhiTables:
 
 
 class TestBlockOps:
-    def test_full_depth_blocks_are_entries(self):
-        m = udisj(2)
-        blocks = block_decompose(m, 2)
-        assert blocks.shape == (4, 4, 1, 1)
-        for x in all_strings(2):
-            for y in all_strings(2):
-                assert blocks[x.value, y.value, 0, 0] == m.value(x, y)
-
-    def test_depth_zero_rejected(self):
-        with pytest.raises(ValueError):
-            block_decompose(udisj(2), 0)
-
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_entries_are_prefix_concatenations(self, d):
         # distinct entries, so any misplaced index shows
         m = SupportMatrix(3, np.arange(64).reshape(8, 8))
-        blocks = block_decompose(m, d)
+        blocks = blocks_of(m.values, d)
         assert blocks.shape == (2**d, 2**d, 2 ** (3 - d), 2 ** (3 - d))
         for x in all_strings(d):
             for y in all_strings(d):
@@ -748,10 +749,10 @@ class TestBlockOps:
     def test_val_splits_over_disjoint_blocks(self):
         for seed in range(30):
             m = evaluate(sample_atom(4, 2, rng=seed))
-            blocks = block_decompose(m, 2)
+            blocks = blocks_of(m.values, 2)
             total = sum(
                 val(SupportMatrix(2, blocks[x.value, y.value]))
-                for x, y in enumerate_disjoint_pairs(2)
+                for x, y in disjoint_pairs(2)
             )
             assert val(m) == total
 
@@ -760,11 +761,11 @@ class TestBlockOps:
         fam = CoveringFamily(2, (Rectangle(2, (0,), (0,)),))
         (only,) = aggregate(m, fam)
         assert only.n == 1
-        assert np.array_equal(only.values, block_decompose(m, 2)[0, 0])
+        assert np.array_equal(only.values, blocks_of(m.values, 2)[0, 0])
 
     def test_aggregate_udisj_d1_matches_block_sums(self):
         m = udisj(4)
-        blocks = block_decompose(m, 1)
+        blocks = blocks_of(m.values, 1)
         m1, m2 = aggregate(m, base_covering_d1())
         assert m1.values.dtype == m2.values.dtype == np.int64
         assert np.array_equal(m1.values, blocks[0, 0] + blocks[0, 1])
@@ -782,8 +783,7 @@ def ix_aggregate(values: np.ndarray, family: CoveringFamily) -> list[np.ndarray]
     """The one-matrix aggregate as it was before the stacked path: per
     rectangle, ``np.ix_`` gathers its blocks and they are summed over both
     prefix axes."""
-    blocks = block_decompose(SupportMatrix(values.shape[0].bit_length() - 1, values),
-                             family.d)
+    blocks = blocks_of(values, family.d)
     return [blocks[np.ix_(r.rows, r.cols)].sum(axis=(0, 1))
             for r in family.rectangles]
 
