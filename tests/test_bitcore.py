@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from liftcert import bitcore
 from liftcert.bitcore import (
+    EPS_ZERO,
     MAX_DENSE_N,
     BitString,
     SupportMatrix,
@@ -29,6 +30,7 @@ from liftcert.bitcore import (
     val_block,
     value_codes,
 )
+from liftcert.covering import maximal_support
 
 
 def bitstrings(max_width: int = 8) -> st.SearchStrategy[BitString]:
@@ -53,6 +55,14 @@ def from_entries(n: int, items: list[tuple[str, str, float]]) -> SupportMatrix:
     for row, col, v in items:
         values[int(row, 2), int(col, 2)] = v
     return SupportMatrix(n, values)
+
+
+def antidiagonal_zero(m: SupportMatrix, eps: float = EPS_ZERO) -> BitString | None:
+    """The lex-smallest a whose entry (a, complement a) is outside the
+    support, or None if the whole antidiagonal is in it."""
+    idx = np.arange(1 << m.n)
+    zeros = np.flatnonzero(~m.support(eps)[idx, idx[::-1]])
+    return BitString(m.n, int(zeros[0])) if zeros.size else None
 
 
 def small_matrices(max_n: int = 3) -> st.SearchStrategy[SupportMatrix]:
@@ -156,6 +166,12 @@ class TestDisjointPairs:
         # the complement of value a is 2^n - 1 - a
         assert (intersection_table(n)[idx, idx[::-1]] == 0).all()
 
+    @pytest.mark.parametrize("n", [0, MAX_DENSE_N + 1])
+    def test_width_outside_dense_range_rejected(self, n):
+        # the disjoint pairs less one antidiagonal pair, read off the table
+        with pytest.raises(ValueError):
+            maximal_support(n, BitString(n, 0))
+
 
 class TestUdisj:
     def test_n1_matrix(self):
@@ -240,6 +256,18 @@ class TestValAndPatterns:
         assert is_atom_pattern(m)
         assert val(m) == 1
 
+    def test_antidiagonal_zero_of_udisj_is_none(self):
+        for n in range(1, 7):
+            assert antidiagonal_zero(udisj(n)) is None
+
+    def test_antidiagonal_zero_of_zero_matrix(self):
+        assert antidiagonal_zero(SupportMatrix(2, np.zeros((4, 4)))) == BitString(2, 0)
+
+    def test_antidiagonal_zero_lex_smallest(self):
+        # positive at (00, 11) and (11, 00) only: 01 is the first zero
+        m = from_entries(2, [("00", "11", 1.0), ("11", "00", 1.0)])
+        assert antidiagonal_zero(m) == BitString.from_text("01")
+
     @given(small_matrices(), st.sampled_from([0.0, 1e-9, 0.2, 0.5]))
     def test_masks_match_per_entry_reference(self, m: SupportMatrix, eps: float):
         pairs = [(a, b) for a in all_strings(m.n) for b in all_strings(m.n)]
@@ -250,6 +278,8 @@ class TestValAndPatterns:
         assert is_atom_pattern(m, eps) == all(
             intersection_size(a, b) != 1 for a, b in support
         )
+        zeros = [a for a in all_strings(m.n) if (a, a.complement()) not in support]
+        assert antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
 
 
 def assert_codes_give_back_bits(values: np.ndarray):
@@ -404,6 +434,8 @@ class TestSupportMatrix:
     def test_wrong_shape_or_width_rejected(self):
         with pytest.raises(ValueError):
             SupportMatrix(2, np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            udisj(2).value(BitString.from_text("0"), BitString.from_text("1"))
 
     def test_values_are_a_read_only_copy(self):
         raw = np.ones((2, 2))

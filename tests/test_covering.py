@@ -731,6 +731,23 @@ class TestPhiTables:
 
 
 class TestBlockOps:
+    def test_full_depth_blocks_are_entries(self):
+        # one {x} x {y} rectangle per disjoint pair: each aggregate is that entry
+        m = udisj(2)
+        pairs = disjoint_pairs(2)
+        fam = CoveringFamily(2, tuple(Rectangle(2, (x.value,), (y.value,)) for x, y in pairs))
+        parts = aggregate(m, fam)
+        assert [part.n for part in parts] == [0] * len(pairs)
+        for part, (x, y) in zip(parts, pairs):
+            assert part.values.shape == (1, 1)
+            assert part.values[0, 0] == m.value(x, y)
+
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError):
+            aggregate(udisj(2), CoveringFamily(0, (Rectangle(0, (0,), (0,)),)))
+        with pytest.raises(ValueError):
+            aggregate(udisj(2), recursive_covering(3))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_entries_are_prefix_concatenations(self, d):
         # distinct entries, so any misplaced index shows
