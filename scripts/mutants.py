@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Run the listed mutants of the exact checks and report which ones the tests kill.
+
+Each mutant is one exact text replacement in one module of ``src/liftcert``.
+For each, ``src/`` is copied to a temporary directory, the replacement is
+applied to the copy, and the mutant's test node ids are run by pytest with
+that copy first on the import path.  A mutant is killed when one of its tests
+fails.  The tests are first run once on the unchanged code, where they must
+pass.  Prints ``killed`` or ``survived`` per mutant; exits 1 if any survived,
+and 2 if a snippet does not occur exactly once or a test run cannot be
+judged.  Each mutant takes a few seconds, so this stays outside tier-1.
+
+    python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liftcert"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/liftcert
+    old: str  # occurs exactly once in the module
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("M1", "covering.py", "    bad[1, group[~ok]] = True\n", "",
+           ("tests/test_covering.py::TestRevalidation::"
+            "test_extra_row_on_a_spare_rectangle_rejected",)),
+    Mutant("M2", "covering.py", "ok = ((x | y) >> d == 0) & (x & y == 0)",
+           "ok = ((x | y) >> d == 0)",
+           ("tests/test_covering.py::TestRevalidation::"
+            "test_intersecting_pair_named_as_not_the_maximal_support",)),
+    Mutant("M3", "covering.py", "failed = (totals > vals.sum(axis=1)) | ~clean",
+           "failed = (totals > vals.sum(axis=1))",
+           ("tests/test_covering.py::TestInductionBlock::"
+            "test_aggregate_positive_on_an_intersection_one_pair_fails_its_matrix",)),
+    Mutant("M4", "atoms.py", "None if entry <= thr else", "None if entry <= 2 * thr else",
+           ("tests/test_atoms.py::TestSampleBlock::"
+            "test_witnessed_entry_meets_the_threshold_itself",)),
+    Mutant("M5", "cli.py",
+           "    if len({(rows.template, depth, *(id(texts) for _, texts in rows.columns))\n"
+           "            for _, rows, depth in lists}) > 1:\n"
+           '        raise ValueError("row lists of one report differ in template, depth'
+           ' or tables")\n', "",
+           ("tests/test_cli.py::test_row_lists_of_two_layouts_rejected",)),
+)
+
+
+def snippet_faults() -> list[str]:
+    """Why a listed mutant cannot be applied: its snippet does not occur
+    exactly once in its module."""
+    faults = []
+    for m in MUTANTS:
+        count = (PACKAGE / m.module).read_text().count(m.old)
+        if count != 1:
+            faults.append(f"{m.name}: snippet occurs {count} times in {m.module}")
+    return faults
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code for ``tests`` with ``src`` first on the import path."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def mutant_outcome(m: Mutant) -> int:
+    """pytest's exit code for the mutant's tests, run on a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "liftcert" / m.module
+        path.write_text(path.read_text().replace(m.old, m.new))
+        return run_tests(src, m.tests)
+
+
+def main() -> int:
+    faults = snippet_faults()
+    if faults:
+        print("\n".join(f"error: {fault}" for fault in faults), file=sys.stderr)
+        return 2
+    if run_tests(ROOT / "src", tuple(t for m in MUTANTS for t in m.tests)) != 0:
+        print("error: the mutants' tests fail on the unchanged code", file=sys.stderr)
+        return 2
+    survived = False
+    for m in MUTANTS:
+        code = mutant_outcome(m)
+        if code not in (0, 1):  # 2-5: interrupted, internal error, usage, no tests
+            print(f"error: {m.name}: pytest exited {code}", file=sys.stderr)
+            return 2
+        survived |= code == 0
+        print(f"{m.name}  {m.module:<12} {'survived' if code == 0 else 'killed'}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -21,22 +21,22 @@ and one batched d x d SVD of the reduced factors gives the null spaces
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
 draws each trial from its own seed, exactly as ``sample_atom`` would, but
-finds the null spaces of the whole block at once, and ``evaluate_block``,
-``pattern_block`` and ``witness_block`` check the block's (T, 2^n, d, d)
-stacks at once.  ``sample_atom``, ``evaluate``, ``classify_pattern_d2`` and
-``antidiagonal_witness`` are the one-trial case of these.  On top of the
-sampler sit two falsifiable oracles:
+finds the null spaces of the whole block at once, and ``evaluate_block``
+evaluates the block's (T, 2^n, d, d) stacks at once.  On top of the sampler
+sit two falsifiable oracles, pure checks of a block:
 
-* ``antidiagonal_witness`` finds, for n = d, a pair (a, complement(a)) whose
-  entry is zero, from the nondecreasing ranks of the stacked factors
-  [V_{e_1} ... V_{e_i}].  Every square atom has such a zero.
-* ``classify_pattern_d2`` checks that a 4 x 4 atom over 2 x 2 PSD matrices
-  has one of six admissible sparsity patterns (hence at most 7 positive
-  disjoint entries).
+* ``witness_block`` finds, for n = d, a pair (a, complement(a)) whose entry
+  is zero, from the nondecreasing ranks of the stacked factors
+  [V_{e_1} ... V_{e_i}], and returns per trial None or the reason that
+  entry is not zero.  Every square atom has such a zero.
+* ``pattern_block`` gives per 4 x 4 support the admissible sparsity pattern
+  (of six, hence at most 7 positive disjoint entries) that an atom over
+  2 x 2 PSD matrices must fit, or 0 for none (a reason, in ``cli``).
 
-Both raise a falsification error when the claimed structure fails, carrying
-the offending object for serialization; such evidence would refute the
+A reason, printed with the offending factorization, would refute the
 sparsity analysis and is the most valuable possible output of the suite.
+``antidiagonal_witness`` and ``classify_pattern_d2`` are their T = 1 case,
+and raise FalsificationError instead of returning a reason.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
 certificate assignments) are held as columns of integer codes into tables
 of JSON texts (bitstring labels, rectangle indices, and distinct values
-coded by ``bitcore.value_codes``, as the dense CSV is).  All the lists of a
-report that share a layout and their tables (the 2^d certificates of a
-``covering verify`` report, one stack from construction on) are rendered
-together by one gather per column from tables folded once per report, with
-the text around each list folded into its first and last cells.  A report
-goes to stdout joined once, and to an ``--out`` file joined and written in
-slices of ``_WRITE_SLICE`` pieces, so no report-sized text is built there.
+coded by ``bitcore.value_codes``, as the dense CSV is).  A report's row
+lists share one layout, one template at one depth over the same tables
+(the 2^d certificates of ``covering verify``, one stack from construction
+on), and are rendered by one gather per column from tables folded once,
+with the text around each list folded into its first and last cells.  A
+report goes to stdout joined once, and to an ``--out`` file joined and
+written in slices of ``_WRITE_SLICE`` pieces: no report-sized text is built.
 """
 
 from __future__ import annotations
@@ -260,54 +260,38 @@ def _walk(obj: object, depth: int, chunks: list[str], lists: list) -> None:
         chunks.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad[:-2]))
 
 
-def _dumps(obj: object, folded: dict) -> list[str]:
+def _dumps(obj: object) -> list[str]:
     """Pieces whose join is ``json.dumps(obj, indent=2, sort_keys=True)``.
 
-    Dicts and _Rows lists are laid out here.  Text outside the non-empty
-    _Rows lists goes in order into ``chunks``.  The lists that share a
-    template, a depth and their text tables form one group, whose cells (one
-    per slot of each row) are filled by one gather per column from the
-    column's texts with the slot's tail folded in, so no Python code runs per
-    row or per list.  The text before each list (keys, openings, ``null``
-    entries) is then folded into its first cell and its closing text into its
-    last, and the groups' cells are taken in document order.  ``folded``
-    keeps each folded table by (id(texts), tail), so lists sharing a table
-    fold it once."""
+    Dicts and _Rows lists are laid out here; the text outside the non-empty
+    _Rows lists goes in order into ``chunks``.  Those lists must share one
+    layout (template, depth and text tables), else ValueError.  One gather
+    per column fills their cells (a slot of a row each) from the column's
+    texts with the slot's tail folded in, so no Python code runs per row or
+    list.  The text before each list (keys, openings, ``null`` entries) is
+    folded into its first cell, and its closing text into its last."""
     chunks: list[str] = []
     lists: list[tuple[int, _Rows, int]] = []
     _walk(obj, 0, chunks, lists)
-    groups: dict[tuple, list[_Rows]] = {}  # (template, depth, id of each table) -> lists
-    sizes: dict[tuple, int] = {}  # cells per group
-    placed = []  # (chunks before, group, first cell, end) of each list in document order
-    for before, rows, depth in lists:
-        group = (rows.template, depth, *(id(texts) for _, texts in rows.columns))
-        groups.setdefault(group, []).append(rows)
-        start = sizes.get(group, 0)
-        sizes[group] = start + len(rows.columns[0][0]) * len(rows.columns)
-        placed.append((before, group, start, sizes[group]))
-    cells = {}
-    for group, members in groups.items():
-        tails = _row_layout(*group[:2])[1]
-        block = np.empty((sizes[group] // len(tails), len(tails)), dtype=object)
-        for j, tail in enumerate(tails):
-            texts = members[0].columns[j][1]
-            if (id(texts), tail) not in folded:
-                folded[id(texts), tail] = np.array([text + tail for text in texts], dtype=object)
-            codes = np.concatenate([r.columns[j][0] for r in members])
-            block[:, j] = folded[id(texts), tail][codes]
-        cells[group] = block.ravel()
-    done = 0
-    for before, group, start, end in placed:
-        opening, tails, last = _row_layout(*group[:2])
-        flat = cells[group]
-        flat[start] = "".join(chunks[done:before]) + opening + flat[start]
-        flat[end - 1] = flat[end - 1][:-len(tails[-1])] + last
+    if not lists:
+        return chunks
+    if len({(rows.template, depth, *(id(texts) for _, texts in rows.columns))
+            for _, rows, depth in lists}) > 1:
+        raise ValueError("row lists of one report differ in template, depth or tables")
+    first, depth = lists[0][1:]
+    opening, tails, last = _row_layout(first.template, depth)
+    block = np.empty((sum(len(rows.columns[0][0]) for _, rows, _ in lists), len(tails)),
+                     dtype=object)
+    for j, tail in enumerate(tails):
+        folded = np.array([text + tail for text in first.columns[j][1]], dtype=object)
+        block[:, j] = folded[np.concatenate([rows.columns[j][0] for _, rows, _ in lists])]
+    cells, done, end = block.ravel(), 0, 0
+    for before, rows, _ in lists:
+        start, end = end, end + len(rows.columns[0][0]) * len(tails)
+        cells[start] = "".join(chunks[done:before]) + opening + cells[start]
+        cells[end - 1] = cells[end - 1][:-len(tails[-1])] + last
         done = before
-    if len(cells) == 1:  # one group: its cells are every list's, in document order
-        pieces = next(iter(cells.values())).tolist()
-    else:
-        pieces = [piece for _, group, start, end in placed
-                  for piece in cells[group][start:end].tolist()]
+    pieces = cells.tolist()
     pieces += chunks[done:]
     return pieces
 
@@ -318,15 +302,15 @@ _WRITE_SLICE = 1 << 14
 
 
 def _emit(report: str | dict, args: argparse.Namespace) -> None:
-    """Write a text report, or a dict laid out by ``_dumps`` (folded tables
-    kept for this report only), to stdout as one joined text, or to
-    ``--out`` (a relative path is taken under $LIFTCERT_OUT_DIR when set)
-    in slices of ``_WRITE_SLICE`` pieces, with ``Path.write_text``'s mode
-    and encoding: the file is truncated, and a link is written through."""
+    """Write a text report, or a dict laid out by ``_dumps``, to stdout as
+    one joined text, or to ``--out`` (a relative path is taken under
+    $LIFTCERT_OUT_DIR when set) in slices of ``_WRITE_SLICE`` pieces, with
+    ``Path.write_text``'s mode and encoding: the file is truncated, and a
+    link is written through."""
     if isinstance(report, str):
         pieces = [report if report.endswith("\n") else report + "\n"]
     else:
-        pieces = _dumps(report, {})
+        pieces = _dumps(report)
         pieces.append("\n")
     if args.out is None:
         # one write: a StringIO stdout keeps that str without a copy

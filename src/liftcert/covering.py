@@ -297,16 +297,12 @@ def maximal_support(d: int, alpha: BitString) -> set[Pair]:
             for key in _maximal_keys(d, alpha.value).tolist()}
 
 
+@lru_cache(maxsize=None)
 def recursive_certificates(d: int) -> np.ndarray:
     """The (2^d, 3^d - 1, 3) stack of (x, y, i) rows in lex order whose alpha-th entry
     certifies maximal_support(d, alpha) in recursive_covering(d): rectangle i takes its
     own pair (rows[-1], cols[-1]), except that for w < d the owner of the antidiagonal
     pair of alpha's low w + 1 bits takes that of its low w bits.  Built once, read-only."""
-    return _recursive_certificates(d)
-
-
-@lru_cache(maxsize=None)
-def _recursive_certificates(d: int) -> np.ndarray:
     owned = np.array([r.rows[-1] << d | r.cols[-1] for r in recursive_covering(d).rectangles])
     owner = np.zeros(1 << 2 * d, dtype=np.int64)
     owner[owned] = np.arange(len(owned))

@@ -200,6 +200,13 @@ class TestSampleBlock:
         pids = pattern_block(support_block(evaluate_block(u, u)))
         assert pids.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("square, falsified", [(1.5e-9, True), (0.5e-9, False)])
+    def test_witnessed_entry_meets_the_threshold_itself(self, square, falsified):
+        # M = [[1, 1], [s^2, s^2]]: the witnessed entry (1, 0) is s^2, the threshold 1e-9
+        u = np.array([1.0, np.sqrt(square)]).reshape(1, 2, 1, 1)
+        reasons, rows = witness_block(u, np.ones((1, 2, 1, 1)))
+        assert rows == [1] and (reasons[0] is not None) == falsified
+
     def test_block_size_bounds_the_stacks(self):
         assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
 

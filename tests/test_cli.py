@@ -178,12 +178,13 @@ def row_columns(template: str, rows: list[tuple]) -> _Rows:
                             for j in range(template.count("%s"))])
 
 
-def both_layouts(failures: list) -> tuple[dict, dict]:
-    """A report with row lists as _Rows and the same report with plain lists."""
+def both_layouts(failures: list) -> list[tuple[dict, dict]]:
+    """A certificates report and an entries report, each with its row lists as
+    _Rows and again with plain lists."""
     cert_rows = [("00", "01", 3), ("01", "00", 12), ("10", "01", 0)]
     entries = [("0", "0", 1), ("0", "1", 1), ("1", "0", 2.5), ("1", "1", 0.1)]
 
-    def report(rows):
+    def certificates(rows):
         return {
             "command": "covering-verify", "d": 2, "label": 'a "quoted" \u00e9 label',
             "failures": failures, "passed": not failures, "empty": {},
@@ -192,39 +193,58 @@ def both_layouts(failures: list) -> tuple[dict, dict]:
                 "01": None,
                 "11": {"assignment": rows(PAIR_ROW, [], None)},
             },
-            "matrix": {"entries": rows(ENTRY_ROW, entries, lambda a, b, v: [a, b, v]),
-                       "n": 1},
         }
 
-    return (report(lambda template, rows, _: row_columns(template, rows)),
-            report(lambda _, rows, shape: [shape(*row) for row in rows]))
+    def matrix(rows):
+        return {"command": "udisj", "failures": failures, "empty": {},
+                "matrix": {"entries": rows(ENTRY_ROW, entries, lambda a, b, v: [a, b, v]),
+                           "n": 1}}
+
+    return [(report(lambda template, rows, _: row_columns(template, rows)),
+             report(lambda _, rows, shape: [shape(*row) for row in rows]))
+            for report in (certificates, matrix)]
 
 
 @pytest.mark.parametrize("failures", [
     [], [{"alpha": "01", "k": 8, "support_size": 8}, {"pattern": 3, "k": 7}],
 ], ids=["no-failures", "failures"])
 def test_row_renderer_matches_indent_encoder(failures):
-    rows, plain = both_layouts(failures)
-    assert "".join(_dumps(rows, {})) == json.dumps(plain, indent=2, sort_keys=True)
+    for rows, plain in both_layouts(failures):
+        assert "".join(_dumps(rows)) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def cert(x: list, y: list, i: list, labels: list, indices: list) -> dict:
+    """A certificate object whose rows are coded into the given tables."""
+    columns = [(np.array(x), labels), (np.array(y), labels), (np.array(i), indices)]
+    return {"assignment": _Rows(PAIR_ROW, columns)}
 
 
 def test_shared_tables_fold_once_per_tail():
-    """Row lists sharing their text tables, at one depth and one deeper, render
-    as the indent=2 encoder, and each (table, tail) is folded once."""
+    """Row lists sharing their text tables at one depth, among None and plain
+    values, render as the indent=2 encoder."""
     labels, indices = ['"0"', '"1"'], ["0", "1", "2"]
+    obj = {"a": cert([0, 1], [1, 0], [2, 0], labels, indices), "b": None,
+           "c": cert([0], [0], [1], labels, indices), "d": 7,
+           "e": cert([1], [0], [0], labels, indices)}
+    plain = {"a": {"assignment": [[["0", "1"], 2], [["1", "0"], 0]]}, "b": None,
+             "c": {"assignment": [[["0", "0"], 1]]}, "d": 7,
+             "e": {"assignment": [[["1", "0"], 0]]}}
+    assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
 
-    def cert(x, y, i):
-        columns = [(np.array(x), labels), (np.array(y), labels), (np.array(i), indices)]
-        return {"assignment": _Rows(PAIR_ROW, columns)}
 
-    obj = {"a": cert([0, 1], [1, 0], [2, 0]), "b": cert([0], [0], [1]),
-           "c": {"deeper": cert([1], [0], [0])}}
-    plain = {"a": {"assignment": [[["0", "1"], 2], [["1", "0"], 0]]},
-             "b": {"assignment": [[["0", "0"], 1]]},
-             "c": {"deeper": {"assignment": [[["1", "0"], 0]]}}}
-    folded = {}
-    assert "".join(_dumps(obj, folded)) == json.dumps(plain, indent=2, sort_keys=True)
-    assert len(folded) == 6  # three tails at each of two depths
+@pytest.mark.parametrize("change", ["template", "depth", "table"])
+def test_row_lists_of_two_layouts_rejected(change):
+    labels, indices = ['"0"', '"1"'], ["0", "1", "2"]
+    other = cert([0], [1], [2], list(labels) if change == "table" else labels, indices)
+    if change == "template":
+        other["assignment"] = other["assignment"]._replace(template=ENTRY_ROW)
+    elif change == "depth":
+        other = {"deeper": other}
+    obj = {"a": cert([0, 1], [1, 0], [2, 0], labels, indices), "b": other}
+    with pytest.raises(ValueError, match="differ in template, depth or tables"):
+        _dumps(obj)
+    for key in obj:  # each list renders alone
+        json.loads("".join(_dumps({key: obj[key]})))
 
 
 def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[str]):
@@ -239,7 +259,7 @@ def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[
         plain = [[a, b, c] for a, b, c in zip(x, y, values.tolist())]
     for depth, key in enumerate(keys):
         obj, plain = {key: obj, key + "~": depth}, {key: plain, key + "~": depth}
-    assert "".join(_dumps(obj, {})) == json.dumps(plain, indent=2, sort_keys=True)
+    assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("template", [PAIR_ROW, ENTRY_ROW], ids=["pair", "entry"])
@@ -263,30 +283,37 @@ ROW_VALUES = {
 }
 
 
-def draw_document(data, depth: int, labels: list, values: list) -> tuple[dict, dict]:
-    """A dict at ``depth`` of None, integers, row lists (either template, empty
-    or not, every list coded into the same label and value tables) and, down
-    to depth 3, nested dicts; and the same dict with the lists written out."""
+def draw_document(data, template: str, labels: list, values: list) -> tuple[dict, dict]:
+    """A dict of None, integers, nested dicts down to depth 3 and, in the dicts
+    of one drawn depth only, row lists (empty or not, all of ``template`` and
+    coded into the same label and value tables); and the same dict with the
+    lists written out."""
     label_texts, value_texts = [json.dumps(x) for x in labels], [json.dumps(v) for v in values]
-    obj, plain = {}, {}
-    for key in data.draw(st.lists(st.text(max_size=3), max_size=4, unique=True)):
-        kind = data.draw(st.sampled_from(["none", "int", "rows", "dict"][:4 if depth < 3 else 3]))
-        if kind == "rows":
-            template = data.draw(st.sampled_from([PAIR_ROW, ENTRY_ROW]))
-            codes = data.draw(st.lists(st.tuples(st.integers(0, len(labels) - 1),
-                                                 st.integers(0, len(labels) - 1),
-                                                 st.integers(0, len(values) - 1)), max_size=6))
-            x, y, v = (np.array(column, dtype=np.int64).reshape(-1)
-                       for column in (zip(*codes) if codes else ([], [], [])))
-            obj[key] = _Rows(template, [(x, label_texts), (y, label_texts), (v, value_texts)])
-            shape = ((lambda a, b, c: [[a, b], c]) if template == PAIR_ROW else
-                     (lambda a, b, c: [a, b, c]))
-            plain[key] = [shape(labels[a], labels[b], values[c]) for a, b, c in codes]
-        elif kind == "dict":
-            obj[key], plain[key] = draw_document(data, depth + 1, labels, values)
-        else:
-            obj[key] = plain[key] = None if kind == "none" else data.draw(st.integers(-9, 9))
-    return obj, plain
+    rows_at = data.draw(st.integers(0, 3))
+    shape = ((lambda a, b, c: [[a, b], c]) if template == PAIR_ROW else
+             (lambda a, b, c: [a, b, c]))
+
+    def draw(depth: int) -> tuple[dict, dict]:
+        obj, plain = {}, {}
+        kinds = ["none", "int"] + ["rows"] * (depth == rows_at) + ["dict"] * (depth < 3)
+        for key in data.draw(st.lists(st.text(max_size=3), max_size=4, unique=True)):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "rows":
+                codes = data.draw(st.lists(st.tuples(
+                    st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
+                    st.integers(0, len(values) - 1)), max_size=6))
+                x, y, v = (np.array(column, dtype=np.int64).reshape(-1)
+                           for column in (zip(*codes) if codes else ([], [], [])))
+                obj[key] = _Rows(template, [(x, label_texts), (y, label_texts),
+                                            (v, value_texts)])
+                plain[key] = [shape(labels[a], labels[b], values[c]) for a, b, c in codes]
+            elif kind == "dict":
+                obj[key], plain[key] = draw(depth + 1)
+            else:
+                obj[key] = plain[key] = None if kind == "none" else data.draw(st.integers(-9, 9))
+        return obj, plain
+
+    return draw(0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,9 +325,10 @@ def test_random_row_lists_render_as_indent_encoder(data, template, dtype, keys):
     rows = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels),
                                         st.sampled_from(values)), max_size=12))
     assert_rows_render(template, rows, dtype, keys)
-    # several lists sharing their tables, with None values and empty lists, at depths 0-3
-    obj, plain = draw_document(data, 0, labels, values)
-    assert "".join(_dumps(obj, {})) == json.dumps(plain, indent=2, sort_keys=True)
+    # several lists of one template sharing their tables, at one depth among None
+    # values, integers, empty lists and dicts
+    obj, plain = draw_document(data, template, labels, values)
+    assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 class TestAtomSample:

@@ -554,6 +554,21 @@ class TestRevalidation:
         with pytest.raises(ValueError, match="outside its rectangle"):
             self.check(rows)
 
+    @pytest.mark.parametrize("extra", [(1, 1, 8), (4, 0, 8)], ids=["intersecting", "wide"])
+    def test_extra_row_on_a_spare_rectangle_rejected(self, extra):
+        # a copy of rectangle 0 leaves index 8 unused: only the pair check sees the row
+        family = recursive_covering(2)
+        spare = CoveringFamily(2, family.rectangles + family.rectangles[:1])
+        rows = np.vstack([recursive_certificates(2)[0], extra])
+        with pytest.raises(ValueError, match="its pairs are not the maximal support"):
+            check_maximal_assignments(spare, {0: rows})
+
+    def test_intersecting_pair_named_as_not_the_maximal_support(self):
+        rows = recursive_certificates(2)[0].copy()
+        rows[rows[:, :2].tolist().index([0b01, 0b00]), 1] = 0b01  # its index kept
+        with pytest.raises(ValueError, match="its pairs are not the maximal support"):
+            check_maximal_assignments(recursive_covering(2), {0: rows})
+
     # -4 and 37 once wrapped onto alpha 101's own antidiagonal pair and passed
     @pytest.mark.parametrize("alpha", [-4, -1, 1 << D, 37])
     def test_alpha_outside_width_rejected(self, alpha):
@@ -834,6 +849,15 @@ class TestInductionBlock:
         for stack in ([non_atom, fails], [np.zeros((4, 4)), non_atom, fails]):
             with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
                 induction_block(np.stack(stack), empty)
+
+    def test_aggregate_positive_on_an_intersection_one_pair_fails_its_matrix(self):
+        # 1e-12 is below eps * max(M) but is all of its block: the aggregate is
+        # positive at (1, 1), so the run stops before the non-atom after it
+        first, non_atom = np.zeros((4, 4)), np.zeros((4, 4))
+        first[3, 3], first[1, 1] = 1.0, 1e-12
+        non_atom[0, 1] = non_atom[1, 1] = 1.0
+        totals, _, clean = induction_block(np.stack([first, non_atom]), recursive_covering(1))
+        assert totals[0] == 0 and not clean[0]
 
 
 class TestInduction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -82,3 +83,17 @@ def test_rank_margin_bad_arguments_exit_2():
     proc = run_script("rank_margin.py", ["--max-d", "1"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: need 2 <= --max-d <= 6")
+
+
+def test_mutant_list_applies_to_the_sources():
+    # no mutant is run: each snippet must occur once, and each test must exist
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert [m.name for m in mutants.MUTANTS] == ["M1", "M2", "M3", "M4", "M5"]
+    assert mutants.snippet_faults() == []
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and m.tests
+        for node in m.tests:
+            path, *_, name = node.split("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), node
