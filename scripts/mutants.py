@@ -56,6 +56,60 @@ MUTANTS = (
            '        raise ValueError("row lists of one report differ in template, depth'
            ' or tables")\n', "",
            ("tests/test_cli.py::test_row_lists_of_two_layouts_rejected",)),
+    Mutant("B1", "bounds.py",
+           "self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper)",
+           "self.rho_upper != self.k**m",
+           ("tests/test_bounds.py::TestBoundReport::test_invariants_enforced",)),
+    Mutant("B2", "bounds.py",
+           "self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper)",
+           "self.lift_lower != Fraction(3**self.n, self.rho_upper)",
+           ("tests/test_bounds.py::TestBoundReport::"
+            "test_integer_invariants_enforced[rho-not-k-power]",)),
+    Mutant("B3", "bounds.py", "1 <= self.k <= 3**self.d - 1", "0 <= self.k <= 3**self.d - 1",
+           ("tests/test_bounds.py::TestBoundReport::test_integer_invariants_enforced[k-zero]",)),
+    Mutant("B4", "bounds.py", "self.k <= 3**self.d - 1 < 3**self.d", "self.k <= 3**self.d",
+           ("tests/test_bounds.py::TestBoundReport::"
+            "test_integer_invariants_enforced[k-above-3^d-1]",)),
+    Mutant("B5", "bounds.py",
+           "    if not 1 <= k <= default_k:\n"
+           '        raise ValueError(f"k = {k} outside [1, {default_k}]")\n', "",
+           ("tests/test_cli.py::TestBound::test_oversized_k_rejected",)),
+    Mutant("B6", "bounds.py", "if digits >= MAX_REPORT_DIGITS", "if digits > MAX_REPORT_DIGITS",
+           ("tests/test_bounds.py::TestBoundReport::"
+            "test_digit_cap_met_exactly_by_a_power_of_ten",)),
+    Mutant("F1", "covering.py",
+           "            if type(sides[0]) is not list or type(sides[1]) is not list:\n"
+           "                raise TypeError\n", "",
+           ("tests/test_covering.py::TestSerialization::"
+            "test_family_reader_parses_as_per_string_reference",)),
+    Mutant("F2", "covering.py",
+           'label = _json_field({"label": "", **obj}, "label", str, "family")',
+           'label = obj.get("label", "")',
+           ("tests/test_cli.py::test_malformed_family_exits_2_naming_the_field",)),
+    Mutant("C1", "covering.py", "type(row[1]) is int and row[1] >= 0", "type(row[1]) is int",
+           ("tests/test_covering.py::TestSerialization::test_malformed_certificate_rejected",)),
+    Mutant("C2", "covering.py",
+           "        if pair in assignment:\n"
+           "            raise ValueError(f'certificate field \"assignment\" repeats pair"
+           " ({x}, {y})')\n", "",
+           ("tests/test_covering.py::TestSerialization::test_malformed_certificate_rejected",)),
+    Mutant("C3", "covering.py", "type(row[1]) is int", "isinstance(row[1], int)",
+           ("tests/test_covering.py::TestSerialization::test_malformed_certificate_rejected",)),
+    Mutant("P1", "atoms.py", " or not math.isfinite(x)", "",
+           ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
+    Mutant("P2", "atoms.py", "if width > d or any(", "if any(",
+           ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
+    Mutant("P3", "atoms.py", "len(row) != width\n                or ", "",
+           ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
+    Mutant("P4", "atoms.py",
+           "        if sorted(raw) != labels:\n"
+           "            raise ValueError(f'factorization field \"{name}\" needs one key per '\n"
+           '                             f"width-{n} string")\n', "",
+           ("tests/test_atoms.py::TestSerialization::test_wrong_key_set_rejected",)),
+    Mutant("P5", "atoms.py", "0 <= n <= MAX_DENSE_N and", "0 <= n and",
+           ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
+    Mutant("W1", "atoms.py", "d - 1 - stalled.argmax(axis=1)", "stalled[:, ::-1].argmax(axis=1)",
+           ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
 )
 
 

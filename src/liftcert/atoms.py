@@ -25,10 +25,10 @@ finds the null spaces of the whole block at once, and ``evaluate_block``
 evaluates the block's (T, 2^n, d, d) stacks at once.  On top of the sampler
 sit two falsifiable oracles, pure checks of a block:
 
-* ``witness_block`` finds, for n = d, a pair (a, complement(a)) whose entry
-  is zero, from the nondecreasing ranks of the stacked factors
-  [V_{e_1} ... V_{e_i}], and returns per trial None or the reason that
-  entry is not zero.  Every square atom has such a zero.
+* ``witness_block`` returns per trial None or why the entry at (a,
+  complement(a)) of a square atom (n = d) is not zero, where the image sums
+  F_i of V_{e_1}, ..., V_{e_i} from F_0 = {0} either reach the whole space
+  (a = all ones) or stall at a first p (a = complement of e_{p+1}).
 * ``pattern_block`` gives per 4 x 4 support the admissible sparsity pattern
   (of six, hence at most 7 positive disjoint entries) that an atom over
   2 x 2 PSD matrices must fit, or 0 for none (a reason, in ``cli``).
@@ -258,29 +258,26 @@ def witness_block(
     """Per trial of a block of square atoms, (T, 2^d, d, d) stacks, None or
     why its witnessed entry falsifies, and its antidiagonal witness row.
 
-    F_i = Im V_{e_1} + ... + Im V_{e_i} has dimension rank [V_{e_1} ...
-    V_{e_i}], read for every trial and i at once: if F_d is the full space
-    the all-ones row is zero; if V_{e_1} = 0 the e_1 column is zero; else
-    the chain stalls at some first p with F_p = F_{p+1}, and the complement
-    of e_{p+1} indexes a zero row entry at the antidiagonal.  Rows are given
-    by value; a selected entry above its trial's zero threshold would
-    contradict the antidiagonal-zero property of square atoms.
+    F_i = Im V_{e_1} + ... + Im V_{e_i}, from F_0 = {0}, has dimension rank
+    [V_{e_1} ... V_{e_i}], read for every trial and i at once.  Either F_d
+    is the full space and the all-ones row is zero, or the chain stalls at a
+    first p with F_p = F_{p+1} (p = 0 when V_{e_1} = 0), and the complement
+    of e_{p+1} indexes a zero entry at the antidiagonal.  Rows are given by
+    value; an entry above its trial's zero threshold would contradict the
+    antidiagonal-zero property of square atoms.
     """
     trials, size, d = v.shape[:3]
     n = size.bit_length() - 1
     if n != d:
         raise ValueError(f"witness needs a square-index atom, got n={n}, d={d}")
-    # dim F_i for i = 1..d; e_i has value 2^(d - i)
-    dims = prefix_ranks(v[:, 1 << np.arange(d - 1, -1, -1)])
-    full, zero = dims[:, -1] == d, dims[:, 0] == 0
-    stalled = dims[:, :-1] == dims[:, 1:]
-    # a strictly increasing chain starting at dim >= 1 would reach dim d
-    assert (full | zero | stalled.any(axis=1)).all(), \
-        "image chain cannot strictly increase below full"
-    # the complement of e_1 when V_{e_1} = 0, else of e_{p+1} at the stall p
-    unit = np.where(zero, d - 1, d - 2 - stalled.argmax(axis=1)) if d > 1 else 0
+    # dim F_i for i = 0..d, from F_0 = {0}; e_i has value 2^(d - i)
+    dims = np.pad(prefix_ranks(v[:, 1 << np.arange(d - 1, -1, -1)]), ((0, 0), (1, 0)))
+    full, stalled = dims[:, -1] == d, dims[:, :-1] == dims[:, 1:]
+    # a chain that rises at each of its d steps reaches dim d
+    assert (full | stalled.any(axis=1)).all(), "image chain cannot strictly increase below full"
+    # the complement of e_{p+1} at the first stall p
     ones = size - 1
-    rows = np.where(full, ones, ones ^ (1 << unit))
+    rows = np.where(full, ones, ones ^ (1 << (d - 1 - stalled.argmax(axis=1))))
     values = evaluate_block(u, v)
     entries = values[np.arange(trials), rows, ones ^ rows].tolist()
     thresholds = threshold_block(values, eps).tolist()

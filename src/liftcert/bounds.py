@@ -101,10 +101,10 @@ class BoundReport:
         and 3.0 from d = 31 and 32 on): with K = 3^d - 1 < 3^d and k <= K,
         3^n / k^m >= kappa c^n = 3^n K^(-(n+d-1)/d) iff d m <= n + d - 1."""
         m = (self.n - 1) // self.d + 1
-        if self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper):
-            raise ValueError(f"rho {self.rho_upper} or lift {self.lift_lower} is not k^m, 3^n/k^m")
         if not (1 <= self.k <= 3**self.d - 1 < 3**self.d and self.d * m <= self.n + self.d - 1):
             raise ValueError(f"k = {self.k} breaks k <= 3^d - 1 or d m <= n + d - 1")
+        if self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper):
+            raise ValueError(f"rho {self.rho_upper} or lift {self.lift_lower} is not k^m, 3^n/k^m")
 
 
 def bound_report(n: int, d: int, k: Optional[int] = None) -> BoundReport:

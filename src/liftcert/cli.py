@@ -9,7 +9,7 @@ outcomes, stops at the first failing trial and returns the outcomes before
 it; a block changes no trial's draws and no report.  Negative outcomes exit
 with code 1 and carry a structured falsifier payload (the offending
 factorization and its evaluated matrix); invalid configuration exits 2.
-``main`` parses with one parser built per process.
+``main`` parses with the one parser ``build_parser`` builds per process.
 
 JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
@@ -413,7 +413,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="liftcert",
         description="Construct and certify covering-based lift lower bounds "
@@ -476,14 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -48,14 +48,12 @@ def _rank(s: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 def _reduced(x: np.ndarray) -> np.ndarray:
     """A stack (..., d, d) with the singular values and left singular vectors
-    of the stack x (..., d, m): narrow slices zero-padded, wide ones replaced
-    by R^T from the QR x^T = Q R, since x x^T = R^T R."""
+    of the stack x (..., d, m): slices of m <= d columns zero-padded to d,
+    wider ones replaced by R^T from the QR x^T = Q R, since x x^T = R^T R."""
     d, m = x.shape[-2:]
-    if m < d:
-        return np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
     if m > d:
         return np.linalg.qr(x.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    return x
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (d - m,))], axis=-1)
 
 
 def _svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

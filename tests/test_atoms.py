@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -331,7 +332,38 @@ class TestNullSpaces:
         assert check(*sampled) == check(*reference)
 
 
+def three_case_rows(dims: np.ndarray, d: int) -> np.ndarray:
+    """Witness rows by the former three-case rule, from the chains dim F_1,
+    ..., dim F_d (no F_0): the all-ones row when F_d is full, the complement
+    of e_1 when V_{e_1} = 0, else the complement of e_{p+1} at the first
+    stall p >= 1."""
+    full, zero = dims[:, -1] == d, dims[:, 0] == 0
+    stalled = dims[:, :-1] == dims[:, 1:]
+    assert (full | zero | stalled.any(axis=1)).all()
+    unit = np.where(zero, d - 1, d - 2 - stalled.argmax(axis=1)) if d > 1 else 0
+    ones = (1 << d) - 1
+    return np.where(full, ones, ones ^ (1 << unit))
+
+
 class TestAntidiagonalWitness:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_chain_from_f0_matches_the_three_case_rule(self, d):
+        # every nondecreasing chain dim F_1 <= ... <= dim F_d in [0, d],
+        # C(2d, d) of them (1,274 for d = 1..6), most never sampled: V_{e_i}
+        # spans the unit vectors dim F_{i-1} .. dim F_i - 1
+        chains = np.array(list(itertools.combinations_with_replacement(range(d + 1), d)))
+        v = np.zeros((len(chains), 1 << d, d, d))
+        for side, chain in zip(v, chains.tolist()):
+            for i, (lo, hi) in enumerate(zip([0, *chain], chain)):
+                side[1 << (d - 1 - i), lo:hi, :hi - lo] = np.eye(hi - lo)
+        reasons, rows = [], []
+        for part in np.split(v, range(16, len(v), 16)):  # 16 trials keep d = 6 small
+            block = witness_block(np.zeros_like(part), part)
+            reasons += block[0]
+            rows += block[1]
+        assert reasons == [None] * len(chains)
+        assert rows == three_case_rows(chains, d).tolist()
+
     def test_full_image_chain_returns_all_ones(self):
         # V_10 = e1 e1^T, V_01 = e2 e2^T
         f = PsdFactorization(2, 2, np.zeros((4, 2, 2)), unit_columns(2, {2: 0, 1: 1}))

@@ -127,11 +127,19 @@ class TestBoundReport:
                 lift_lower=Fraction(1, 100), kappa=1.0, c=1.5, t=2.0,
             )
 
-    @pytest.mark.parametrize("k, rho, lift", [(2, 5, Fraction(9, 5)), (3, 9, Fraction(1))],
-                             ids=["rho-not-k-power", "k-above-3^d-1"])
+    @pytest.mark.parametrize("k, rho, lift", [(2, 5, Fraction(9, 5)), (3, 9, Fraction(1)),
+                                              (0, 0, Fraction(1))],
+                             ids=["rho-not-k-power", "k-above-3^d-1", "k-zero"])
     def test_integer_invariants_enforced(self, k, rho, lift):
         with pytest.raises(ValueError):
             BoundReport(n=2, d=1, k=k, rho_upper=rho, lift_lower=lift, kappa=1.0, c=1.5, t=2.0)
+
+    def test_digit_cap_met_exactly_by_a_power_of_ten(self):
+        # k = 10^10 <= 3^21 - 1, so log10 rho = 10 m is an integer: it meets
+        # the cap at m = 430 (n = 9010), where rho = 10^4300 has 4,301 digits
+        assert bound_report(9009, 21, 10**10).rho_upper == 10**4290
+        with pytest.raises(ValueError, match="n = 9010 too large"):
+            bound_report(9010, 21, 10**10)
 
     @pytest.mark.parametrize("n, d", [(40, 31), (40, 40), (31, 31), (62, 31)])
     def test_report_past_rounded_constants(self, n, d):

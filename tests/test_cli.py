@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert import cli, covering
-from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, _value_column, main
+from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, _value_column, build_parser, main
 from liftcert.covering import (
     MAX_COVER_D,
     CoveringCertificate,
@@ -393,7 +393,9 @@ class TestBound:
         assert "refined" in out
 
     def test_oversized_k_rejected(self, capsys):
-        assert run_cli(capsys, "bound", "--n", "4", "--d", "1", "--k", "5")[0] == 2
+        for d, k in [(1, 5), (1, 3), (2, 0), (2, 9)]:
+            code, err = run_cli_error(capsys, "bound", "--n", "4", "--d", str(d), "--k", str(k))
+            assert code == 2 and f"k = {k} outside [1, {3**d - 1}]" in err
 
     def test_t_and_the_k_row_follow_k(self, capsys):
         argv = ["bound", "--n", "4", "--d", "2", "--k", "5", "--format"]
@@ -625,6 +627,10 @@ def test_shared_parser_survives_errors_and_help(capsys):
     fresh = subprocess.run([sys.executable, "-m", "liftcert", *bound],
                            capture_output=True, text=True)
     assert (fresh.returncode, fresh.stdout) == before[0]
+
+
+def test_parser_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ import pytest
 
 from liftcert.linalg import (
     RANK_TOL,
+    _reduced,
     image,
     inner,
     kernel,
@@ -249,6 +250,12 @@ class TestPrefixRanks:
 
     def test_zero_chain_has_rank_zero(self):
         assert not prefix_ranks(np.zeros((2, 3, 3, 3))).any()
+
+
+class TestReduced:
+    def test_square_stack_unchanged(self):
+        x = np.random.default_rng(5).standard_normal((3, 4, 4))
+        assert np.array_equal(_reduced(x), x)
 
 
 class TestRandomPsd:

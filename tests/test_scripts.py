@@ -90,10 +90,16 @@ def test_mutant_list_applies_to_the_sources():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert [m.name for m in mutants.MUTANTS] == ["M1", "M2", "M3", "M4", "M5"]
+    assert [m.name for m in mutants.MUTANTS] == [
+        "M1", "M2", "M3", "M4", "M5", "B1", "B2", "B3", "B4", "B5", "B6",
+        "F1", "F2", "C1", "C2", "C3", "P1", "P2", "P3", "P4", "P5", "W1"]
     assert mutants.snippet_faults() == []
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.tests
         for node in m.tests:
             path, *_, name = node.split("::")
-            assert f"def {name}(" in (ROOT / path).read_text(), node
+            name, _, param = name.partition("[")
+            text = (ROOT / path).read_text()
+            assert f"def {name}(" in text, node
+            # a parametrized node's id is spelled out in its test file
+            assert not param or f'"{param.rstrip("]")}"' in text, node
