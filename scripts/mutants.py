@@ -110,6 +110,13 @@ MUTANTS = (
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
     Mutant("W1", "atoms.py", "d - 1 - stalled.argmax(axis=1)", "stalled[:, ::-1].argmax(axis=1)",
            ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
+    Mutant("S1", "atoms.py", "_MIX_L, _MIX_R = np.uint32(0xCA01F9DD)",
+           "_MIX_L, _MIX_R = np.uint32(0xCA01F9DF)",
+           ("tests/test_atoms.py::TestSeeding::test_seed_words_match_seed_sequence",)),
+    Mutant("S2", "atoms.py",
+           "        if gens[0].bit_generator.state == random.PCG64(seeds[0]).state:\n"
+           "            return gens\n", "        return gens\n",
+           ("tests/test_atoms.py::TestSeeding::test_wrong_seed_words_fall_back",)),
 )
 
 
