@@ -117,6 +117,19 @@ MUTANTS = (
            "        if gens[0].bit_generator.state == random.PCG64(seeds[0]).state:\n"
            "            return gens\n", "        return gens\n",
            ("tests/test_atoms.py::TestSeeding::test_wrong_seed_words_fall_back",)),
+    Mutant("Φ1", "covering.py", '"b2 d2 c1 a c2 d1 b1"', '"d2 b2 c1 a c2 d1 b1"',
+           ("tests/test_covering.py::TestPhiTables::test_tables_validate_as_certificates",)),
+    Mutant("V1", "covering.py",
+           '            raise ValueError(f"support pair ({missing[0]}, {missing[1]})'
+           ' unassigned")\n', "",
+           ("tests/test_covering.py::TestCertificateValidation::"
+            "test_unassigned_support_pair_rejected",)),
+    Mutant("V2", "covering.py",
+           "            if not 0 <= i < family.k:\n"
+           '                raise ValueError(f"rectangle index {i} outside family of size'
+           ' {family.k}")\n', "",
+           ("tests/test_covering.py::TestCertificateValidation::"
+            "test_index_outside_the_family_rejected",)),
 )
 
 

@@ -118,8 +118,8 @@ class PsdFactorization:
 
 
 def _sum_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms over the last two axes."""
-    return (x * x).sum(axis=(-2, -1))
+    """Squared Frobenius norms over the last two axes, squaring the temporary x in place."""
+    return np.square(x, out=x).sum(axis=(-2, -1))
 
 
 def evaluate_block(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -99,6 +99,8 @@ def run_trials(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")
+    if not directions:
+        raise ValueError("directions must name at least one direction")
     size, passing = block_size(n), []
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))

@@ -24,7 +24,7 @@ Two verification modes matter here:
   path leads from u to a.  Only the passing S are then matched.
 * ``pattern_assignments`` certifies the 7-rectangle family for 4 x 4 atoms
   over 2 x 2 PSD cones by matching the keys of each of the six admissible
-  sparsity patterns; ``phi_table_d2`` carries the six hand-built assignments.
+  sparsity patterns; ``phi_table_d2`` names a rectangle for each pattern pair.
 
 The recursive family of 3^d - 1 rectangles is built in one loop over levels
 w < d, each directly at width d (a zero prefix keeps every value): two
@@ -413,43 +413,23 @@ def verify_patterns_d2(family: CoveringFamily) -> bool:
     return all(c is not None for c in pattern_certificates_d2(family).values())
 
 
-def _phi(pid: int, table: dict[tuple[str, str], int]) -> CoveringCertificate:
-    cert = CoveringCertificate(
-        {(BitString.from_text(x), BitString.from_text(y)): i for (x, y), i in table.items()}
-    )
-    keys = sorted(x.value << 2 | y.value for x, y in cert.assignment if x.width == y.width == 2)
-    if keys != pattern_keys(pid).tolist():
-        raise ValueError(f"phi table of pattern {pid} does not assign its disjoint support")
-    return cert
+#: Per pattern, in id order, the EXPLICIT_D2_NAMES rectangle phi assigns to
+#: each allowed disjoint pair, the pairs in ``pattern_keys`` (lex) order.
+_PHI_D2 = ("b2 d2 c1 a c2 d1 b1", "b2 a c1 b1 c2 d1 d2", "c2 d1 c1 a b2 d2 b1",
+           "d2 d1 c1 a b2 c2 b1", "d2 c1 a b2 c2 d1 b1", "c2 d1 a c1 b2 d2 b1")
 
 
 def phi_table_d2() -> list[CoveringCertificate]:
-    """The six hand-built assignments against explicit_covering_d2.
-
-    Indices follow EXPLICIT_D2_NAMES: 0 = a, 1 = b1, 2 = b2, 3 = c1,
-    4 = c2, 5 = d1, 6 = d2.
-    """
-    tables: list[dict[tuple[str, str], int]] = [
-        # pattern 1: full first row and column
-        {("00", "00"): 2, ("00", "01"): 6, ("00", "10"): 3, ("00", "11"): 0,
-         ("01", "00"): 4, ("10", "00"): 5, ("11", "00"): 1},
-        # pattern 2: both corners vanish
-        {("00", "00"): 2, ("00", "01"): 0, ("00", "10"): 3,
-         ("01", "00"): 1, ("01", "10"): 4, ("10", "00"): 5, ("10", "01"): 6},
-        # pattern 3: row 01 vanishes
-        {("00", "00"): 4, ("00", "01"): 5, ("00", "10"): 3, ("00", "11"): 0,
-         ("10", "00"): 2, ("10", "01"): 6, ("11", "00"): 1},
-        # pattern 4: row 10 vanishes
-        {("00", "00"): 6, ("00", "01"): 5, ("00", "10"): 3, ("00", "11"): 0,
-         ("01", "00"): 2, ("01", "10"): 4, ("11", "00"): 1},
-        # pattern 5: column 01 vanishes
-        {("00", "00"): 6, ("00", "10"): 3, ("00", "11"): 0,
-         ("01", "00"): 2, ("01", "10"): 4, ("10", "00"): 5, ("11", "00"): 1},
-        # pattern 6: column 10 vanishes
-        {("00", "00"): 4, ("00", "01"): 5, ("00", "11"): 0,
-         ("01", "00"): 3, ("10", "00"): 2, ("10", "01"): 6, ("11", "00"): 1},
-    ]
-    return [_phi(pid, table) for pid, table in enumerate(tables, start=1)]
+    """The six hand-built assignments against explicit_covering_d2, in pattern
+    id order: each pattern's ``pattern_keys`` paired with its row of _PHI_D2."""
+    certs = []
+    for pid, row in zip(PatternId, _PHI_D2, strict=True):
+        keys, names = pattern_keys(pid), row.split()
+        if len(names) != len(keys) or not set(names) <= set(EXPLICIT_D2_NAMES):
+            raise ValueError(f"phi row of pattern {pid} does not name a rectangle per pair")
+        index = [EXPLICIT_D2_NAMES.index(name) for name in names]
+        certs.append(_certificate(2, np.stack([keys >> 2, keys & 3, index], axis=-1)))
+    return certs
 
 
 def _aggregate_block(values: np.ndarray, family: CoveringFamily) -> np.ndarray:

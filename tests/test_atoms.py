@@ -217,6 +217,20 @@ class TestSampleBlock:
         with pytest.raises(ValueError, match="sideways"):
             sample_block(2, 2, "uniform", [1, 2], ["u-first", "sideways"])
 
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 2, "n = 0 outside [1, 8]"), (9, 2, "n = 9 outside [1, 8]"),
+        (2, 0, "d = 0 outside [1, 8]"), (2, 9, "d = 9 outside [1, 8]"),
+    ], ids=["n0", "n9", "d0", "d9"])
+    def test_width_and_dimension_ranges_enforced(self, n, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_block(n, d, "uniform", [1], ["u-first"])
+
+    def test_evaluate_block_refuses_widths_above_the_dense_cap(self):
+        # a stack of no trials at width 11 holds no entries, so this needs no memory
+        empty = np.zeros((0, 1 << 11, 1, 1))
+        with pytest.raises(ValueError, match="n = 11 exceeds dense cap 10"):
+            evaluate_block(empty, empty)
+
 
 #: Seeds NumPy's own SeedSequence must agree with: every seed of 12 bits, the
 #: edges of the 32- and 64-bit word ranges, and 10^4 random 64-bit seeds.
@@ -615,6 +629,10 @@ class TestSerialization:
 
 
 class TestFactorization:
+    def test_dimension_above_max_dim_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("d = 9 outside [1, 8]")):
+            PsdFactorization(1, 9, np.zeros((2, 9, 9)), np.zeros((2, 9, 9)))
+
     def test_factor_wider_than_d_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             PsdFactorization(1, 2, np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from typing import Optional
@@ -718,6 +719,10 @@ class TestPatternVerification:
         self.check_rows_equal_matcher(draw_family(data, 2))
 
 
+#: sha256 of the six phi certificates' ``certificate_to_json`` texts, one a line.
+PHI_D2_SHA256 = "537e0d410f57075033ab0b6f9b96120ce1d1a6186ffc6d72485a92df01155dff"
+
+
 class TestPhiTables:
     def test_first_table_spot_values(self):
         table = phi_table_d2()[0].assignment
@@ -734,15 +739,45 @@ class TestPhiTables:
         for pid, cert in zip(PatternId, phi_table_d2()):
             assert set(cert.assignment) == set(pattern_disjoint_support(pid))
 
-    @pytest.mark.parametrize("change", [
-        lambda table: table.pop(("00", "11")),
-        lambda table: table.update({("0", "11"): table.pop(("00", "11"))}),
-    ], ids=["missing", "short-string"])
-    def test_mistranscribed_table_rejected(self, change):
-        table = {(str(x), str(y)): i for (x, y), i in phi_table_d2()[0].assignment.items()}
-        change(table)
-        with pytest.raises(ValueError, match="phi table of pattern 1"):
-            covering._phi(1, table)
+    def test_certificates_pinned(self):
+        text = "\n".join(certificate_to_json(cert) for cert in phi_table_d2())
+        assert hashlib.sha256(text.encode()).hexdigest() == PHI_D2_SHA256
+
+    @pytest.mark.parametrize("row", ["b2 d2 c1 a c2 d1", "b2 d2 c1 a c2 d1 e1"],
+                             ids=["one-name-short", "unknown-name"])
+    def test_mistranscribed_row_rejected(self, monkeypatch, row):
+        monkeypatch.setattr(covering, "_PHI_D2", (row, *covering._PHI_D2[1:]))
+        with pytest.raises(ValueError, match="phi row of pattern 1"):
+            phi_table_d2()
+
+
+class TestCertificateValidation:
+    """The rejections of ``validate_against``, which re-checks each certificate
+    of a verify report against its maximal support."""
+
+    def test_index_outside_the_family_rejected(self):
+        fam = recursive_covering(2)
+        rows = recursive_certificates(2)[0].copy()
+        rows[-1, 2] = fam.k
+        cert = covering._certificate(2, rows)
+        with pytest.raises(ValueError, match=f"rectangle index {fam.k} outside family of size"):
+            cert.validate_against(fam)
+
+    def test_unassigned_support_pair_rejected(self):
+        fam, alpha = recursive_covering(2), BitString(2, 0b01)
+        support = maximal_support(2, alpha)
+        cert = maximal_certificates(fam)[alpha]
+        cert.validate_against(fam, support=support)
+        x, y = max(support)
+        dropped = CoveringCertificate(
+            {pair: i for pair, i in cert.assignment.items() if pair != (x, y)})
+        dropped.validate_against(fam)
+        with pytest.raises(ValueError, match=rf"support pair \({x}, {y}\) unassigned"):
+            dropped.validate_against(fam, support=support)
+
+    def test_family_of_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="rectangle width 1 != family width 2"):
+            CoveringFamily(2, (Rectangle(2, (0,), (1,)), Rectangle(1, (0,), (1,))))
 
 
 class TestBlockOps:

@@ -161,6 +161,19 @@ def test_reports_match_per_trial_loop(n, seed, blocked, reference):
         assert blocked(trials, seed) == reference(trials, seed), trials
 
 
+@pytest.mark.parametrize("run", [
+    lambda: cli.run_trials(2, 2, "uniform", 5, 0, (), cli.pattern_check),
+    lambda: cli.run_pattern_oracle(5, directions=()),
+    lambda: cli.run_witness_oracle(3, 5, directions=[]),
+    lambda: cli.run_induction_oracle(4, 2, 5, directions=()),
+], ids=["run-trials", "patterns", "witness", "induction"])
+def test_no_directions_rejected_before_sampling(monkeypatch, run):
+    # trial i's direction is directions[i % len(directions)]: none is a config error
+    monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="directions must name at least one direction"):
+        run()
+
+
 def corrupt_one(monkeypatch, n: int, d: int, seed: int, direction: str,
                 entries: Callable[[int], tuple]) -> None:
     """Make ``evaluate_block`` put the largest value of the matrix plus one at
