@@ -130,6 +130,13 @@ MUTANTS = (
            ' {family.k}")\n', "",
            ("tests/test_covering.py::TestCertificateValidation::"
             "test_index_outside_the_family_rejected",)),
+    Mutant("V3", "covering.py", "if x.width != d or y.width != d:", "if False:",
+           ("tests/test_covering.py::TestFindCertificate::test_pair_of_another_width_rejected",)),
+    Mutant("N1", "cli.py",
+           "    if n < d:\n"
+           '        raise ValueError(f"induction needs n >= d, got n = {n}, d = {d}")\n', "",
+           ("tests/test_oracle_blocks.py::"
+            "test_width_below_family_width_rejected_before_sampling",)),
 )
 
 

@@ -77,18 +77,9 @@ NOISE_REL = 1e-20
 class FalsificationError(Exception):
     """A randomized oracle hit a state the sparsity analysis rules out."""
 
-    def __init__(self, message: str, factorization: "PsdFactorization | None" = None):
-        super().__init__(message)
-        self.factorization = factorization
-
 
 class NoPatternMatches(FalsificationError):
     """Support of a 4 x 4 atom fits none of the six admissible patterns."""
-
-    def __init__(self, message: str, matrix: SupportMatrix,
-                 factorization: "PsdFactorization | None" = None):
-        super().__init__(message, factorization)
-        self.matrix = matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,15 +363,15 @@ def witness_block(
     return reasons, rows.tolist()
 
 
-def antidiagonal_witness(f: PsdFactorization, eps: float = EPS_ZERO) -> BitString:
+def antidiagonal_witness(f: PsdFactorization) -> BitString:
     """A string a with evaluated entry (a, complement(a)) numerically zero
     (``witness_block`` of the one factorization).  Raises FalsificationError
     if the selected entry is not numerically zero, which would contradict
     the antidiagonal-zero property of square atoms.
     """
-    reasons, rows = witness_block(f.U[None], f.V[None], eps)
+    reasons, rows = witness_block(f.U[None], f.V[None])
     if reasons[0] is not None:
-        raise FalsificationError(reasons[0], factorization=f)
+        raise FalsificationError(reasons[0])
     return BitString(f.d, rows[0])
 
 
@@ -433,7 +424,7 @@ def pattern_block(support: np.ndarray) -> np.ndarray:
     return np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, 0)
 
 
-def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
+def classify_pattern_d2(m: SupportMatrix) -> PatternId:
     """Lex-smallest pattern id whose template contains the support of m
     (``pattern_block`` of the one support).
 
@@ -443,14 +434,14 @@ def classify_pattern_d2(m: SupportMatrix, eps: float = EPS_ZERO) -> PatternId:
     """
     if m.n != 2:
         raise ValueError(f"pattern classification needs n = 2, got {m.n}")
-    support = m.support(eps)
+    support = m.support()
     pid = int(pattern_block(support[None])[0])
     if pid:
         return PatternId(pid)
     pairs = ", ".join(
         f"({BitString(2, a)}, {BitString(2, b)})" for a, b in np.argwhere(support).tolist()
     )
-    raise NoPatternMatches(f"support {{{pairs}}} fits none of the six patterns", matrix=m)
+    raise NoPatternMatches(f"support {{{pairs}}} fits none of the six patterns")
 
 
 def _json_factor(b: np.ndarray) -> list[list[float]]:

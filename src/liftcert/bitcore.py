@@ -228,11 +228,11 @@ def matrix_to_csv(m: SupportMatrix) -> str:
     return "," + ",".join(labels) + "".join(pieces.ravel().tolist()) + "\n"
 
 
-def matrix_to_json(m: SupportMatrix, eps: float = EPS_ZERO) -> str:
-    """JSON object listing only the entries above the zero threshold, in lex
-    order, each as [row text, column text, value]."""
+def matrix_to_json(m: SupportMatrix) -> str:
+    """JSON object listing only the entries above the ``EPS_ZERO`` threshold,
+    in lex order, each as [row text, column text, value]."""
     labels = np.array([str(s) for s in all_strings(m.n)], dtype=object)
-    r, c = np.nonzero(m.support(eps))
+    r, c = np.nonzero(m.support())
     entries = list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))
     return json.dumps({"n": m.n, "entries": entries}, sort_keys=True)
 

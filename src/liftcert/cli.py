@@ -190,6 +190,8 @@ def run_induction_oracle(
         family = recursive_covering(d)
     if family.d != d:
         raise ValueError(f"family width {family.d} does not match d = {d}")
+    if n < d:
+        raise ValueError(f"induction needs n >= d, got n = {n}, d = {d}")
 
     def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
         totals, vals, clean = induction_block(evaluate_block(u, v), family, eps)

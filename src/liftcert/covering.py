@@ -475,8 +475,6 @@ def induction_block(
 class InductionReport:
     """Both sides of the block-induction inequality for one atom."""
 
-    n: int
-    d: int
     val_total: int
     block_vals: tuple[int, ...]
     holds: bool
@@ -495,8 +493,7 @@ def check_induction_inequality(
     for matrices carrying a PSD factorization, so this takes the
     factorization itself rather than a bare matrix."""
     (total,), (vals,), (clean,) = induction_block(evaluate(f).values[None], family, eps)
-    return InductionReport(f.n, family.d, int(total), tuple(vals.tolist()),
-                           bool(total <= vals.sum()), bool(clean))
+    return InductionReport(int(total), tuple(vals.tolist()), bool(total <= vals.sum()), bool(clean))
 
 
 @lru_cache(maxsize=None)

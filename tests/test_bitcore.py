@@ -89,6 +89,11 @@ class TestBitString:
         assert str(BitString(3, 0b001)) == "001"
         assert BitString(3, 0b010).bit(2) == 1
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_bit_position_outside_the_width_rejected(self, i):
+        with pytest.raises(ValueError, match=rf"^position {i} outside \[1, 3\]$"):
+            BitString(3, 0b010).bit(i)
+
     @given(bitstrings())
     def test_complement_involution(self, a: BitString):
         assert a.complement().width == a.width
@@ -221,6 +226,10 @@ class TestCorSlack:
         for a in all_strings(3):
             for b in all_strings(3):
                 assert cor_slack(a, b) == m.value(a, b)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^width mismatch: 2 vs 3$"):
+            cor_slack(BitString(2, 0), BitString(3, 0))
 
 
 class TestValAndPatterns:

@@ -81,6 +81,12 @@ class TestConstants:
     def test_growth_rate_below_three(self, d):
         assert t_constant(d, 3**d - 1) < 3.0
 
+    @pytest.mark.parametrize("constant", [lambda: theorem_constants(0), lambda: t_constant(0, 1)],
+                             ids=["theorem-constants", "t-constant"])
+    def test_width_zero_rejected(self, constant):
+        with pytest.raises(ValueError, match="^d = 0 must be >= 1$"):
+            constant()
+
 
 class TestRefinedD2:
     def test_base_value(self):

@@ -503,6 +503,13 @@ class TestInductionCommand:
         assert run_cli(capsys, "induction", "--n", "4", "--d", "2",
                        "--trials", "1", "--family", str(fam_file))[0] == 2
 
+    @pytest.mark.parametrize("argv", [["induction"], ["atom", "sample", "--check", "induction"]],
+                             ids=["induction", "atom-sample"])
+    def test_width_below_family_width_exits_2(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
+        code, err = run_cli_error(capsys, *argv, "--n", "2", "--d", "3")
+        assert code == 2 and err == "error: induction needs n >= d, got n = 2, d = 3\n"
+
 
 @pytest.mark.parametrize("command", [["covering", "verify"],
                                      ["induction", "--n", "2", "--d", "1"]])

@@ -281,6 +281,12 @@ class TestFindCertificate:
         with pytest.raises(ValueError):
             find_certificate([(one, one)], base_covering_d1())
 
+    def test_pair_of_another_width_rejected(self):
+        # disjoint, so only the width check can reject it
+        pair = (BitString.from_text("00"), BitString.from_text("01"))
+        with pytest.raises(ValueError, match=r"^pair \(00, 01\) has width != 1$"):
+            find_certificate([pair], base_covering_d1())
+
     @given(st.sets(st.sampled_from(sorted(maximal_support(2, BitString(2, 0))))))
     def test_monotone_under_restriction(self, support):
         # the full maximal support is coverable, so every subset must be

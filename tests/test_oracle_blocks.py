@@ -174,6 +174,12 @@ def test_no_directions_rejected_before_sampling(monkeypatch, run):
         run()
 
 
+def test_width_below_family_width_rejected_before_sampling(monkeypatch):
+    monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="^induction needs n >= d, got n = 2, d = 3$"):
+        cli.run_induction_oracle(2, 3, 5)
+
+
 def corrupt_one(monkeypatch, n: int, d: int, seed: int, direction: str,
                 entries: Callable[[int], tuple]) -> None:
     """Make ``evaluate_block`` put the largest value of the matrix plus one at
