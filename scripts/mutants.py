@@ -110,13 +110,9 @@ MUTANTS = (
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
     Mutant("W1", "atoms.py", "d - 1 - stalled.argmax(axis=1)", "stalled[:, ::-1].argmax(axis=1)",
            ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
-    Mutant("S1", "atoms.py", "_MIX_L, _MIX_R = np.uint32(0xCA01F9DD)",
-           "_MIX_L, _MIX_R = np.uint32(0xCA01F9DF)",
-           ("tests/test_atoms.py::TestSeeding::test_seed_words_match_seed_sequence",)),
-    Mutant("S2", "atoms.py",
-           "        if gens[0].bit_generator.state == random.PCG64(seeds[0]).state:\n"
-           "            return gens\n", "        return gens\n",
-           ("tests/test_atoms.py::TestSeeding::test_wrong_seed_words_fall_back",)),
+    Mutant("S3", "atoms.py", "default_rng(seed) for seed in seeds]",
+           "default_rng(seeds[0]) for seed in seeds]",
+           ("tests/test_atoms.py::TestSeeding::test_block_matches_one_trial_sampling",)),
     Mutant("Φ1", "covering.py", '"b2 d2 c1 a c2 d1 b1"', '"d2 b2 c1 a c2 d1 b1"',
            ("tests/test_covering.py::TestPhiTables::test_tables_validate_as_certificates",)),
     Mutant("V1", "covering.py",

@@ -20,10 +20,10 @@ and one batched d x d SVD of the reduced factors gives the null spaces
 (Chan's R-SVD; see ``linalg``).
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
-draws each trial from its own seed, exactly as ``sample_atom`` would, but
-the block shares its seeding (NumPy's SeedSequence hashing, replicated bit
-for bit on arrays) and finds its null spaces at once, and
-``evaluate_block`` evaluates the block's (T, 2^n, d, d) stacks at once.  On
+draws trial t from its own ``default_rng(seeds[t])``, exactly as
+``sample_atom`` would.  The trials of a block share only the null-space QR
+and SVD and, through ``evaluate_block``, one evaluation of the block's
+(T, 2^n, d, d) stacks.  On
 top of the sampler sit two falsifiable oracles, pure checks of a block:
 
 * ``witness_block`` returns per trial None or why the entry at (a,
@@ -173,91 +173,6 @@ def _partner_factors(free: np.ndarray) -> np.ndarray:
     return stacked.swapaxes(-1, -2)
 
 
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx) hashes the 32-bit
-# words of a seed into a pool of four words, mixes every pool word into every
-# other, and hashes the pool out into PCG64's four 64-bit seed words.  Every
-# hash step multiplies by the next power of its MULT (mod 2^32), so its
-# constants are fixed in advance.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # out of the pool
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^i mod 2^32 for i < count, the xor constant of hash step i
-    and the multiplier of step i - 1."""
-    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(count)],
-                    dtype=np.uint32)
-
-
-_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 18)
-_OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 9)
-# steps 0-3 hash the seed words in; step 4 + 3 src + k mixes pool word src
-# into its k-th other word dst (column src is unused)
-_SRC, _DST = np.ogrid[:4, :4]
-_MIX_STEP = 4 + 3 * _SRC + _DST - (_DST > _SRC)
-_MIX_XOR, _MIX_MUL = _POOL_HASH[_MIX_STEP], _POOL_HASH[_MIX_STEP + 1]
-
-#: Blocks of fewer seeds are seeded by NumPy one seed at a time: below this
-#: many, one ``_seed_words`` pass and its check (about 45 us) cost more than
-#: they save (about 7 us a seed).
-_VECTOR_SEEDING_MIN = 8
-
-
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
-    """(T, 4) uint64 PCG64 seed words of ``SeedSequence(seed)`` for T integer
-    seeds in [0, 2^64), the entropy words [low, high, 0, 0], all at once."""
-    pool = np.zeros((len(seeds), 4), dtype=np.uint32)
-    pool[:, :2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
-    pool ^= _POOL_HASH[:4]
-    pool *= _POOL_HASH[1:5]
-    pool ^= pool >> 16
-    for src in range(4):
-        h = pool[:, src, None] ^ _MIX_XOR[src]
-        h *= _MIX_MUL[src]
-        h ^= h >> 16
-        h *= _MIX_R
-        mixed = pool * _MIX_L
-        mixed -= h
-        mixed ^= mixed >> 16
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    out = np.tile(pool, 2) ^ _OUT_HASH[:8]
-    out *= _OUT_HASH[1:]
-    out ^= out >> 16
-    return out[:, 1::2].astype(np.uint64) << 32 | out[:, 0::2]
-
-
-@functools.lru_cache(maxsize=None)
-def _given_words() -> type:
-    """A SeedSequence stand-in that hands PCG64 precomputed seed words
-    (defined on first use: NumPy imports ``np.random`` lazily)."""
-
-    class GivenWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    return GivenWords
-
-
-def _generators(seeds: Sequence) -> list:
-    """``np.random.default_rng(seed)`` for every seed.  A block of at least
-    ``_VECTOR_SEEDING_MIN`` plain-int seeds in [0, 2^64) takes its seed words
-    from one ``_seed_words`` pass; if its first stream differs from NumPy's
-    own seeding of that seed, the block falls back to ``default_rng``."""
-    random = np.random
-    if len(seeds) >= _VECTOR_SEEDING_MIN and all(
-            type(s) is int and 0 <= s < 1 << 64 for s in seeds):
-        given = _given_words()
-        gens = [random.Generator(random.PCG64(given(words))) for words in _seed_words(seeds)]
-        if gens[0].bit_generator.state == random.PCG64(seeds[0]).state:
-            return gens
-    return [random.default_rng(seed) for seed in seeds]
-
-
 def sample_block(
     n: int,
     d: int,
@@ -270,8 +185,7 @@ def sample_block(
 
     Trial t draws from its own ``default_rng(seeds[t])`` in the one-trial
     order (free side in string order, then constrained side in string
-    order).  The block shares its seeding (``_generators``: the same
-    streams, seeded in one array pass) and the null-space QR and SVD.
+    order).  The block shares only the null-space QR and SVD.
     """
     if not 1 <= n <= MAX_SAMPLE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
@@ -285,7 +199,7 @@ def sample_block(
     if rank_profile not in ("uniform", "full"):
         raise ValueError(f"unknown rank profile: {rank_profile!r}")
     uniform = rank_profile == "uniform"
-    gens = _generators(seeds)
+    gens = [np.random.default_rng(seed) for seed in seeds]
     free = np.zeros((len(gens), 1 << n, d, d))
     for gen, trial in zip(gens, free):
         integers, normal = gen.integers, gen.standard_normal

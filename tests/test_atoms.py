@@ -133,6 +133,12 @@ class TestSampleAtom:
         f1 = sample_atom(3, 2, rng=42)
         f2 = sample_atom(3, 2, rng=42)
         assert factorization_to_json(f1) == factorization_to_json(f2)
+        # a Generator is used as given (default_rng(gen) is gen), so it advances
+        gen = np.random.default_rng(7)
+        state = gen.bit_generator.state
+        f3 = sample_atom(2, 2, rng=gen)
+        assert gen.bit_generator.state != state
+        assert factorization_to_json(f3) == factorization_to_json(sample_atom(2, 2, rng=7))
 
     def test_full_rank_profile_collapses_constrained_side(self):
         f = sample_atom(2, 2, rank_profile="full", rng=5)
@@ -232,56 +238,28 @@ class TestSampleBlock:
             evaluate_block(empty, empty)
 
 
-#: Seeds NumPy's own SeedSequence must agree with: every seed of 12 bits, the
-#: edges of the 32- and 64-bit word ranges, and 10^4 random 64-bit seeds.
-SEEDING_CHECKED = list(range(4096)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
-    int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 10**4, dtype=np.uint64)]
-
-
 class TestSeeding:
-    def test_seed_words_match_seed_sequence(self):
-        words = atoms._seed_words(SEEDING_CHECKED)
-        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                    for s in SEEDING_CHECKED]
-        assert words.dtype == np.uint64 and np.array_equal(words, expected)
-
-    def test_streams_equal_default_rng(self):
-        gens = atoms._generators(SEEDING_CHECKED)
-        assert all(type(g.bit_generator.seed_seq) is atoms._given_words() for g in gens)
-        for seed, gen in zip(SEEDING_CHECKED, gens):
-            assert gen.bit_generator.state == np.random.PCG64(seed).state, seed
-        for seed in (0, 2**32, 2**64 - 1):
-            gen = atoms._generators([seed] * atoms._VECTOR_SEEDING_MIN)[0]
-            reference = np.random.default_rng(seed)
-            assert np.array_equal(gen.standard_normal(9), reference.standard_normal(9))
-            assert np.array_equal(gen.integers(0, 4, 9), reference.integers(0, 4, 9))
-
-    @pytest.mark.parametrize("seeds, vectorized", [
-        (range(1000, 1000 + atoms._VECTOR_SEEDING_MIN - 1), False),
-        (range(1000, 1000 + atoms._VECTOR_SEEDING_MIN), True),
-        (range(2**64 - 4, 2**64 - 4 + atoms._VECTOR_SEEDING_MIN), False),
-        ([np.int64(s) for s in range(1000, 1000 + atoms._VECTOR_SEEDING_MIN)], False),
-    ], ids=["below-break-even", "at-break-even", "straddling-2^64", "np.int64"])
+    @pytest.mark.parametrize("seeds", [
+        range(1000, 1007),
+        range(1000, 1008),
+        range(2**64 - 4, 2**64 + 4),
+        [np.int64(s) for s in range(1000, 1008)],
+        [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
+    ], ids=["7-seeds", "8-seeds", "straddling-2^64", "np.int64", "word-edges"])
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
-    def test_block_matches_one_trial_sampling(self, monkeypatch, seeds, vectorized, n, d):
-        passes = []
-        seed_words = atoms._seed_words
-        monkeypatch.setattr(atoms, "_seed_words", lambda s: passes.append(s) or seed_words(s))
+    def test_block_matches_one_trial_sampling(self, seeds, n, d):
         directions = [("u-first", "v-first")[t % 2] for t in range(len(seeds))]
         u, v = sample_block(n, d, "uniform", seeds, directions)
-        assert len(passes) == vectorized
         for t, (seed, direction) in enumerate(zip(seeds, directions)):
             f = sample_atom(n, d, rng=seed, direction=direction)
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
 
-    def test_wrong_seed_words_fall_back(self, monkeypatch):
-        seed_words = atoms._seed_words
-        monkeypatch.setattr(atoms, "_seed_words", lambda s: seed_words(s) ^ np.uint64(1))
-        seeds = range(77, 77 + 2 * atoms._VECTOR_SEEDING_MIN)
-        u, v = sample_block(2, 2, "uniform", seeds, ["u-first"] * len(seeds))
-        for t, seed in enumerate(seeds):
-            f = sample_atom(2, 2, rng=seed)
-            assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
+    def test_negative_seed_rejected_as_default_rng_rejects_it(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as raised:
+            sample_block(2, 2, "uniform", [5, -1], ["u-first", "v-first"])
+        assert str(raised.value) == str(expected.value)
 
     def test_unknown_rank_profile_rejected_before_seeding(self):
         # a negative seed would fail in NumPy's seeding; the profile is named first
