@@ -133,6 +133,12 @@ MUTANTS = (
            '        raise ValueError(f"induction needs n >= d, got n = {n}, d = {d}")\n', "",
            ("tests/test_oracle_blocks.py::"
             "test_width_below_family_width_rejected_before_sampling",)),
+    Mutant("N2", "atoms.py", "(2 * max(n, 0))", "(2 * n)",
+           ("tests/test_cli.py::TestAtomSample::"
+            "test_negative_width_named_like_every_width_error",)),
+    Mutant("R1", "atoms.py",
+           "r = integers(0, d + 1)\n            factor[:, :r]", "r = d\n            factor[:, :r]",
+           ("tests/test_oracle_goldens.py::test_oracle_report[patterns-200]",)),
 )
 
 

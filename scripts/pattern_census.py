@@ -19,8 +19,7 @@ from liftcert.cli import pattern_check, run_trials
 
 
 def census(trials: int, seed: int, direction: str) -> tuple[Counter, Counter]:
-    outcomes, falsifier = run_trials(2, 2, "uniform", trials, seed, (direction,),
-                                     pattern_check)
+    outcomes, falsifier = run_trials(2, 2, trials, seed, (direction,), pattern_check)
     if falsifier is not None:
         raise SystemExit(f"seed {falsifier['seed']} ({direction}): {falsifier['reason']}")
     return Counter(pid for pid, _ in outcomes), Counter(v for _, v in outcomes)

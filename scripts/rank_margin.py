@@ -37,7 +37,7 @@ def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
     for lo in range(0, trials, step):
         seeds = range(lo, min(lo + step, trials))
         for direction in ("u-first", "v-first"):
-            _, v = sample_block(d, d, "uniform", seeds, [direction] * len(seeds))
+            _, v = sample_block(d, d, seeds, [direction] * len(seeds))
             # the chains' prefixes as the witness builds them, compared
             # against the largest singular value of the whole chain
             chains = _prefixes(v[:, 1 << np.arange(d - 1, -1, -1)])

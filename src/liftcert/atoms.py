@@ -140,8 +140,9 @@ def evaluate(f: PsdFactorization) -> SupportMatrix:
 
 def block_size(n: int) -> int:
     """Trials per block at width n: 2^12 / 4^n, at least 1, so that a block's
-    stacks never outgrow those of one n = 6 trial."""
-    return max(1, (1 << 12) >> (2 * n))
+    stacks never outgrow those of one n = 6 trial.  A negative n counts as 0,
+    so that the sampler, not the shift, rejects it."""
+    return max(1, (1 << 12) >> (2 * max(n, 0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,12 +177,11 @@ def _partner_factors(free: np.ndarray) -> np.ndarray:
 def sample_block(
     n: int,
     d: int,
-    rank_profile: str,
     seeds: Sequence,
     directions: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """U and V stacks, each (T, 2^n, d, d), of T factorizations drawn as
-    ``sample_atom(n, d, rank_profile, seeds[t], directions[t])``.
+    ``sample_atom(n, d, seeds[t], directions[t])``.
 
     Trial t draws from its own ``default_rng(seeds[t])`` in the one-trial
     order (free side in string order, then constrained side in string
@@ -196,15 +196,12 @@ def sample_block(
         raise ValueError(f"direction must be 'u-first' or 'v-first', got {bad[0]!r}")
     if len(seeds) != len(directions):
         raise ValueError(f"{len(seeds)} seeds for {len(directions)} directions")
-    if rank_profile not in ("uniform", "full"):
-        raise ValueError(f"unknown rank profile: {rank_profile!r}")
-    uniform = rank_profile == "uniform"
     gens = [np.random.default_rng(seed) for seed in seeds]
     free = np.zeros((len(gens), 1 << n, d, d))
     for gen, trial in zip(gens, free):
         integers, normal = gen.integers, gen.standard_normal
         for factor in trial:
-            r = integers(0, d + 1) if uniform else d
+            r = integers(0, d + 1)
             factor[:, :r] = normal((d, r))
     # each constrained matrix spans normals drawn in its partners' common kernel
     spaces, dims = subspace_intersect(_partner_factors(free))
@@ -212,7 +209,7 @@ def sample_block(
     for gen, trial, space, dim in zip(gens, constrained, spaces, dims.tolist()):
         integers, normal = gen.integers, gen.standard_normal
         for b, k in enumerate(dim):
-            r = integers(0, d + 1) if uniform else d
+            r = integers(0, d + 1)
             if r and k:
                 trial[b, :, :r] = space[b, :, :k] @ normal((k, r))
     u_first = np.array([dr == "u-first" for dr in directions])[:, None, None, None]
@@ -222,22 +219,19 @@ def sample_block(
 def sample_atom(
     n: int,
     d: int,
-    rank_profile: str = "uniform",
     rng: np.random.Generator | int = 0,
     direction: str = "u-first",
 ) -> PsdFactorization:
     """Draw a random factorization whose evaluation vanishes on
     intersection-one pairs by construction (``sample_block`` of one trial).
 
-    ``rank_profile`` governs both the ranks of the freely drawn side and the
-    number of spanning vectors on the constrained side: "uniform" (default)
-    draws each uniformly from {0, ..., d}; "full" forces d.  Full rank
-    collapses every constrained matrix to zero, so uniform mixing is the
-    default.  ``direction`` picks which side is free: the construction is
-    asymmetric, and both directions should exercise the oracles.  ``rng`` is
-    a Generator or any seed numpy accepts.
+    Every rank is drawn uniformly from {0, ..., d}: that of each free factor
+    and the number of spanning vectors of each constrained one.
+    ``direction`` picks which side is free: the construction is asymmetric,
+    and both directions should exercise the oracles.  ``rng`` is a Generator
+    or any seed numpy accepts.
     """
-    u, v = sample_block(n, d, rank_profile, [rng], [direction])
+    u, v = sample_block(n, d, [rng], [direction])
     return PsdFactorization(n, d, u[0], v[0])
 
 

@@ -80,14 +80,13 @@ EXIT_BAD_CONFIG = 2
 def run_trials(
     n: int,
     d: int,
-    rank_profile: str,
     trials: int,
     seed: int,
     directions: Sequence[str],
     check: Callable[[np.ndarray, np.ndarray], tuple[list, list]],
 ) -> tuple[list, Optional[dict]]:
-    """Trial i checks ``sample_atom(n, d, rank_profile, seed + i,
-    directions[i % len(directions)])``, in blocks of ``block_size(n)`` trials.
+    """Trial i checks ``sample_atom(n, d, seed + i, directions[i % len(directions)])``,
+    in blocks of ``block_size(n)`` trials.
 
     ``check`` maps a block's U and V stacks to per-trial reasons (None for a
     pass) and outcomes.  The run stops at the first reason.  Returns the
@@ -105,7 +104,7 @@ def run_trials(
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
         block_directions = [directions[i % len(directions)] for i in block]
-        u, v = sample_block(n, d, rank_profile, range(seed + block.start, seed + block.stop),
+        u, v = sample_block(n, d, range(seed + block.start, seed + block.stop),
                             block_directions)
         reasons, outcomes = check(u, v)
         failed = next((j for j, reason in enumerate(reasons) if reason is not None), None)
@@ -138,13 +137,12 @@ def pattern_check(u: np.ndarray, v: np.ndarray, eps: float = EPS_ZERO) -> tuple[
 def run_pattern_oracle(
     trials: int,
     seed: int = 0,
-    rank_profile: str = "uniform",
     directions: Sequence[str] = ("u-first", "v-first"),
     eps: float = EPS_ZERO,
 ) -> dict:
     """Sample width-2 atoms over 2x2 cones; classify each against the six
     patterns and check val <= 7.  Stops at the first falsification."""
-    outcomes, falsifier = run_trials(2, 2, rank_profile, trials, seed, directions,
+    outcomes, falsifier = run_trials(2, 2, trials, seed, directions,
                                      lambda u, v: pattern_check(u, v, eps))
     counts = sorted(Counter(pid for pid, _ in outcomes).items())
     report = {"seed": seed, "trials": trials, "passes": len(outcomes),
@@ -158,13 +156,12 @@ def run_witness_oracle(
     d: int,
     trials: int,
     seed: int = 0,
-    rank_profile: str = "uniform",
     directions: Sequence[str] = ("u-first", "v-first"),
     eps: float = EPS_ZERO,
 ) -> dict:
     """Find the antidiagonal zero of each sampled square atom; every entry
     found must clear the relative zero threshold."""
-    rows, falsifier = run_trials(d, d, rank_profile, trials, seed, directions,
+    rows, falsifier = run_trials(d, d, trials, seed, directions,
                                  lambda u, v: witness_block(u, v, eps))
     report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
               "falsifier": falsifier}
@@ -180,7 +177,6 @@ def run_induction_oracle(
     trials: int,
     seed: int = 0,
     family: Optional[CoveringFamily] = None,
-    rank_profile: str = "uniform",
     directions: Sequence[str] = ("u-first", "v-first"),
     eps: float = EPS_ZERO,
 ) -> dict:
@@ -201,7 +197,7 @@ def run_induction_oracle(
                                                clean.tolist())]
         return reasons, totals.tolist()
 
-    totals, falsifier = run_trials(n, d, rank_profile, trials, seed, directions, check)
+    totals, falsifier = run_trials(n, d, trials, seed, directions, check)
     report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
               "passes": len(totals), "falsifier": falsifier}
     if falsifier is None:
@@ -379,26 +375,22 @@ def _cmd_covering_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    """``atom sample --check ...`` and ``induction`` (the induction check)."""
+    """``atom sample --check patterns|antidiagonal`` and ``induction``, the one
+    entry point of each oracle; ``induction`` reports under its own header."""
     directions = ("u-first", "v-first") if args.direction == "both" else (args.direction,)
     if args.check == "patterns":
         if (args.n, args.d) != (2, 2):
             raise ValueError("pattern classification is defined for n = d = 2")
-        result = run_pattern_oracle(
-            args.trials, args.seed, args.rank_profile, directions, args.epsilon
-        )
+        result = run_pattern_oracle(args.trials, args.seed, directions, args.epsilon)
     elif args.check == "antidiagonal":
         if args.n != args.d:
             raise ValueError("the antidiagonal witness needs n = d")
-        result = run_witness_oracle(
-            args.d, args.trials, args.seed, args.rank_profile, directions, args.epsilon
-        )
+        result = run_witness_oracle(args.d, args.trials, args.seed, directions,
+                                    args.epsilon)
     else:
         family = family_from_json(Path(args.family).read_text()) if args.family else None
-        result = run_induction_oracle(
-            args.n, args.d, args.trials, args.seed, family, args.rank_profile,
-            directions, args.epsilon,
-        )
+        result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family,
+                                      directions, args.epsilon)
     if args.command == "induction":
         report = {"command": "induction"}
     else:
@@ -437,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--trials", type=int, default=1, help="at least 1")
     oracle.add_argument("--direction", choices=["both", "u-first", "v-first"],
                         default="both")
-    oracle.add_argument("--rank-profile", choices=["uniform", "full"], default="uniform")
     oracle.add_argument("--epsilon", type=float, default=EPS_ZERO)
 
     p = sub.add_parser("udisj", parents=[out], help="emit UDISJ(n) and report val = 3^n")
@@ -463,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     atom_sub = atom.add_subparsers(dest="subcommand", required=True)
     p = atom_sub.add_parser("sample", parents=[oracle],
                             help="sample atoms and run a check")
-    p.add_argument("--check", choices=["antidiagonal", "patterns", "induction"],
-                   default="patterns")
-    p.set_defaults(handler=_cmd_oracle, family=None)
+    p.add_argument("--check", choices=["antidiagonal", "patterns"], default="patterns")
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("bound", parents=[out], help="emit the bound report for (n, d)")
     p.add_argument("--n", type=int, required=True)

@@ -96,7 +96,6 @@ def test_criterion_4_pattern_oracle_10k():
     result = run_pattern_oracle(
         trials=10_000,
         seed=SEED,
-        rank_profile="uniform",
         directions=("u-first", "v-first"),
     )
     assert result["falsifier"] is None

@@ -140,10 +140,6 @@ class TestSampleAtom:
         assert gen.bit_generator.state != state
         assert factorization_to_json(f3) == factorization_to_json(sample_atom(2, 2, rng=7))
 
-    def test_full_rank_profile_collapses_constrained_side(self):
-        f = sample_atom(2, 2, rank_profile="full", rng=5)
-        assert f.V[0].any() and not f.V[1:].any()
-
     def test_d1_off_diagonal_zero(self):
         z, o = BitString(1, 0), BitString(1, 1)
         for seed in range(100):
@@ -154,10 +150,6 @@ class TestSampleAtom:
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):
             sample_atom(2, 2, direction="sideways")
-
-    def test_bad_rank_profile_rejected(self):
-        with pytest.raises(ValueError):
-            sample_atom(2, 2, rank_profile=3)
 
     def test_numpy_integer_seed(self):
         for seed in (3, 2154):
@@ -171,17 +163,16 @@ class TestSampleAtom:
 
 
 class TestSampleBlock:
-    @pytest.mark.parametrize("profile", ["uniform", "full"])
     @pytest.mark.parametrize("n, d, trials", [(2, 2, 40), (3, 3, 20), (4, 2, 10),
                                               (6, 3, 3), (1, 1, 40)])
-    def test_each_trial_is_its_own_sample(self, n, d, trials, profile):
+    def test_each_trial_is_its_own_sample(self, n, d, trials):
         seeds = range(500, 500 + trials)
         directions = [("u-first", "v-first")[s % 3 == 0] for s in seeds]
-        u, v = sample_block(n, d, profile, seeds, directions)
+        u, v = sample_block(n, d, seeds, directions)
         assert u.shape == v.shape == (trials, 1 << n, d, d)
         values = evaluate_block(u, v)
         for t, (seed, direction) in enumerate(zip(seeds, directions)):
-            f = sample_atom(n, d, profile, rng=seed, direction=direction)
+            f = sample_atom(n, d, rng=seed, direction=direction)
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
             assert np.array_equal(values[t], evaluate(f).values)
 
@@ -189,7 +180,7 @@ class TestSampleBlock:
         for d in (2, 3):
             seeds = range(block_size(d) + 7)
             directions = ["u-first", "v-first"] * (len(seeds) // 2 + 1)
-            u, v = sample_block(d, d, "uniform", seeds, directions[: len(seeds)])
+            u, v = sample_block(d, d, seeds, directions[: len(seeds)])
             reasons, rows = witness_block(u, v)
             pids = pattern_block(support_block(evaluate_block(u, v))) if d == 2 else None
             for t, seed in enumerate(seeds):
@@ -216,12 +207,30 @@ class TestSampleBlock:
 
     def test_block_size_bounds_the_stacks(self):
         assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
+        # a negative width is sized as 0 and left for the sampler to reject
+        assert block_size(-1) == block_size(-5) == block_size(0) == 4096
+
+    @pytest.mark.parametrize("direction", ["u-first", "v-first"])
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2)])
+    def test_supports_vary_across_seeds(self, n, d, direction):
+        # a free side of rank-d factors leaves only string 0 a constrained
+        # factor, so its supports differ only in whether that factor is zero
+        u, v = sample_block(n, d, range(16), [direction] * 16)
+        supports = {mask.tobytes() for mask in support_block(evaluate_block(u, v))}
+        assert len(supports) > 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_free_ranks_cover_0_to_d(self, d):
+        directions = ["u-first", "v-first"] * 8
+        u, v = sample_block(d, d, range(16), directions)
+        free = np.where(np.array(directions)[:, None, None, None] == "u-first", u, v)
+        assert set(np.linalg.matrix_rank(free).ravel().tolist()) == set(range(d + 1))
 
     def test_seed_and_direction_counts_must_agree(self):
         with pytest.raises(ValueError):
-            sample_block(2, 2, "uniform", [1, 2], ["u-first"])
+            sample_block(2, 2, [1, 2], ["u-first"])
         with pytest.raises(ValueError, match="sideways"):
-            sample_block(2, 2, "uniform", [1, 2], ["u-first", "sideways"])
+            sample_block(2, 2, [1, 2], ["u-first", "sideways"])
 
     @pytest.mark.parametrize("n, d, message", [
         (0, 2, "n = 0 outside [1, 8]"), (9, 2, "n = 9 outside [1, 8]"),
@@ -229,7 +238,7 @@ class TestSampleBlock:
     ], ids=["n0", "n9", "d0", "d9"])
     def test_width_and_dimension_ranges_enforced(self, n, d, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            sample_block(n, d, "uniform", [1], ["u-first"])
+            sample_block(n, d, [1], ["u-first"])
 
     def test_evaluate_block_refuses_widths_above_the_dense_cap(self):
         # a stack of no trials at width 11 holds no entries, so this needs no memory
@@ -249,7 +258,7 @@ class TestSeeding:
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
     def test_block_matches_one_trial_sampling(self, seeds, n, d):
         directions = [("u-first", "v-first")[t % 2] for t in range(len(seeds))]
-        u, v = sample_block(n, d, "uniform", seeds, directions)
+        u, v = sample_block(n, d, seeds, directions)
         for t, (seed, direction) in enumerate(zip(seeds, directions)):
             f = sample_atom(n, d, rng=seed, direction=direction)
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
@@ -258,15 +267,8 @@ class TestSeeding:
         with pytest.raises(ValueError) as expected:
             np.random.default_rng(-1)
         with pytest.raises(ValueError) as raised:
-            sample_block(2, 2, "uniform", [5, -1], ["u-first", "v-first"])
+            sample_block(2, 2, [5, -1], ["u-first", "v-first"])
         assert str(raised.value) == str(expected.value)
-
-    def test_unknown_rank_profile_rejected_before_seeding(self):
-        # a negative seed would fail in NumPy's seeding; the profile is named first
-        with pytest.raises(ValueError, match=r"^unknown rank profile: 'bogus'$"):
-            sample_block(2, 2, "bogus", [-1], ["u-first"])
-        with pytest.raises(ValueError, match=r"^unknown rank profile: 'bogus'$"):
-            sample_atom(2, 2, "bogus", rng=0)
 
 
 def zero_filled_partner_factors(free: np.ndarray) -> np.ndarray:
@@ -305,7 +307,7 @@ def free_sides(n: int, d: int) -> np.ndarray:
     """Seeded free sides, (T, 2^n, d, d), alternating the sampling direction."""
     seeds = range(100, 100 + max(4, block_size(n)))
     directions = ["u-first", "v-first"] * (len(seeds) // 2)
-    u, v = sample_block(n, d, "uniform", seeds, directions)
+    u, v = sample_block(n, d, seeds, directions)
     return np.where(np.array(directions)[:, None, None, None] == "u-first", u, v)
 
 
@@ -352,6 +354,14 @@ class TestNullSpaces:
         assert np.array_equal(bases[:, 0], np.broadcast_to(np.eye(d), (len(free), d, d)))
         assert (dims[:, 0] == d).all()
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2), (6, 3)])
+    def test_full_rank_free_side_leaves_only_string_0_a_space(self, n, d):
+        # every string b != 0 has a partner whose rank-d factor has kernel
+        # {0}; string 0 has none, so the constrained side keeps only its factor
+        free = np.random.default_rng(n * 10 + d).standard_normal((4, 1 << n, d, d))
+        _, dims = subspace_intersect(atoms._partner_factors(free))
+        assert (dims[:, 0] == d).all() and not dims[:, 1:].any()
+
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3)])
     def test_reduced_svd_keeps_ranks_and_spans(self, n, d):
         for x in (atoms._partner_factors(free_sides(n, d)),
@@ -375,10 +385,10 @@ class TestNullSpaces:
                                                          check):
         seeds = range(start, start + block_size(n))
         directions = ["u-first", "v-first"] * (len(seeds) // 2)
-        sampled = sample_block(n, d, "uniform", seeds, directions)
+        sampled = sample_block(n, d, seeds, directions)
         monkeypatch.setattr(atoms, "_partner_factors", zero_filled_partner_factors)
         monkeypatch.setattr(atoms, "subspace_intersect", reference_intersect)
-        reference = sample_block(n, d, "uniform", seeds, directions)
+        reference = sample_block(n, d, seeds, directions)
         assert not all(map(np.array_equal, sampled, reference))
         assert check(*sampled) == check(*reference)
 
@@ -446,7 +456,7 @@ class TestAntidiagonalWitness:
         # F_2 is the whole plane and the all-ones row is the witness.  A
         # cutoff on the eigenvalues of V_01 V_01^T (ratio ~3e-11) read
         # dim F_2 = 1 and took the zero column e_1 instead, row 01.
-        u, v = sample_block(2, 2, "uniform", [2002495], ["v-first"])
+        u, v = sample_block(2, 2, [2002495], ["v-first"])
         assert witness_block(u, v) == ([None], [0b11])
         assert evaluate_block(u, v)[0, 0b11, 0b00] == 0.0
 

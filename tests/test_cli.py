@@ -346,12 +346,6 @@ class TestAtomSample:
         assert code == 0
         assert json.loads(out)["falsifier"] is None
 
-    def test_induction_check_passes(self, capsys):
-        code, out = run_cli(capsys, "atom", "sample", "--n", "3", "--d", "2",
-                            "--trials", "20", "--check", "induction")
-        assert code == 0
-        assert json.loads(out)["falsifier"] is None
-
     def test_pattern_check_needs_n2_d2(self, capsys):
         assert run_cli(capsys, "atom", "sample", "--n", "3", "--d", "2",
                        "--trials", "1", "--check", "patterns")[0] == 2
@@ -359,6 +353,15 @@ class TestAtomSample:
     def test_antidiagonal_needs_square(self, capsys):
         assert run_cli(capsys, "atom", "sample", "--n", "3", "--d", "2",
                        "--trials", "1", "--check", "antidiagonal")[0] == 2
+
+    def test_negative_width_named_like_every_width_error(self, capsys):
+        code, err = run_cli_error(capsys, "atom", "sample", "--check", "antidiagonal",
+                                  "--n", "-1", "--d", "-1")
+        assert code == 2 and err == "error: n = -1 outside [1, 8]\n"
+
+    def test_witness_oracle_names_a_negative_width(self):
+        with pytest.raises(ValueError, match=r"^n = -1 outside \[1, 8\]$"):
+            cli.run_witness_oracle(-1, 3)
 
     @pytest.mark.parametrize("command", [["atom", "sample"], ["induction"]])
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -503,11 +506,9 @@ class TestInductionCommand:
         assert run_cli(capsys, "induction", "--n", "4", "--d", "2",
                        "--trials", "1", "--family", str(fam_file))[0] == 2
 
-    @pytest.mark.parametrize("argv", [["induction"], ["atom", "sample", "--check", "induction"]],
-                             ids=["induction", "atom-sample"])
-    def test_width_below_family_width_exits_2(self, monkeypatch, capsys, argv):
+    def test_width_below_family_width_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
-        code, err = run_cli_error(capsys, *argv, "--n", "2", "--d", "3")
+        code, err = run_cli_error(capsys, "induction", "--n", "2", "--d", "3")
         assert code == 2 and err == "error: induction needs n >= d, got n = 2, d = 3\n"
 
 
@@ -543,7 +544,6 @@ def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, te
     ["udisj", "--n", "2", "--format", "csv"],
     ["atom", "sample", "--n", "2", "--d", "2", "--check", "patterns"],
     ["atom", "sample", "--n", "2", "--d", "2", "--check", "antidiagonal"],
-    ["atom", "sample", "--n", "2", "--d", "1", "--check", "induction"],
     ["induction", "--n", "2", "--d", "1"],
 ])
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "1e9"])
@@ -624,7 +624,12 @@ def test_shared_parser_survives_errors_and_help(capsys):
     bound, build = ["bound", "--n", "5", "--d", "2"], ["covering", "build", "--d", "3"]
     before = [run_cli(capsys, *bound), run_cli(capsys, *build)]
     for argv, exit_code in [(["bound", "--n", "x"], 2), (["--help"], 0),
-                            (["covering", "verify", "--help"], 0), (["covering"], 2)]:
+                            (["covering", "verify", "--help"], 0), (["covering"], 2),
+                            # atom sample has no rank-profile option and no induction check
+                            (["atom", "sample", "--n", "2", "--d", "2",
+                              "--rank-profile", "uniform"], 2),
+                            (["atom", "sample", "--n", "4", "--d", "2",
+                              "--check", "induction"], 2)]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == exit_code

@@ -868,7 +868,7 @@ class TestInductionBlock:
     ])
     @pytest.mark.parametrize("direction", ["u-first", "v-first"])
     def test_stacked_aggregates_equal_the_ix_sums_bit_for_bit(self, n, family, direction):
-        u, v = sample_block(n, family.d, "uniform", range(12), [direction] * 12)
+        u, v = sample_block(n, family.d, range(12), [direction] * 12)
         values = evaluate_block(u, v)
         stacked = covering._aggregate_block(values, family)
         assert stacked.shape[:2] == (12, family.k)

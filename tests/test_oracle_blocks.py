@@ -55,7 +55,7 @@ def reference_trials(
 ) -> tuple[int, Optional[dict]]:
     for i in range(trials):
         direction = DIRECTIONS[i % 2]
-        f = sample_atom(n, d, "uniform", rng=seed + i, direction=direction)
+        f = sample_atom(n, d, rng=seed + i, direction=direction)
         reason = check(f)
         if reason is not None:
             return i, {
@@ -162,7 +162,7 @@ def test_reports_match_per_trial_loop(n, seed, blocked, reference):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: cli.run_trials(2, 2, "uniform", 5, 0, (), cli.pattern_check),
+    lambda: cli.run_trials(2, 2, 5, 0, (), cli.pattern_check),
     lambda: cli.run_pattern_oracle(5, directions=()),
     lambda: cli.run_witness_oracle(3, 5, directions=[]),
     lambda: cli.run_induction_oracle(4, 2, 5, directions=()),
@@ -185,7 +185,7 @@ def corrupt_one(monkeypatch, n: int, d: int, seed: int, direction: str,
     """Make ``evaluate_block`` put the largest value of the matrix plus one at
     ``entries(size)`` of the one sampled factorization drawn with this seed
     and direction, in the block path and in the reference alike."""
-    target = sample_atom(n, d, "uniform", rng=seed, direction=direction)
+    target = sample_atom(n, d, rng=seed, direction=direction)
     original = atoms.evaluate_block
 
     def corrupted(u, v):
@@ -216,8 +216,7 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
     assert got == want
     assert got["passes"] == falsifier["trial"] == trial
     assert (falsifier["seed"], falsifier["direction"]) == (seed + trial, DIRECTIONS[1])
-    replay = sample_atom(d, d, "uniform", rng=falsifier["seed"],
-                         direction=falsifier["direction"])
+    replay = sample_atom(d, d, rng=falsifier["seed"], direction=falsifier["direction"])
     assert json.dumps(falsifier["factorization"], sort_keys=True) \
         == factorization_to_json(replay)
     if oracle == "patterns":

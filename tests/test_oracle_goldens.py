@@ -38,7 +38,7 @@ FAMILIES = {
 }
 
 
-def non_atom_sampler(n, d, rank_profile, seeds, directions):
+def non_atom_sampler(n, d, seeds, directions):
     side = np.broadcast_to(np.eye(d), (len(seeds), 1 << n, d, d))
     return side, side
 
@@ -48,12 +48,6 @@ CASES = [
         "atom sample --n 2 --d 2 --trials 200 --check patterns", None, 0,
         "d43d4b6e82699bc7f9838e6fa7bf187705838a51593c80edab4723be6f4d11db",
         id="patterns-200",
-    ),
-    pytest.param(
-        "atom sample --n 2 --d 2 --trials 60 --seed 5 --check patterns"
-        " --direction v-first --rank-profile full", None, 0,
-        "afa1f95a06ded6bb83fa8291b6f30b75459a6ea2b58deaf0667ca96000219d3c",
-        id="patterns-v-first-full",
     ),
     pytest.param(
         "atom sample --n 3 --d 3 --trials 40 --seed 11 --check antidiagonal", None, 0,
@@ -73,11 +67,6 @@ CASES = [
         " --seed 2002495 --trials 1", None, 0,
         "a6d1eae8574bf212e41d935fbd306f00139922a9fb6479617cba750857f03307",
         id="antidiagonal-d2-small-singular-value",
-    ),
-    pytest.param(
-        "atom sample --n 4 --d 2 --trials 15 --seed 3 --check induction", None, 0,
-        "24a5da430d74c1869d92a857d86aaf48abdb9426b4e118365078d4c3e60f2a69",
-        id="atom-sample-induction",
     ),
     pytest.param(
         "induction --n 4 --d 2 --trials 15 --seed 3", None, 0,
