@@ -69,6 +69,41 @@ def ones_at(pairs) -> SupportMatrix:
     return SupportMatrix(2, values)
 
 
+#: Width-2 atoms over 2 x 2 PSD matrices that the sampler once drew, frozen
+#: as literal (U, V) stacks so that each regression test below keeps its
+#: subject whatever the sampler draws.
+#: Every genuine entry vanishes: U_11 is orthogonal to V_01 and to V_10 only
+#: up to rounding noise, and every other product has a zero factor.
+ALL_ZERO_ATOM = (
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+     [[1.9885083536590284, 0.0], [-1.2286717840582266, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.46283971521046174, 0.0], [0.749069566049018, 0.0]],
+     [[0.40917533699468667, -0.35308253811857976], [0.6622180034425073, -0.571436233573225]],
+     [[0.0, 0.0], [0.0, 0.0]]],
+)
+#: V_10 = 0 and V_01 has singular values 1.47 and 7.8e-6.
+SMALL_SINGULAR_VALUE_ATOM = (
+    [[[-0.41905154603955996, 0.0820550667071461], [0.04666424742114502, -0.8951997365976171]],
+     [[0.0, 0.0], [0.0, 0.0]], [[0.14693257816585784, 0.0], [0.027276215619696814, 0.0]],
+     [[0.0, 0.0], [0.0, 0.0]]],
+    [[[1.1083709013386307, 0.0], [-0.902483843785797, 0.0]],
+     [[-0.3619297937461179, 0.4134659575628165], [-0.8946750596463673, 1.0220387799325685]],
+     [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+)
+#: U is the free side; V_11's partners U_01 and U_10 are two nearly parallel
+#: rank-1 factors, so V_11 has no space and is zero.
+NEARLY_PARALLEL_ATOM = (
+    [[[0.0, 0.0], [0.0, 0.0]], [[-0.20262369423385684, 0.0], [-0.8530269302522726, 0.0]],
+     [[-0.30786316682567205, 0.0], [-1.2958301532396272, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[-0.5793916448072551, 0.0], [0.13762575519668244, 0.0]],
+     [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+)
+
+
+def frozen(atom: tuple[list, list]) -> PsdFactorization:
+    return PsdFactorization(2, 2, np.array(atom[0]), np.array(atom[1]))
+
+
 def reference_evaluate(f: PsdFactorization) -> np.ndarray:
     """Per-entry evaluation: one linalg.inner call per pair, with the same
     NOISE_REL floor against the Cauchy-Schwarz bound."""
@@ -104,14 +139,16 @@ class TestEvaluate:
                 assert is_atom_pattern(m)
 
     def test_noise_suppressed_to_exact_zero(self):
-        # seeds whose genuine entries all vanish must evaluate to the exact
+        # an atom whose genuine entries all vanish must evaluate to the exact
         # zero matrix rather than to a matrix of rounding noise
-        f = sample_atom(2, 2, rng=291)
+        f = frozen(ALL_ZERO_ATOM)
+        assert (np.abs(f.U[0b11].T @ f.V[[0b01, 0b10]]) > 0).any()  # the noise is there
         m = evaluate(f)
         for a in all_strings(2):
             for b in all_strings(2):
                 if intersection_size(a, b) == 1:
                     assert m.value(a, b) == 0.0
+        assert not m.values.any()
 
     @pytest.mark.parametrize("n, d, seeds", [(2, 2, 100), (3, 3, 60), (4, 2, 40),
                                              (6, 3, 4)])
@@ -456,7 +493,10 @@ class TestAntidiagonalWitness:
         # F_2 is the whole plane and the all-ones row is the witness.  A
         # cutoff on the eigenvalues of V_01 V_01^T (ratio ~3e-11) read
         # dim F_2 = 1 and took the zero column e_1 instead, row 01.
-        u, v = sample_block(2, 2, [2002495], ["v-first"])
+        f = frozen(SMALL_SINGULAR_VALUE_ATOM)
+        s = np.linalg.svd(f.V, compute_uv=False)
+        assert not s[0b10].any() and 1e-9 < s[0b01, 1] / s[0b01, 0] < 1e-5
+        u, v = f.U[None], f.V[None]
         assert witness_block(u, v) == ([None], [0b11])
         assert evaluate_block(u, v)[0, 0b11, 0b00] == 0.0
 
@@ -526,11 +566,14 @@ class TestClassify:
         assert PatternId(1) in seen and PatternId(2) in seen
 
     def test_nearly_parallel_partners_leave_no_spurious_kernel(self):
-        # the partners of V_11 at this seed are two nearly parallel rank-1
-        # factors; a cutoff on the eigenvalues of their summed Gram matrix
-        # keeps a spurious kernel direction and a positive entry where the
-        # patterns forbid one
-        m = evaluate(sample_atom(2, 2, rng=2154, direction="u-first"))
+        # the partners of V_11 are two nearly parallel rank-1 factors; a
+        # cutoff on the eigenvalues of their summed Gram matrix keeps a
+        # spurious kernel direction and a positive entry where the patterns
+        # forbid one
+        f = frozen(NEARLY_PARALLEL_ATOM)
+        _, dims = subspace_intersect(atoms._partner_factors(f.U[None]))
+        assert dims[0].tolist() == [2, 1, 1, 0]
+        m = evaluate(f)
         classify_pattern_d2(m)
         assert val(m) <= 7
 
