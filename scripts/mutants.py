@@ -110,8 +110,8 @@ MUTANTS = (
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
     Mutant("W1", "atoms.py", "d - 1 - stalled.argmax(axis=1)", "stalled[:, ::-1].argmax(axis=1)",
            ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
-    Mutant("S3", "atoms.py", "default_rng(seed) for seed in seeds]",
-           "default_rng(seeds[0]) for seed in seeds]",
+    Mutant("S3", "atoms.py", "gen = np.random.default_rng(seed)\n",
+           "gen = np.random.default_rng(seeds[0])\n",
            ("tests/test_atoms.py::TestSeeding::test_block_matches_one_trial_sampling",)),
     Mutant("Φ1", "covering.py", '"b2 d2 c1 a c2 d1 b1"', '"d2 b2 c1 a c2 d1 b1"',
            ("tests/test_covering.py::TestPhiTables::test_tables_validate_as_certificates",)),
@@ -136,9 +136,11 @@ MUTANTS = (
     Mutant("N2", "atoms.py", "(2 * max(n, 0))", "(2 * n)",
            ("tests/test_cli.py::TestAtomSample::"
             "test_negative_width_named_like_every_width_error",)),
-    Mutant("R1", "atoms.py",
-           "r = integers(0, d + 1)\n            factor[:, :r]", "r = d\n            factor[:, :r]",
+    Mutant("R1", "atoms.py", "free = drawn[:, 0]", "free = normals[:, 0]",
            ("tests/test_oracle_goldens.py::test_oracle_report[patterns-200]",)),
+    Mutant("D1", "atoms.py", "np.where(cols < dims[", "np.where(cols <= dims[",
+           ("tests/test_atoms.py::TestDraw::"
+            "test_constrained_rank_is_the_smaller_of_draw_and_space",)),
 )
 
 

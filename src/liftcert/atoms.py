@@ -20,10 +20,10 @@ and one batched d x d SVD of the reduced factors gives the null spaces
 (Chan's R-SVD; see ``linalg``).
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
-draws trial t from its own ``default_rng(seeds[t])``, exactly as
-``sample_atom`` would.  The trials of a block share only the null-space QR
-and SVD and, through ``evaluate_block``, one evaluation of the block's
-(T, 2^n, d, d) stacks.  On
+draws trial t from its own ``default_rng(seeds[t])`` in two calls, exactly
+as ``sample_atom`` would, and runs the rest (rank masks, null-space QR and
+SVD, one batched product for the constrained side and, through
+``evaluate_block``, the evaluation) on the block's (T, 2^n, d, d) stacks.  On
 top of the sampler sit two falsifiable oracles, pure checks of a block:
 
 * ``witness_block`` returns per trial None or why the entry at (a,
@@ -183,9 +183,12 @@ def sample_block(
     """U and V stacks, each (T, 2^n, d, d), of T factorizations drawn as
     ``sample_atom(n, d, seeds[t], directions[t])``.
 
-    Trial t draws from its own ``default_rng(seeds[t])`` in the one-trial
-    order (free side in string order, then constrained side in string
-    order).  The block shares only the null-space QR and SVD.
+    Trial t makes two calls on its own ``default_rng(seeds[t])``: ranks
+    ``integers(0, d + 1, size=(2, 2^n))``, then normals
+    ``standard_normal((2, 2^n, d, d))``, row 0 of each for the free side and
+    row 1 for the constrained side.  A factor keeps the columns of its
+    normal matrix below its rank r; a constrained one multiplies them by its
+    space's first k basis vectors, so its rank is min(k, r).
     """
     if not 1 <= n <= MAX_SAMPLE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
@@ -196,22 +199,19 @@ def sample_block(
         raise ValueError(f"direction must be 'u-first' or 'v-first', got {bad[0]!r}")
     if len(seeds) != len(directions):
         raise ValueError(f"{len(seeds)} seeds for {len(directions)} directions")
-    gens = [np.random.default_rng(seed) for seed in seeds]
-    free = np.zeros((len(gens), 1 << n, d, d))
-    for gen, trial in zip(gens, free):
-        integers, normal = gen.integers, gen.standard_normal
-        for factor in trial:
-            r = integers(0, d + 1)
-            factor[:, :r] = normal((d, r))
+    ranks = np.empty((len(seeds), 2, 1 << n), dtype=np.int64)
+    normals = np.empty(ranks.shape + (d, d))
+    for t, seed in enumerate(seeds):
+        gen = np.random.default_rng(seed)
+        ranks[t] = gen.integers(0, d + 1, size=ranks.shape[1:])
+        normals[t] = gen.standard_normal(normals.shape[1:])
+    # a factor's columns at or past its rank are zero
+    cols = np.arange(d)
+    drawn = np.where(cols < ranks[..., None, None], normals, 0.0)
+    free = drawn[:, 0]
     # each constrained matrix spans normals drawn in its partners' common kernel
     spaces, dims = subspace_intersect(_partner_factors(free))
-    constrained = np.zeros_like(free)
-    for gen, trial, space, dim in zip(gens, constrained, spaces, dims.tolist()):
-        integers, normal = gen.integers, gen.standard_normal
-        for b, k in enumerate(dim):
-            r = integers(0, d + 1)
-            if r and k:
-                trial[b, :, :r] = space[b, :, :k] @ normal((k, r))
+    constrained = np.where(cols < dims[..., None, None], spaces, 0.0) @ drawn[:, 1]
     u_first = np.array([dr == "u-first" for dr in directions])[:, None, None, None]
     return np.where(u_first, free, constrained), np.where(u_first, constrained, free)
 
@@ -225,11 +225,11 @@ def sample_atom(
     """Draw a random factorization whose evaluation vanishes on
     intersection-one pairs by construction (``sample_block`` of one trial).
 
-    Every rank is drawn uniformly from {0, ..., d}: that of each free factor
-    and the number of spanning vectors of each constrained one.
-    ``direction`` picks which side is free: the construction is asymmetric,
-    and both directions should exercise the oracles.  ``rng`` is a Generator
-    or any seed numpy accepts.
+    Two generator calls draw every rank, uniform on {0, ..., d}, and then
+    every normal matrix, in ``sample_block``'s order.  ``direction`` picks
+    which side is free: the construction is asymmetric, and both directions
+    should exercise the oracles.  ``rng`` is a Generator or any seed numpy
+    accepts.
     """
     u, v = sample_block(n, d, [rng], [direction])
     return PsdFactorization(n, d, u[0], v[0])

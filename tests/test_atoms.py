@@ -284,6 +284,102 @@ class TestSampleBlock:
             evaluate_block(empty, empty)
 
 
+def replayed_ranks(n: int, d: int, seed) -> np.ndarray:
+    """The (2, 2^n) ranks a trial draws first: free side, then constrained."""
+    return np.random.default_rng(seed).integers(0, d + 1, size=(2, 1 << n))
+
+
+def reference_sample(n: int, d: int, seed, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """One trial of ``sample_block`` string by string: draw the ranks and
+    the normals, cut each free normal matrix to its rank, then build each
+    constrained factor from its own string's null space alone, as the
+    basis cut to the space's dimension k times the normal matrix cut to
+    k rows and r columns."""
+    gen = np.random.default_rng(seed)
+    size = 1 << n
+    ranks = gen.integers(0, d + 1, size=(2, size))
+    normals = gen.standard_normal((2, size, d, d))
+    free, constrained = np.zeros((size, d, d)), np.zeros((size, d, d))
+    for b in range(size):
+        r = ranks[0, b]
+        free[b, :, :r] = normals[0, b, :, :r]
+    partners = atoms._partner_factors(free[None])[0]
+    for b in range(size):
+        space, k = subspace_intersect(partners[b])
+        r = ranks[1, b]
+        constrained[b, :, :r] = space[:, :k] @ normals[1, b, :k, :r]
+    return (free, constrained) if direction == "u-first" else (constrained, free)
+
+
+DRAW_SHAPES = [(2, 2), (3, 3), (4, 2), (6, 3)]
+
+
+def draw_block_seeds(n: int) -> tuple[range, list[str]]:
+    """Seeds and alternating directions of one block at width n."""
+    seeds = range(300, 300 + max(4, block_size(n)))
+    return seeds, ["u-first", "v-first"] * (len(seeds) // 2)
+
+
+def drawn_block(n: int, d: int) -> tuple[range, list[str], np.ndarray, np.ndarray]:
+    """Seeds, directions and the free and constrained sides of a seeded block."""
+    seeds, directions = draw_block_seeds(n)
+    u, v = sample_block(n, d, seeds, directions)
+    u_first = np.array(directions)[:, None, None, None] == "u-first"
+    return seeds, directions, np.where(u_first, u, v), np.where(u_first, v, u)
+
+
+class TestDraw:
+    """Two draws per trial: ranks (2, 2^n), then normals (2, 2^n, d, d)."""
+
+    @pytest.mark.parametrize("n, d", DRAW_SHAPES)
+    def test_free_columns_past_the_rank_are_zero(self, n, d):
+        seeds, _, free, _ = drawn_block(n, d)
+        ranks = np.array([replayed_ranks(n, d, seed)[0] for seed in seeds])
+        past = np.arange(d) >= ranks[..., None, None]
+        assert not np.where(past, free, 0.0).any()
+        assert np.array_equal(np.linalg.matrix_rank(free), ranks)
+
+    @pytest.mark.parametrize("n, d", DRAW_SHAPES)
+    def test_constrained_rank_is_the_smaller_of_draw_and_space(self, n, d):
+        seeds, _, free, constrained = drawn_block(n, d)
+        ranks = np.array([replayed_ranks(n, d, seed)[1] for seed in seeds])
+        _, dims = subspace_intersect(atoms._partner_factors(free))
+        assert np.array_equal(np.linalg.matrix_rank(constrained), np.minimum(ranks, dims))
+        assert not np.where(np.arange(d) >= ranks[..., None, None], constrained, 0.0).any()
+        # both cut sizes occur: the space below the rank, and the rank below the space
+        assert (dims < ranks).any() and (ranks < dims).any()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
+    def test_ranks_are_uniform(self, n, d):
+        # 2 x 10^4 free-side ranks against uniform on {0, ..., d}: Pearson's
+        # chi-square, d degrees of freedom, below its 0.999 quantile
+        trials = 20_000 >> n
+        _, v = sample_block(n, d, range(trials), ["v-first"] * trials)
+        counts = np.bincount(np.linalg.matrix_rank(v).ravel(), minlength=d + 1)
+        assert counts.sum() == 20_000 and len(counts) == d + 1
+        expected = 20_000 / (d + 1)
+        statistic = ((counts - expected) ** 2 / expected).sum()
+        assert statistic < {2: 13.82, 3: 16.27}[d], counts
+
+    @pytest.mark.parametrize("n, d", DRAW_SHAPES)
+    def test_block_matches_per_string_reference(self, n, d):
+        seeds, directions = draw_block_seeds(n)
+        u, v = sample_block(n, d, seeds, directions)
+        ref = [reference_sample(n, d, seed, dr) for seed, dr in zip(seeds, directions)]
+        ref_u, ref_v = (np.array(side) for side in zip(*ref))
+        np.testing.assert_allclose(u, ref_u, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(v, ref_v, rtol=1e-12, atol=0)
+        if n == d == 2:
+            check = pattern_check
+        elif n == d:
+            check = witness_block
+        else:
+            def check(u, v):
+                return [a.tolist() for a in
+                        induction_block(evaluate_block(u, v), recursive_covering(d))]
+        assert check(u, v) == check(ref_u, ref_v)
+
+
 class TestSeeding:
     @pytest.mark.parametrize("seeds", [
         range(1000, 1007),
@@ -414,7 +510,7 @@ class TestNullSpaces:
     @pytest.mark.parametrize("n, d, start, check", [
         pytest.param(3, 3, 0, witness_block, id="witness-d3"),
         pytest.param(2, 2, 0, pattern_check, id="patterns"),
-        pytest.param(4, 3, 32, lambda u, v: [
+        pytest.param(4, 3, 80, lambda u, v: [
             a.tolist() for a in induction_block(evaluate_block(u, v), recursive_covering(3))
         ], id="induction-n4-d3"),
     ])

@@ -41,8 +41,8 @@ from liftcert.covering import (
 
 DIRECTIONS = ("u-first", "v-first")
 
-#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 0 at
-#: n = 4 its first falsifier is trial 30, the 15th of the second block of 16.
+#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 5 at
+#: n = 4 its first falsifier is trial 29, the 14th of the second block of 16.
 REC2_MINUS_4 = CoveringFamily(
     2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
     label="rec2-minus-4",
@@ -148,8 +148,8 @@ ORACLES = [
                  lambda t, s: reference_witness(3, t, s), id="witness-d3"),
     pytest.param(4, 31, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
                  lambda t, s: reference_induction(4, 2, t, s), id="induction-n4-d2"),
-    # seed 0 reaches the falsifier at trial 30 within 3 blocks + 5
-    pytest.param(4, 0, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
+    # seed 5 reaches the falsifier at trial 29 within 3 blocks + 5
+    pytest.param(4, 5, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
                  lambda t, s: reference_induction(4, 2, t, s, REC2_MINUS_4),
                  id="induction-n4-d2-rec2-minus-4"),
 ]
@@ -227,23 +227,24 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
 
 
 def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatch):
-    # a positive intersection-one entry makes trial 31 a non-atom, after the
-    # falsifier at trial 30 in the same block: the per-trial loop stops first
-    corrupt_one(monkeypatch, 4, 2, 31, DIRECTIONS[1], lambda size: (1, 1))
-    got = cli.run_induction_oracle(4, 2, 40, 0, REC2_MINUS_4)
-    assert got == reference_induction(4, 2, 40, 0, REC2_MINUS_4)
-    assert got["falsifier"]["trial"] == 30
-    assert got["falsifier"]["reason"] == "val 1 > bound 0"
+    # a positive intersection-one entry makes trial 30 a non-atom, after the
+    # falsifier at trial 29 in the same block: the per-trial loop stops first
+    corrupt_one(monkeypatch, 4, 2, 35, DIRECTIONS[0], lambda size: (1, 1))
+    got = cli.run_induction_oracle(4, 2, 40, 5, REC2_MINUS_4)
+    assert got == reference_induction(4, 2, 40, 5, REC2_MINUS_4)
+    assert got["falsifier"]["trial"] == 29
+    assert got["falsifier"]["reason"] == "val 7 > bound 6"
 
 
 def test_non_atom_before_the_failing_trial_of_its_block_exits_2(monkeypatch, tmp_path,
                                                                 capsys):
-    corrupt_one(monkeypatch, 4, 2, 29, DIRECTIONS[1], lambda size: (1, 1))
+    # trial 28, right before the falsifier at trial 29 in the same block
+    corrupt_one(monkeypatch, 4, 2, 33, DIRECTIONS[0], lambda size: (1, 1))
     with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
-        reference_induction(4, 2, 40, 0, REC2_MINUS_4)
+        reference_induction(4, 2, 40, 5, REC2_MINUS_4)
     family = tmp_path / "family.json"
     family.write_text(family_to_json(REC2_MINUS_4))
-    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40",
+    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "5",
                      "--family", str(family)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 #: sha256 of the full stdout of ``pattern_census.py --trials 500`` (seed 0).
-CENSUS_500_DIGEST = "523b023528e9b2f234e8f637f687535f41cb92e441465594d1cc2c744639a2a3"
+CENSUS_500_DIGEST = "e32582101fbf81ef8cc663cb0b54c77ecb8963049851c2b50c684426c1b3f067"
 
 
 def run_script(script: str, args: list[str]) -> subprocess.CompletedProcess:
@@ -93,7 +93,7 @@ def test_mutant_list_applies_to_the_sources():
     assert [m.name for m in mutants.MUTANTS] == [
         "M1", "M2", "M3", "M4", "M5", "B1", "B2", "B3", "B4", "B5", "B6",
         "F1", "F2", "C1", "C2", "C3", "P1", "P2", "P3", "P4", "P5", "W1", "S3",
-        "Φ1", "V1", "V2", "V3", "N1", "N2", "R1"]
+        "Φ1", "V1", "V2", "V3", "N1", "N2", "R1", "D1"]
     assert mutants.snippet_faults() == []
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.tests
