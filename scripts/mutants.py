@@ -43,13 +43,9 @@ MUTANTS = (
            "ok = ((x | y) >> d == 0)",
            ("tests/test_covering.py::TestRevalidation::"
             "test_intersecting_pair_named_as_not_the_maximal_support",)),
-    Mutant("M3", "covering.py", "failed = (totals > vals.sum(axis=1)) | ~clean",
-           "failed = (totals > vals.sum(axis=1))",
-           ("tests/test_covering.py::TestInductionBlock::"
-            "test_aggregate_positive_on_an_intersection_one_pair_fails_its_matrix",)),
-    Mutant("M4", "atoms.py", "None if entry <= thr else", "None if entry <= 2 * thr else",
+    Mutant("M4", "atoms.py", "None if entry == 0 else", "None if entry <= 1e-9 else",
            ("tests/test_atoms.py::TestSampleBlock::"
-            "test_witnessed_entry_meets_the_threshold_itself",)),
+            "test_any_positive_witnessed_entry_falsifies",)),
     Mutant("M5", "cli.py",
            "    if len({(rows.template, depth, *(id(texts) for _, texts in rows.columns))\n"
            "            for _, rows, depth in lists}) > 1:\n"
@@ -141,6 +137,9 @@ MUTANTS = (
     Mutant("D1", "atoms.py", "np.where(cols < dims[", "np.where(cols <= dims[",
            ("tests/test_atoms.py::TestDraw::"
             "test_constrained_rank_is_the_smaller_of_draw_and_space",)),
+    Mutant("Z1", "bitcore.py", "    return values > 0\n",
+           "    return values > 1e-9 * values.max(axis=(-2, -1), keepdims=True)\n",
+           ("tests/test_atoms.py::TestEvaluate::test_small_genuine_entry_is_in_the_support",)),
 )
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Measure the margin of the rank cutoff RANK_TOL on sampled square atoms.
+"""Measure the margins of the rank cutoff RANK_TOL and the zero rule
+NOISE_REL on sampled square atoms.
 
 Every rank the oracles decide counts the singular values above RANK_TOL
 times the largest.  For seeded blocks at n = d = 2..max-d this prints, for
@@ -7,8 +8,13 @@ the witness chain [V_{e_1} ... V_{e_i}] (both sampling directions) and for
 the null-space SVD of the constrained side (each string's partners placed
 side by side, reduced to d x d by one QR as the library reduces them), the
 largest singular-value ratio cut as zero and the smallest one kept.
-By-construction zeros carry only rounding noise and should sit far below
-RANK_TOL, every genuine ratio far above it.
+Every evaluated entry is zero exactly when its squared product
+||U_a^T V_b||_F^2 is at most NOISE_REL times its Cauchy-Schwarz bound
+||U_a U_a^T||_F ||V_b V_b^T||_F.  From the squared products before that
+clamp, computed here, each d's "products" row gives the largest ratio to
+the bound that is stored as zero and the smallest one kept.  By-construction
+zeros carry only rounding noise and should sit far below each cutoff, every
+genuine ratio far above it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 
 import numpy as np
 
-from liftcert.atoms import _partner_factors, block_size, sample_block
+from liftcert.atoms import NOISE_REL, _partner_factors, block_size, sample_block
 from liftcert.linalg import RANK_TOL, _prefixes, _reduced
 
 
@@ -30,14 +36,25 @@ def relative_singular_values(x: np.ndarray, top_axes: tuple[int, ...]) -> np.nda
     return (s / np.where(top > 0, top, np.nan)).ravel()
 
 
+def product_ratios(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||U_a^T V_b||_F^2 over ||U_a U_a^T||_F ||V_b V_b^T||_F for every pair
+    of every trial of a block, with no clamp (NaN where the bound is zero)."""
+    squared = np.square(u.swapaxes(-1, -2)[:, :, None] @ v[:, None]).sum(axis=(-2, -1))
+    gram = [np.linalg.norm(x @ x.swapaxes(-1, -2), axis=(-2, -1)) for x in (u, v)]
+    bound = gram[0][:, :, None] * gram[1][:, None, :]
+    return (squared / np.where(bound > 0, bound, np.nan)).ravel()
+
+
 def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
-    """Largest ratio cut and smallest kept, per SVD, over ``trials`` seeds."""
-    found = {"chain": [], "null space": []}
+    """Largest ratio cut and smallest kept, per SVD and for the evaluated
+    products, over ``trials`` seeds."""
+    found = {"chain": [], "null space": [], "products": []}
     step = block_size(d)
     for lo in range(0, trials, step):
         seeds = range(lo, min(lo + step, trials))
         for direction in ("u-first", "v-first"):
-            _, v = sample_block(d, d, seeds, [direction] * len(seeds))
+            u, v = sample_block(d, d, seeds, [direction] * len(seeds))
+            found["products"].append(product_ratios(u, v))
             # the chains' prefixes as the witness builds them, compared
             # against the largest singular value of the whole chain
             chains = _prefixes(v[:, 1 << np.arange(d - 1, -1, -1)])
@@ -49,7 +66,8 @@ def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
     for kind, parts in found.items():
         ratios = np.concatenate(parts)
         ratios = ratios[~np.isnan(ratios)]
-        cut, kept = ratios[ratios <= RANK_TOL], ratios[ratios > RANK_TOL]
+        tol = NOISE_REL if kind == "products" else RANK_TOL
+        cut, kept = ratios[ratios <= tol], ratios[ratios > tol]
         out[kind] = (float(cut.max(initial=0.0)), float(kept.min(initial=np.inf)))
     return out
 
@@ -62,7 +80,8 @@ def main() -> None:
     if not 2 <= args.max_d <= 6 or args.trials < 1:
         print("error: need 2 <= --max-d <= 6 and --trials >= 1", file=sys.stderr)
         raise SystemExit(2)
-    print(f"RANK_TOL = {RANK_TOL:.1e}; seeds 0..{args.trials - 1} per d")
+    print(f"RANK_TOL = {RANK_TOL:.1e}, NOISE_REL = {NOISE_REL:.1e}; "
+          f"seeds 0..{args.trials - 1} per d")
     for d in range(2, args.max_d + 1):
         for kind, (cut, kept) in margins(d, args.trials).items():
             print(f"d = {d}, {kind}: largest cut {cut:.2e}, smallest kept {kept:.2e}")

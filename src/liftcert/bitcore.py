@@ -10,7 +10,9 @@ the block row/column in block decompositions.
 The central object is UDISJ(n), the 2^n x 2^n matrix with entry
 (1 - a.b)^2 at the bitstring pair (a, b).  Its combinatorial statistic
 ``val`` counts the disjoint pairs (a.b = 0) carrying a positive entry;
-val(UDISJ(n)) = 3^n.
+val(UDISJ(n)) = 3^n.  The support of a matrix is its positive entries: UDISJ
+is exact integers, and ``atoms.evaluate_block`` already stores rounding
+noise as exact zeros.
 
 At the text boundary ``value_codes`` codes a matrix's values into its few
 distinct ones.  The dense CSV renders each run of four of them once, when
@@ -29,12 +31,6 @@ import numpy as np
 
 MAX_WIDTH = 16
 MAX_DENSE_N = 10
-
-#: Relative zero-classification threshold: an entry is treated as zero when it
-#: does not exceed EPS_ZERO * scale(M), with scale(M) the largest entry.
-#: Sampled Gram products carry rounding noise many orders below this, while
-#: genuinely positive entries sit many orders above it.
-EPS_ZERO = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -100,10 +96,8 @@ class SupportMatrix:
 
     Row and column i belong to the width-n string with value i, so entry
     (a, b) sits at ``values[a.value, b.value]`` and row-major order is lex
-    order.  Entries may be positive numerical noise; the *support* is the
-    mask of entries above the relative threshold eps * scale, where scale is
-    the largest entry.  Exact integer matrices (such as UDISJ) keep an
-    integer dtype so that support questions are exact.
+    order.  The *support* is the mask of positive entries.  Exact integer
+    matrices (such as UDISJ) keep an integer dtype.
     """
 
     n: int
@@ -128,24 +122,15 @@ class SupportMatrix:
             raise ValueError(f"index ({a}, {b}) has width != {self.n}")
         return self.values[a.value, b.value].item()
 
-    def support(self, eps: float = EPS_ZERO) -> np.ndarray:
-        """Boolean mask of the entries above the zero-classification threshold."""
-        return support_block(self.values, eps)
+    def support(self) -> np.ndarray:
+        """Boolean mask of the positive entries."""
+        return support_block(self.values)
 
 
-def threshold_block(values: np.ndarray, eps: float = EPS_ZERO) -> np.ndarray:
-    """eps times the largest entry of each matrix in a stack (..., r, c), for
-    a relative eps in [0, 1); anything else (NaN, a negative eps, or one that
-    hides the largest entry) raises ValueError."""
-    if not 0 <= eps < 1:
-        raise ValueError(f"epsilon {eps} outside [0, 1)")
-    return eps * values.max(axis=(-2, -1))
-
-
-def support_block(values: np.ndarray, eps: float = EPS_ZERO) -> np.ndarray:
-    """Support masks of a stack (..., r, c) of matrices, each entry against
-    its own matrix's threshold."""
-    return values > threshold_block(values, eps)[..., None, None]
+def support_block(values: np.ndarray) -> np.ndarray:
+    """Support masks of a stack (..., r, c) of nonnegative matrices: the
+    positive entries, the package's one zero rule."""
+    return values > 0
 
 
 def val_block(support: np.ndarray) -> np.ndarray:
@@ -180,14 +165,14 @@ def cor_slack(a: BitString, b: BitString) -> int:
     return 1 - int(bbits @ lhs @ bbits)
 
 
-def val(m: SupportMatrix, eps: float = EPS_ZERO) -> int:
-    """Number of disjoint pairs carrying an entry above the zero threshold."""
-    return int(val_block(m.support(eps)))
+def val(m: SupportMatrix) -> int:
+    """Number of disjoint pairs carrying a positive entry."""
+    return int(val_block(m.support()))
 
 
-def is_atom_pattern(m: SupportMatrix, eps: float = EPS_ZERO) -> bool:
-    """True iff every pair intersecting in exactly one position is (numerically) zero."""
-    return not np.any(m.support(eps) & (intersection_table(m.n) == 1))
+def is_atom_pattern(m: SupportMatrix) -> bool:
+    """True iff every pair intersecting in exactly one position is zero."""
+    return not np.any(m.support() & (intersection_table(m.n) == 1))
 
 
 def value_codes(values: np.ndarray) -> tuple[np.ndarray, list]:
@@ -229,8 +214,8 @@ def matrix_to_csv(m: SupportMatrix) -> str:
 
 
 def matrix_to_json(m: SupportMatrix) -> str:
-    """JSON object listing only the entries above the ``EPS_ZERO`` threshold,
-    in lex order, each as [row text, column text, value]."""
+    """JSON object listing only the positive entries, in lex order, each as
+    [row text, column text, value]."""
     labels = np.array([str(s) for s in all_strings(m.n)], dtype=object)
     r, c = np.nonzero(m.support())
     entries = list(zip(labels[r].tolist(), labels[c].tolist(), m.values[r, c].tolist()))

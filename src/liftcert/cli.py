@@ -49,7 +49,6 @@ from .atoms import (
     witness_block,
 )
 from .bitcore import (
-    EPS_ZERO,
     matrix_to_csv,
     matrix_to_json,
     support_block,
@@ -123,10 +122,10 @@ def run_trials(
     return passing, None
 
 
-def pattern_check(u: np.ndarray, v: np.ndarray, eps: float = EPS_ZERO) -> tuple[list, list]:
+def pattern_check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
     """Classify each trial of a block against the six width-2 patterns; the
     outcomes are (pattern id, val) pairs, with id 0 for no pattern."""
-    support = support_block(evaluate_block(u, v), eps)
+    support = support_block(evaluate_block(u, v))
     outcomes = list(zip(pattern_block(support).tolist(), val_block(support).tolist()))
     reasons = ["support fits no pattern" if not pid else
                f"val = {count} exceeds 7" if count > 7 else None
@@ -138,12 +137,10 @@ def run_pattern_oracle(
     trials: int,
     seed: int = 0,
     directions: Sequence[str] = ("u-first", "v-first"),
-    eps: float = EPS_ZERO,
 ) -> dict:
     """Sample width-2 atoms over 2x2 cones; classify each against the six
     patterns and check val <= 7.  Stops at the first falsification."""
-    outcomes, falsifier = run_trials(2, 2, trials, seed, directions,
-                                     lambda u, v: pattern_check(u, v, eps))
+    outcomes, falsifier = run_trials(2, 2, trials, seed, directions, pattern_check)
     counts = sorted(Counter(pid for pid, _ in outcomes).items())
     report = {"seed": seed, "trials": trials, "passes": len(outcomes),
               "pattern_counts": dict(counts), "falsifier": falsifier}
@@ -157,12 +154,10 @@ def run_witness_oracle(
     trials: int,
     seed: int = 0,
     directions: Sequence[str] = ("u-first", "v-first"),
-    eps: float = EPS_ZERO,
 ) -> dict:
     """Find the antidiagonal zero of each sampled square atom; every entry
-    found must clear the relative zero threshold."""
-    rows, falsifier = run_trials(d, d, trials, seed, directions,
-                                 lambda u, v: witness_block(u, v, eps))
+    found must be exactly zero."""
+    rows, falsifier = run_trials(d, d, trials, seed, directions, witness_block)
     report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
               "falsifier": falsifier}
     if falsifier is None:
@@ -178,10 +173,10 @@ def run_induction_oracle(
     seed: int = 0,
     family: Optional[CoveringFamily] = None,
     directions: Sequence[str] = ("u-first", "v-first"),
-    eps: float = EPS_ZERO,
 ) -> dict:
-    """Check val(M) <= sum_i val(M_i) over sampled atoms, and that every
-    aggregate again vanishes on intersection-one pairs."""
+    """Check val(M) <= sum_i val(M_i) over sampled atoms.  Each aggregate
+    M_i of an atom vanishes on intersection-one pairs as M does (see
+    ``induction_block``), so that needs no check of its own."""
     if family is None:
         family = recursive_covering(d)
     if family.d != d:
@@ -190,11 +185,9 @@ def run_induction_oracle(
         raise ValueError(f"induction needs n >= d, got n = {n}, d = {d}")
 
     def check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
-        totals, vals, clean = induction_block(evaluate_block(u, v), family, eps)
-        reasons = [f"val {total} > bound {bound}" if total > bound else
-                   None if ok else "an aggregate has a positive intersection-one entry"
-                   for total, bound, ok in zip(totals.tolist(), vals.sum(axis=1).tolist(),
-                                               clean.tolist())]
+        totals, vals = induction_block(evaluate_block(u, v), family)
+        reasons = [f"val {total} > bound {bound}" if total > bound else None
+                   for total, bound in zip(totals.tolist(), vals.sum(axis=1).tolist())]
         return reasons, totals.tolist()
 
     totals, falsifier = run_trials(n, d, trials, seed, directions, check)
@@ -328,14 +321,14 @@ def _emit(report: str | dict, args: argparse.Namespace) -> None:
 
 def _cmd_udisj(args: argparse.Namespace) -> int:
     m = udisj(args.n)
-    v = val(m, args.epsilon)
+    v = val(m)
     if args.format == "csv":
         _emit(matrix_to_csv(m), args)
     elif args.format == "text":
         _emit(matrix_to_csv(m) + f"val = {v} (expected 3^{args.n} = {3 ** args.n})\n",
               args)
     else:
-        r, c = np.nonzero(m.support(args.epsilon))
+        r, c = np.nonzero(m.support())
         labels = _labels(m.n)
         entries = _Rows(ENTRY_ROW, [(r, labels), (c, labels),
                                     _value_column(m.values[r, c])])
@@ -381,16 +374,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.check == "patterns":
         if (args.n, args.d) != (2, 2):
             raise ValueError("pattern classification is defined for n = d = 2")
-        result = run_pattern_oracle(args.trials, args.seed, directions, args.epsilon)
+        result = run_pattern_oracle(args.trials, args.seed, directions)
     elif args.check == "antidiagonal":
         if args.n != args.d:
             raise ValueError("the antidiagonal witness needs n = d")
-        result = run_witness_oracle(args.d, args.trials, args.seed, directions,
-                                    args.epsilon)
+        result = run_witness_oracle(args.d, args.trials, args.seed, directions)
     else:
         family = family_from_json(Path(args.family).read_text()) if args.family else None
-        result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family,
-                                      directions, args.epsilon)
+        result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family, directions)
     if args.command == "induction":
         report = {"command": "induction"}
     else:
@@ -429,12 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--trials", type=int, default=1, help="at least 1")
     oracle.add_argument("--direction", choices=["both", "u-first", "v-first"],
                         default="both")
-    oracle.add_argument("--epsilon", type=float, default=EPS_ZERO)
 
     p = sub.add_parser("udisj", parents=[out], help="emit UDISJ(n) and report val = 3^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--epsilon", type=float, default=EPS_ZERO)
     p.set_defaults(handler=_cmd_udisj)
 
     cov = sub.add_parser("covering", help="build or verify rectangle families")

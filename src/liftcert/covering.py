@@ -57,7 +57,6 @@ import numpy as np
 
 from .atoms import PatternId, PsdFactorization, evaluate, pattern_keys
 from .bitcore import (
-    EPS_ZERO,
     MAX_DENSE_N,
     BitString,
     SupportMatrix,
@@ -452,23 +451,24 @@ def aggregate(m: SupportMatrix, family: CoveringFamily) -> list[SupportMatrix]:
     return [SupportMatrix(m.n - family.d, part) for part in parts]
 
 
-def induction_block(
-    values: np.ndarray, family: CoveringFamily, eps: float = EPS_ZERO
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per matrix of a (T, 2^n, 2^n) stack: val(M), the (T, k) aggregate vals
-    val(M_i), and whether every aggregate vanishes on intersection-one pairs.
-    A matrix positive on such a pair raises ValueError unless an earlier one
-    fails (val(M) above the bound, or an aggregate positive on such a pair)."""
+def induction_block(values: np.ndarray, family: CoveringFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a (T, 2^n, 2^n) stack: val(M) and the (T, k) aggregate
+    vals val(M_i).  A matrix positive on an intersection-one pair raises
+    ValueError unless an earlier one fails (val(M) above the bound).
+
+    The aggregates of a matrix that gets past that check vanish on
+    intersection-one pairs too: entry (a, b) of M_i sums M's entries
+    (xa, yb) over the disjoint (x, y) of rectangle i, each with
+    |xa & yb| = |a & b| = 1 and so exactly 0."""
     n = values.shape[-1].bit_length() - 1
-    supports = support_block(values, eps)
-    parts = support_block(_aggregate_block(values, family), eps)
-    totals, vals = val_block(supports), val_block(parts)
-    clean = ~(parts & (intersection_table(n - family.d) == 1)).any(axis=(-3, -2, -1))
-    failed = (totals > vals.sum(axis=1)) | ~clean
+    supports = support_block(values)
+    totals = val_block(supports)
+    vals = val_block(support_block(_aggregate_block(values, family)))
+    failed = totals > vals.sum(axis=1)
     reached = np.cumsum(failed) - failed == 0  # no earlier matrix fails
     if (reached & (supports & (intersection_table(n) == 1)).any(axis=(-2, -1))).any():
         raise ValueError("evaluated matrix is not zero on intersection-one pairs")
-    return totals, vals, clean
+    return totals, vals
 
 
 @dataclass(frozen=True)
@@ -478,22 +478,19 @@ class InductionReport:
     val_total: int
     block_vals: tuple[int, ...]
     holds: bool
-    aggregates_are_atoms: bool
 
     @property
     def bound(self) -> int:
         return sum(self.block_vals)
 
 
-def check_induction_inequality(
-    f: PsdFactorization, family: CoveringFamily, eps: float = EPS_ZERO
-) -> InductionReport:
+def check_induction_inequality(f: PsdFactorization, family: CoveringFamily) -> InductionReport:
     """Check val(M) <= sum_i val(M_i) for the evaluation M of a factorization
     (``induction_block`` of the one matrix).  The inequality is proved only
     for matrices carrying a PSD factorization, so this takes the
     factorization itself rather than a bare matrix."""
-    (total,), (vals,), (clean,) = induction_block(evaluate(f).values[None], family, eps)
-    return InductionReport(int(total), tuple(vals.tolist()), bool(total <= vals.sum()), bool(clean))
+    (total,), (vals,) = induction_block(evaluate(f).values[None], family)
+    return InductionReport(int(total), tuple(vals.tolist()), bool(total <= vals.sum()))
 
 
 @lru_cache(maxsize=None)

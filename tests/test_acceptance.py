@@ -112,7 +112,7 @@ def test_criterion_4_pattern_oracle_10k():
 
 
 def test_criterion_5_antidiagonal_oracle_10k_each():
-    """10^4 atoms at each of d = 2, 3: witness found, entry <= 1e-9 * scale."""
+    """10^4 atoms at each of d = 2, 3: witness found, its entry exactly zero."""
     t0 = time.time()
     for d in (2, 3):
         result = run_witness_oracle(d=d, trials=10_000, seed=SEED)
@@ -122,7 +122,7 @@ def test_criterion_5_antidiagonal_oracle_10k_each():
 
 
 def test_criterion_6_induction_oracle_1k():
-    """10^3 atoms at n = 4, d = 2: inequality holds, aggregates stay atoms."""
+    """10^3 atoms at n = 4, d = 2: the block-induction inequality holds."""
     t0 = time.time()
     result = run_induction_oracle(
         n=4, d=2, trials=1_000, seed=SEED, family=recursive_covering(2)

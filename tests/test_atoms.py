@@ -30,7 +30,6 @@ from liftcert.atoms import (
     witness_block,
 )
 from liftcert.bitcore import (
-    EPS_ZERO,
     BitString,
     SupportMatrix,
     all_strings,
@@ -38,7 +37,6 @@ from liftcert.bitcore import (
     intersection_table,
     is_atom_pattern,
     support_block,
-    threshold_block,
     val,
 )
 from liftcert.cli import pattern_check
@@ -150,6 +148,23 @@ class TestEvaluate:
                     assert m.value(a, b) == 0.0
         assert not m.values.any()
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-8, 1e-12])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_small_genuine_entry_is_in_the_support(self, scale, side):
+        # U_0 = V_0 = I, U_1 = diag(1e-5, 0), V_1 = diag(0, 1): the disjoint
+        # entry (1, 0) is 1e-10, 5e-11 of the largest entry but 0.71 of its
+        # Cauchy-Schwarz bound, so it is genuine and counts toward val.  The
+        # ratio to the bound is 0.71 at every scale, and with the factors of
+        # the two sides swapped the entry is (0, 1).
+        small, other = np.stack([np.eye(2), np.diag([scale, 0.0])]), \
+            np.stack([np.eye(2), np.diag([0.0, 1.0])])
+        u, v, entry = (small, other, (1, 0)) if side == "u" else (other, small, (0, 1))
+        m = evaluate(PsdFactorization(1, 2, u, v))
+        assert m.values[entry] == pytest.approx(scale**2, rel=1e-12)
+        assert m.values[entry] < 1e-9 * m.values.max()
+        assert m.support()[entry] and is_atom_pattern(m)
+        assert val(m) == 3
+
     @pytest.mark.parametrize("n, d, seeds", [(2, 2, 100), (3, 3, 60), (4, 2, 40),
                                              (6, 3, 4)])
     def test_matches_per_entry_reference(self, n, d, seeds):
@@ -159,7 +174,7 @@ class TestEvaluate:
             for direction in ("u-first", "v-first"):
                 f = sample_atom(n, d, rng=seed, direction=direction)
                 m, ref = evaluate(f), reference_evaluate(f)
-                assert np.array_equal(m.support(), ref > EPS_ZERO * ref.max())
+                assert np.array_equal(m.support(), ref > 0)
                 np.testing.assert_allclose(m.values, ref, rtol=1e-14, atol=0)
                 # the by-construction zeros are exact
                 assert not m.values[one].any() and not ref[one].any()
@@ -181,8 +196,7 @@ class TestSampleAtom:
         z, o = BitString(1, 0), BitString(1, 1)
         for seed in range(100):
             m = evaluate(sample_atom(1, 1, rng=seed))
-            thr = threshold_block(m.values)
-            assert m.value(z, o) <= thr or m.value(o, z) <= thr
+            assert m.value(z, o) == 0 or m.value(o, z) == 0
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -235,12 +249,17 @@ class TestSampleBlock:
         pids = pattern_block(support_block(evaluate_block(u, u)))
         assert pids.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("square, falsified", [(1.5e-9, True), (0.5e-9, False)])
-    def test_witnessed_entry_meets_the_threshold_itself(self, square, falsified):
-        # M = [[1, 1], [s^2, s^2]]: the witnessed entry (1, 0) is s^2, the threshold 1e-9
+    @pytest.mark.parametrize("square, falsified", [
+        (1e-12, True), (0.0, False), (1e-300, True), (0.5e-9, True), (1.5e-9, True)])
+    def test_any_positive_witnessed_entry_falsifies(self, square, falsified):
+        # M = [[1, 1], [s^2, s^2]]: the witnessed entry (1, 0) is s^2, which
+        # fails the trial unless it is exactly zero, on either side of the
+        # retired threshold 1e-9 * max(M)
         u = np.array([1.0, np.sqrt(square)]).reshape(1, 2, 1, 1)
         reasons, rows = witness_block(u, np.ones((1, 2, 1, 1)))
         assert rows == [1] and (reasons[0] is not None) == falsified
+        if falsified:
+            assert reasons[0] == f"antidiagonal entry at (1, 0) is {square:.3e}, not zero"
 
     def test_block_size_bounds_the_stacks(self):
         assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
@@ -611,12 +630,11 @@ class TestAntidiagonalWitness:
             f = sample_atom(d, d, rng=seed)
             a = antidiagonal_witness(f)
             m = evaluate(f)
-            thr = threshold_block(m.values)
-            assert m.value(a, a.complement()) <= thr
+            assert m.value(a, a.complement()) == 0
             # independent route: a scan of the antidiagonal (a, 2^d - 1 - a)
             # also finds some zero
             idx = np.arange(1 << d)
-            assert (m.values[idx, idx[::-1]] <= thr).any()
+            assert (m.values[idx, idx[::-1]] == 0).any()
 
 
 class TestPatternTemplates:
@@ -683,9 +701,8 @@ class TestClassify:
             i01, i10 = image(f.V[s01.value]), image(f.V[s10.value])
             if np.allclose(i01 @ i01.T, i10 @ i10.T, rtol=0, atol=1e-9):
                 m = evaluate(f)
-                thr = threshold_block(m.values)
-                assert m.value(s01, s10) <= thr
-                assert m.value(s10, s01) <= thr
+                assert m.value(s01, s10) == 0
+                assert m.value(s10, s01) == 0
                 checked += 1
         assert checked > 0
 

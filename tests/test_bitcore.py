@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from liftcert import bitcore
 from liftcert.bitcore import (
-    EPS_ZERO,
     MAX_DENSE_N,
     BitString,
     SupportMatrix,
@@ -24,7 +23,6 @@ from liftcert.bitcore import (
     matrix_to_csv,
     matrix_to_json,
     support_block,
-    threshold_block,
     udisj,
     val,
     val_block,
@@ -57,11 +55,11 @@ def from_entries(n: int, items: list[tuple[str, str, float]]) -> SupportMatrix:
     return SupportMatrix(n, values)
 
 
-def antidiagonal_zero(m: SupportMatrix, eps: float = EPS_ZERO) -> BitString | None:
+def antidiagonal_zero(m: SupportMatrix) -> BitString | None:
     """The lex-smallest a whose entry (a, complement a) is outside the
     support, or None if the whole antidiagonal is in it."""
     idx = np.arange(1 << m.n)
-    zeros = np.flatnonzero(~m.support(eps)[idx, idx[::-1]])
+    zeros = np.flatnonzero(~m.support()[idx, idx[::-1]])
     return BitString(m.n, int(zeros[0])) if zeros.size else None
 
 
@@ -260,11 +258,6 @@ class TestValAndPatterns:
     def test_all_ones_is_not_atom_pattern(self):
         assert not is_atom_pattern(SupportMatrix(2, np.ones((4, 4))))
 
-    def test_tiny_noise_below_threshold_is_zero(self):
-        m = from_entries(2, [("00", "00", 1.0), ("01", "01", 1e-15)])
-        assert is_atom_pattern(m)
-        assert val(m) == 1
-
     def test_antidiagonal_zero_of_udisj_is_none(self):
         for n in range(1, 7):
             assert antidiagonal_zero(udisj(n)) is None
@@ -277,18 +270,17 @@ class TestValAndPatterns:
         m = from_entries(2, [("00", "11", 1.0), ("11", "00", 1.0)])
         assert antidiagonal_zero(m) == BitString.from_text("01")
 
-    @given(small_matrices(), st.sampled_from([0.0, 1e-9, 0.2, 0.5]))
-    def test_masks_match_per_entry_reference(self, m: SupportMatrix, eps: float):
+    @given(small_matrices())
+    def test_masks_match_per_entry_reference(self, m: SupportMatrix):
         pairs = [(a, b) for a in all_strings(m.n) for b in all_strings(m.n)]
-        thr = eps * max(m.value(a, b) for a, b in pairs)
-        support = {(a, b) for a, b in pairs if m.value(a, b) > thr}
-        assert {(a, b) for a, b in pairs if m.support(eps)[a.value, b.value]} == support
-        assert val(m, eps) == sum(1 for a, b in support if intersection_size(a, b) == 0)
-        assert is_atom_pattern(m, eps) == all(
+        support = {(a, b) for a, b in pairs if m.value(a, b) > 0}
+        assert {(a, b) for a, b in pairs if m.support()[a.value, b.value]} == support
+        assert val(m) == sum(1 for a, b in support if intersection_size(a, b) == 0)
+        assert is_atom_pattern(m) == all(
             intersection_size(a, b) != 1 for a, b in support
         )
         zeros = [a for a in all_strings(m.n) if (a, a.complement()) not in support]
-        assert antidiagonal_zero(m, eps) == (zeros[0] if zeros else None)
+        assert antidiagonal_zero(m) == (zeros[0] if zeros else None)
 
 
 def assert_codes_give_back_bits(values: np.ndarray):
@@ -460,31 +452,26 @@ class TestSupportMatrix:
             for b in all_strings(2):
                 assert m.value(a, b) == 4 * a.value + b.value
 
-    @pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, 1.0, 1e9, math.inf])
-    def test_epsilon_outside_unit_interval_rejected(self, eps):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            threshold_block(udisj(2).values, eps)
-        with pytest.raises(ValueError):
-            val(udisj(2), eps)
-
-    @pytest.mark.parametrize("eps", [-1.0, math.nan, 1.0])
-    def test_block_epsilon_outside_unit_interval_rejected(self, eps):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            support_block(np.ones((3, 4, 4)), eps)
-
-    @given(st.lists(small_matrices(2), min_size=1, max_size=5),
-           st.sampled_from([0.0, 1e-9, 0.5]))
-    def test_blocks_match_each_matrix(self, ms: list[SupportMatrix], eps: float):
+    @given(st.lists(small_matrices(2), min_size=1, max_size=5))
+    def test_blocks_match_each_matrix(self, ms: list[SupportMatrix]):
         for n in {m.n for m in ms}:
             same = [m for m in ms if m.n == n]
-            values = np.array([m.values for m in same])
-            thresholds, supports = threshold_block(values, eps), support_block(values, eps)
-            for m, thr, sup, v in zip(same, thresholds, supports, val_block(supports)):
-                assert thr == threshold_block(m.values, eps)
-                assert np.array_equal(sup, m.support(eps))
-                assert v == val(m, eps)
+            supports = support_block(np.array([m.values for m in same]))
+            for m, sup, v in zip(same, supports, val_block(supports)):
+                assert np.array_equal(sup, m.support())
+                assert v == val(m)
 
-    def test_epsilon_zero_keeps_every_positive_entry(self):
-        m = from_entries(1, [("0", "0", 1.0), ("0", "1", 1e-300)])
-        assert threshold_block(m.values, 0.0) == 0.0
-        assert val(m, 0.0) == 2
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 1e-15, 1e-10])
+    def test_every_positive_entry_is_in_the_support(self, tiny):
+        # however small against the largest entry: (0, 1) adds to val, and
+        # (1, 1), which intersects in one position, makes m no atom
+        m = from_entries(1, [("0", "0", 1.0), ("0", "1", tiny)])
+        assert val(m) == 2 and is_atom_pattern(m)
+        m = from_entries(1, [("0", "0", 1.0), ("1", "1", tiny)])
+        assert val(m) == 1 and not is_atom_pattern(m)
+        assert support_block(m.values[None]).tolist() == [[[True, False], [False, True]]]
+
+    def test_negative_zero_is_outside_the_support(self):
+        m = from_entries(1, [("0", "0", 1.0), ("0", "1", -0.0), ("1", "1", -0.0)])
+        assert m.support().tolist() == [[True, False], [False, False]]
+        assert val(m) == 1 and is_atom_pattern(m)

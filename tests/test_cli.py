@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert import cli, covering
+from liftcert import atoms, bitcore, cli, covering
+from liftcert.bitcore import SupportMatrix, udisj
 from liftcert.cli import ENTRY_ROW, PAIR_ROW, _dumps, _Rows, _value_column, build_parser, main
 from liftcert.covering import (
     MAX_COVER_D,
@@ -57,6 +59,15 @@ class TestUdisj:
 
     def test_invalid_n_exits_2(self, capsys):
         assert run_cli(capsys, "udisj", "--n", "0")[0] == 2
+
+    def test_val_short_of_3_to_the_n_exits_1(self, capsys, monkeypatch):
+        # the report checks its own val: one disjoint entry zeroed leaves 26
+        values = udisj(3).values.copy()
+        values[0b000, 0b110] = 0
+        monkeypatch.setattr(cli, "udisj", lambda n: SupportMatrix(n, values))
+        code, out = run_cli(capsys, "udisj", "--n", "3", "--format", "text")
+        assert code == 1
+        assert out.endswith("\nval = 26 (expected 3^3 = 27)\n")
 
 
 class TestCoveringCommands:
@@ -546,10 +557,31 @@ def test_malformed_family_exits_2_naming_the_field(tmp_path, capsys, command, te
     ["atom", "sample", "--n", "2", "--d", "2", "--check", "antidiagonal"],
     ["induction", "--n", "2", "--d", "1"],
 ])
-@pytest.mark.parametrize("epsilon", ["-1", "nan", "1e9"])
-def test_epsilon_outside_unit_interval_exits_2(capsys, command, epsilon):
-    code, err = run_cli_error(capsys, *command, "--epsilon", epsilon)
-    assert code == 2 and "outside [0, 1)" in err
+@pytest.mark.parametrize("epsilon", ["0", "0.3", "nan"])
+def test_epsilon_is_an_unknown_option(capsys, command, epsilon):
+    # the support is the positive entries, with no threshold to set: a value
+    # the option once took (0, 0.3) is refused like one it once rejected (nan)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --epsilon {epsilon}" in captured.err
+
+
+@pytest.mark.parametrize("function", [
+    bitcore.support_block, SupportMatrix.support, bitcore.val, bitcore.is_atom_pattern,
+    atoms.witness_block, covering.induction_block, covering.check_induction_inequality,
+    cli.pattern_check, cli.run_pattern_oracle, cli.run_witness_oracle,
+    cli.run_induction_oracle,
+], ids=lambda f: f.__qualname__)
+def test_support_takes_no_threshold(function):
+    # the one zero rule lives in evaluate_block: no support, val or oracle
+    # routine takes a threshold of its own
+    assert not {"eps", "epsilon"} & set(inspect.signature(function).parameters)
+
+
+def test_no_zero_threshold_is_left_in_bitcore():
+    assert not hasattr(bitcore, "EPS_ZERO") and not hasattr(bitcore, "threshold_block")
 
 
 class TestDeterminism:

@@ -878,27 +878,18 @@ class TestInductionBlock:
 
     def test_empty_family_bounds_val_by_0(self):
         values = np.stack([np.zeros((4, 4)), udisj(2).values])
-        totals, vals, clean = induction_block(values, CoveringFamily(1, ()))
+        totals, vals = induction_block(values, CoveringFamily(1, ()))
         assert totals.tolist() == [0, 9]
-        assert vals.shape == (2, 0) and clean.tolist() == [True, True]
+        assert vals.shape == (2, 0)
 
     def test_non_atom_raises_only_where_a_trial_loop_reaches_it(self):
         # with no rectangles UDISJ(2) fails (val 9 > 0); all ones is no atom
         empty, fails, non_atom = CoveringFamily(1, ()), udisj(2).values, np.ones((4, 4))
-        totals, _, _ = induction_block(np.stack([fails, non_atom]), empty)
+        totals, _ = induction_block(np.stack([fails, non_atom]), empty)
         assert totals.tolist() == [9, 9]
         for stack in ([non_atom, fails], [np.zeros((4, 4)), non_atom, fails]):
             with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
                 induction_block(np.stack(stack), empty)
-
-    def test_aggregate_positive_on_an_intersection_one_pair_fails_its_matrix(self):
-        # 1e-12 is below eps * max(M) but is all of its block: the aggregate is
-        # positive at (1, 1), so the run stops before the non-atom after it
-        first, non_atom = np.zeros((4, 4)), np.zeros((4, 4))
-        first[3, 3], first[1, 1] = 1.0, 1e-12
-        non_atom[0, 1] = non_atom[1, 1] = 1.0
-        totals, _, clean = induction_block(np.stack([first, non_atom]), recursive_covering(1))
-        assert totals[0] == 0 and not clean[0]
 
 
 class TestInduction:
@@ -914,7 +905,6 @@ class TestInduction:
         for seed in range(100):
             rep = check_induction_inequality(sample_atom(4, 2, rng=seed), fam)
             assert rep.holds
-            assert rep.aggregates_are_atoms
             assert rep.bound == sum(rep.block_vals)
 
     def test_sums_of_atoms_respect_per_atom_bound(self):
@@ -936,16 +926,16 @@ class TestInduction:
         (4, recursive_covering(2)), (6, recursive_covering(3)),
         (3, base_covering_d1()), (2, explicit_covering_d2()), (2, recursive_covering(2)),
     ])
-    @pytest.mark.parametrize("eps", [1e-9, 0.3])
-    def test_report_matches_each_aggregate(self, n, family, eps):
+    def test_report_matches_each_aggregate(self, n, family):
         for seed in range(8):
             for direction in ("u-first", "v-first"):
                 f = sample_atom(n, family.d, rng=seed, direction=direction)
                 parts = aggregate(evaluate(f), family)
-                rep = check_induction_inequality(f, family, eps)
-                assert rep.block_vals == tuple(val(p, eps) for p in parts)
-                assert rep.val_total == val(evaluate(f), eps)
-                assert rep.aggregates_are_atoms == all(is_atom_pattern(p, eps) for p in parts)
+                rep = check_induction_inequality(f, family)
+                assert rep.block_vals == tuple(val(p) for p in parts)
+                assert rep.val_total == val(evaluate(f))
+                # the aggregates of an atom are atoms (see induction_block)
+                assert all(is_atom_pattern(p) for p in parts)
 
 
 def reference_json_strings(obj: object, key: str, where: str) -> list[str]:

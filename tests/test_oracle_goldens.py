@@ -55,12 +55,6 @@ CASES = [
         id="antidiagonal-d3",
     ),
     pytest.param(
-        "atom sample --n 2 --d 2 --trials 40 --check antidiagonal --epsilon 1e-6",
-        None, 0,
-        "1ef82b176b86ef18637a89291145b45f320642e1c45a72278edc717ec6d635bb",
-        id="antidiagonal-d2-epsilon",
-    ),
-    pytest.param(
         # V_10 = 0 and V_01 has singular values 2.52 and 9.4e-6: the chain
         # reaches the full plane and the witness row is 11
         "atom sample --n 2 --d 2 --check antidiagonal --direction v-first"
@@ -97,7 +91,7 @@ CASES = [
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check antidiagonal",
         non_atom_sampler, 1,
-        "b500603410c2f8408d0a2bab64ad00eaea52dc29b2e84823f9408fa4f65ca0cd",
+        "9d47844933e7993de8fd49d8fabca8b7352062b8e4c01f4c821bb7ec998318e0",
         id="antidiagonal-falsified",
     ),
     pytest.param(

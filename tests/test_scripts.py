@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
@@ -67,16 +68,33 @@ def test_bound_sweep_past_the_double_range_exits_2():
         "error: n = 1800 too large for a bound report at d = 1, k = 2"]
 
 
+@functools.lru_cache(maxsize=None)
+def margin_rows() -> dict[tuple[str, str], tuple[float, float]]:
+    """(largest cut, smallest kept) per (d, kind) of ``rank_margin.py`` over
+    300 seeds at d = 2, 3."""
+    proc = run_script("rank_margin.py", ["--max-d", "3", "--trials", "300"])
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^d = (\d), ([a-z ]+): largest cut ([0-9.e+-]+), "
+                      r"smallest kept ([0-9.e+-]+)$", proc.stdout, re.MULTILINE)
+    return {(d, kind): (float(cut), float(kept)) for d, kind, cut, kept in rows}
+
+
 def test_rank_cutoff_has_a_margin_on_both_sides():
     # every singular-value ratio of 300 seeded atoms at d = 2, 3 is rounding
     # noise far below RANK_TOL = 1e-9 or a genuine ratio far above it
-    proc = run_script("rank_margin.py", ["--max-d", "3", "--trials", "300"])
-    assert proc.returncode == 0, proc.stderr
-    rows = [line for line in proc.stdout.splitlines() if line.startswith("d = ")]
+    rows = {key: row for key, row in margin_rows().items() if key[1] != "products"}
     assert len(rows) == 4  # chain and null space at d = 2, 3
-    for line in rows:
-        cut, kept = map(float, re.findall(r"(?:cut|kept) ([0-9.e+-]+)", line))
-        assert cut < 1e-11 and kept > 1e-7, line
+    for key, (cut, kept) in rows.items():
+        assert cut < 1e-11 and kept > 1e-7, key
+
+
+def test_noise_floor_has_a_margin_on_both_sides():
+    # every evaluated product of the same atoms, over its Cauchy-Schwarz
+    # bound, is rounding noise far below NOISE_REL = 1e-20 or far above it
+    rows = {key: row for key, row in margin_rows().items() if key[1] == "products"}
+    assert len(rows) == 2  # d = 2, 3
+    for key, (cut, kept) in rows.items():
+        assert cut < 1e-25 and kept > 1e-15, key
 
 
 def test_rank_margin_bad_arguments_exit_2():
@@ -91,9 +109,9 @@ def test_mutant_list_applies_to_the_sources():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     assert [m.name for m in mutants.MUTANTS] == [
-        "M1", "M2", "M3", "M4", "M5", "B1", "B2", "B3", "B4", "B5", "B6",
+        "M1", "M2", "M4", "M5", "B1", "B2", "B3", "B4", "B5", "B6",
         "F1", "F2", "C1", "C2", "C3", "P1", "P2", "P3", "P4", "P5", "W1", "S3",
-        "Φ1", "V1", "V2", "V3", "N1", "N2", "R1", "D1"]
+        "Φ1", "V1", "V2", "V3", "N1", "N2", "R1", "D1", "Z1"]
     assert mutants.snippet_faults() == []
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.tests

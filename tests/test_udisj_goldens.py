@@ -4,10 +4,9 @@ Each row is an invocation, its exit code and the sha256 of its stdout.  The
 digests pin the matrix formats byte for byte: the JSON entry list (order,
 labels, integer values), the dense CSV with its headers, and the text
 report's val line.  n = 10 is the dense cap: 851,746 entries, with
-two-digit values up to 81.  At ``--epsilon 0.5`` the threshold hides the
-1-entries, so val falls short of 3^n and the report exits 1.  The n = 4, 9
-and 10 cases are also written through ``--out``, whose file must hash to the
-same digest.
+two-digit values up to 81.  Every entry listed is positive, and every
+positive disjoint entry counts toward val.  The n = 4, 9 and 10 cases are
+also written through ``--out``, whose file must hash to the same digest.
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ CASES = [
      "06fc1bf78e8f3bbea6f5d2b8a9155ddf77035482e721ff01a413267a31462542"),
     ("udisj --n 10 --format text", 0,
      "2249de11471d7f63e8bb47ddab083a222bdf0244a58e06cfbab4e483f7ff857c"),
-    ("udisj --n 3 --epsilon 0", 0,
-     "53f937c400028af6b623cb771b8e6b7ea2c6640a9e521b63cde026dd8dbadf35"),
-    ("udisj --n 3 --epsilon 0.5", 1,
-     "9069e089c89d34db5e104d4c6ffcfecdea13c445b23433c061286d98d20bcf83"),
-    ("udisj --n 3 --format text --epsilon 0.5", 1,
-     "38208d785a3cf04ccf4626b924e4533e8e5522604b02279362092783da233b5f"),
 ]
 
 
