@@ -109,6 +109,8 @@ MUTANTS = (
     Mutant("S3", "atoms.py", "gen = np.random.default_rng(seed)\n",
            "gen = np.random.default_rng(seeds[0])\n",
            ("tests/test_atoms.py::TestSeeding::test_block_matches_one_trial_sampling",)),
+    Mutant("S4", "atoms.py", "seed % 2 == 0 for seed in seeds", "seed % 2 == 1 for seed in seeds",
+           ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
     Mutant("Φ1", "covering.py", '"b2 d2 c1 a c2 d1 b1"', '"d2 b2 c1 a c2 d1 b1"',
            ("tests/test_covering.py::TestPhiTables::test_tables_validate_as_certificates",)),
     Mutant("V1", "covering.py",

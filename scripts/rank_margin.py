@@ -3,11 +3,13 @@
 NOISE_REL on sampled square atoms.
 
 Every rank the oracles decide counts the singular values above RANK_TOL
-times the largest.  For seeded blocks at n = d = 2..max-d this prints, for
-the witness chain [V_{e_1} ... V_{e_i}] (both sampling directions) and for
-the null-space SVD of the constrained side (each string's partners placed
-side by side, reduced to d x d by one QR as the library reduces them), the
-largest singular-value ratio cut as zero and the smallest one kept.
+times the largest.  For the atoms of seeds 0 .. 2 trials - 1 at n = d =
+2..max-d (``trials`` atoms that draw U first, at the even seeds, and
+``trials`` that draw V first) this prints, for the witness chain
+[V_{e_1} ... V_{e_i}] and for the null-space SVD of the constrained side
+(each string's partners placed side by side, reduced to d x d by one QR as
+the library reduces them), the largest singular-value ratio cut as zero and
+the smallest one kept.
 Every evaluated entry is zero exactly when its squared product
 ||U_a^T V_b||_F^2 is at most NOISE_REL times its Cauchy-Schwarz bound
 ||U_a U_a^T||_F ||V_b V_b^T||_F.  From the squared products before that
@@ -47,21 +49,21 @@ def product_ratios(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
     """Largest ratio cut and smallest kept, per SVD and for the evaluated
-    products, over ``trials`` seeds."""
+    products, over seeds 0 .. 2 trials - 1."""
     found = {"chain": [], "null space": [], "products": []}
     step = block_size(d)
-    for lo in range(0, trials, step):
-        seeds = range(lo, min(lo + step, trials))
-        for direction in ("u-first", "v-first"):
-            u, v = sample_block(d, d, seeds, [direction] * len(seeds))
-            found["products"].append(product_ratios(u, v))
-            # the chains' prefixes as the witness builds them, compared
-            # against the largest singular value of the whole chain
-            chains = _prefixes(v[:, 1 << np.arange(d - 1, -1, -1)])
-            found["chain"].append(relative_singular_values(chains, (-2, -1)))
-            if direction == "v-first":  # the free side is the same either way
-                found["null space"].append(
-                    relative_singular_values(_reduced(_partner_factors(v)), (-1,)))
+    for lo in range(0, 2 * trials, step):
+        seeds = range(lo, min(lo + step, 2 * trials))
+        u, v = sample_block(d, d, seeds)
+        found["products"].append(product_ratios(u, v))
+        # the chains' prefixes as the witness builds them, compared
+        # against the largest singular value of the whole chain
+        chains = _prefixes(v[:, 1 << np.arange(d - 1, -1, -1)])
+        found["chain"].append(relative_singular_values(chains, (-2, -1)))
+        # the free side: U at an even seed, V at an odd one
+        free = np.where((np.array(seeds) % 2 == 0)[:, None, None, None], u, v)
+        found["null space"].append(
+            relative_singular_values(_reduced(_partner_factors(free)), (-1,)))
     out = {}
     for kind, parts in found.items():
         ratios = np.concatenate(parts)
@@ -75,13 +77,14 @@ def margins(d: int, trials: int) -> dict[str, tuple[float, float]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-d", type=int, default=5)
-    parser.add_argument("--trials", type=int, default=4096, help="seeds per d")
+    parser.add_argument("--trials", type=int, default=4096,
+                        help="atoms per d and sampling direction")
     args = parser.parse_args()
     if not 2 <= args.max_d <= 6 or args.trials < 1:
         print("error: need 2 <= --max-d <= 6 and --trials >= 1", file=sys.stderr)
         raise SystemExit(2)
     print(f"RANK_TOL = {RANK_TOL:.1e}, NOISE_REL = {NOISE_REL:.1e}; "
-          f"seeds 0..{args.trials - 1} per d")
+          f"seeds 0..{2 * args.trials - 1} per d, U first at the even ones")
     for d in range(2, args.max_d + 1):
         for kind, (cut, kept) in margins(d, args.trials).items():
             print(f"d = {d}, {kind}: largest cut {cut:.2e}, smallest kept {kept:.2e}")

@@ -10,7 +10,8 @@ indexed by string value (lex order), zero-padded to d columns, so evaluation
 is one broadcast matmul and strings appear only in the JSON form.
 
 The sampler constructs such factorizations directly: one side is drawn at
-random, and each matrix on the other side is built inside the intersection of
+random (U for an even seed, V for an odd one, so the seed alone names an
+atom), and each matrix on the other side is built inside the intersection of
 the kernels of its intersection-one partners, so the required zeros hold by
 construction (numerically up to rounding noise, which ``evaluate_block``
 stores as exact zeros).  Each string's partners are gathered from a cached
@@ -67,8 +68,8 @@ MAX_SAMPLE_N = 8
 #: The one zero rule: an inner product at most this fraction of its
 #: Cauchy-Schwarz bound ||U_a U_a^T||_F * ||V_b V_b^T||_F is a by-construction
 #: zero carrying only rounding noise, stored as an exact zero, so a support is
-#: the positive entries.  Measured over 40,960 seeds per d at n = d = 2..5:
-#: largest clamped ratio 3.1e-30, smallest kept 4.2e-11 (scripts/rank_margin.py).
+#: the positive entries.  Measured over 81,920 seeds per d at n = d = 2..5:
+#: largest clamped ratio 7.4e-30, smallest kept 5.4e-12 (scripts/rank_margin.py).
 NOISE_REL = 1e-20
 
 class FalsificationError(Exception):
@@ -171,19 +172,15 @@ def _partner_factors(free: np.ndarray) -> np.ndarray:
     return stacked.swapaxes(-1, -2)
 
 
-def sample_block(
-    n: int,
-    d: int,
-    seeds: Sequence,
-    directions: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_block(n: int, d: int, seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """U and V stacks, each (T, 2^n, d, d), of T factorizations drawn as
-    ``sample_atom(n, d, seeds[t], directions[t])``.
+    ``sample_atom(n, d, seeds[t])``.
 
     Trial t makes two calls on its own ``default_rng(seeds[t])``: ranks
     ``integers(0, d + 1, size=(2, 2^n))``, then normals
     ``standard_normal((2, 2^n, d, d))``, row 0 of each for the free side and
-    row 1 for the constrained side.  A factor keeps the columns of its
+    row 1 for the constrained side.  The seed's parity names the free side:
+    U for an even seed, V for an odd one.  A factor keeps the columns of its
     normal matrix below its rank r; a constrained one multiplies them by its
     space's first k basis vectors, so its rank is min(k, r).
     """
@@ -191,11 +188,6 @@ def sample_block(
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-    bad = [dr for dr in directions if dr not in ("u-first", "v-first")]
-    if bad:
-        raise ValueError(f"direction must be 'u-first' or 'v-first', got {bad[0]!r}")
-    if len(seeds) != len(directions):
-        raise ValueError(f"{len(seeds)} seeds for {len(directions)} directions")
     ranks = np.empty((len(seeds), 2, 1 << n), dtype=np.int64)
     normals = np.empty(ranks.shape + (d, d))
     for t, seed in enumerate(seeds):
@@ -209,26 +201,21 @@ def sample_block(
     # each constrained matrix spans normals drawn in its partners' common kernel
     spaces, dims = subspace_intersect(_partner_factors(free))
     constrained = np.where(cols < dims[..., None, None], spaces, 0.0) @ drawn[:, 1]
-    u_first = np.array([dr == "u-first" for dr in directions])[:, None, None, None]
+    u_first = np.array([seed % 2 == 0 for seed in seeds])[:, None, None, None]
     return np.where(u_first, free, constrained), np.where(u_first, constrained, free)
 
 
-def sample_atom(
-    n: int,
-    d: int,
-    rng: np.random.Generator | int = 0,
-    direction: str = "u-first",
-) -> PsdFactorization:
+def sample_atom(n: int, d: int, seed: int = 0) -> PsdFactorization:
     """Draw a random factorization whose evaluation vanishes on
     intersection-one pairs by construction (``sample_block`` of one trial).
 
     Two generator calls draw every rank, uniform on {0, ..., d}, and then
-    every normal matrix, in ``sample_block``'s order.  ``direction`` picks
-    which side is free: the construction is asymmetric, and both directions
-    should exercise the oracles.  ``rng`` is a Generator or any seed numpy
-    accepts.
+    every normal matrix, in ``sample_block``'s order.  The construction is
+    asymmetric, so (n, d, seed) names the atom: an even seed draws U as the
+    free side and an odd seed V, and a run of consecutive seeds exercises
+    the oracles in both directions.
     """
-    u, v = sample_block(n, d, [rng], [direction])
+    u, v = sample_block(n, d, [seed])
     return PsdFactorization(n, d, u[0], v[0])
 
 

@@ -1,15 +1,18 @@
 """Command-line front end: construction, verification, sampling, reporting.
 
-Every randomized suite is deterministic: trial i uses seed ``seed + i`` and
-trials are reported in index order, so identical configurations produce
-byte-identical JSON.  ``run_trials`` is the one trial loop: it samples
-blocks of ``atoms.block_size(n)`` trials (256 at n = 2, 64 at n = 3, 1 from
-n = 6 on), hands each to a pure block check returning per-trial reasons and
-outcomes, stops at the first failing trial and returns the outcomes before
-it; a block changes no trial's draws and no report.  Negative outcomes exit
-with code 1 and carry a structured falsifier payload (the offending
-factorization and its evaluated matrix); invalid configuration exits 2.
-``main`` parses with the one parser ``build_parser`` builds per process.
+Every randomized suite is deterministic: trial i samples the atom
+``sample_atom(n, d, seed + i)``, whose seed alone names it (an even seed
+draws U first, an odd one V), and trials are reported in index order, so
+identical configurations produce byte-identical JSON and a falsifier
+replays with ``--seed <its seed> --trials 1``.  ``run_trials`` is the one
+trial loop: it samples blocks of ``atoms.block_size(n)`` trials (256 at
+n = 2, 64 at n = 3, 1 from n = 6 on), hands each to a pure block check
+returning per-trial reasons and outcomes, stops at the first failing trial
+and returns the outcomes before it; a block changes no trial's draws and no
+report.  Negative outcomes exit with code 1 and carry a structured falsifier
+payload (the offending factorization and its evaluated matrix); invalid
+configuration exits 2.  ``main`` parses with the one parser ``build_parser``
+builds per process.
 
 JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
@@ -81,30 +84,26 @@ def run_trials(
     d: int,
     trials: int,
     seed: int,
-    directions: Sequence[str],
     check: Callable[[np.ndarray, np.ndarray], tuple[list, list]],
 ) -> tuple[list, Optional[dict]]:
-    """Trial i checks ``sample_atom(n, d, seed + i, directions[i % len(directions)])``,
-    in blocks of ``block_size(n)`` trials.
+    """Trial i checks ``sample_atom(n, d, seed + i)``, in blocks of
+    ``block_size(n)`` trials.
 
     ``check`` maps a block's U and V stacks to per-trial reasons (None for a
     pass) and outcomes.  The run stops at the first reason.  Returns the
     outcomes of the trials before it, and the falsifier (the trial, its seed
-    and direction, the reason, the factorization and its evaluated matrix),
-    or None when every trial passed.
+    and the direction that seed draws, the reason, the factorization and its
+    evaluated matrix), or None when every trial passed.  The falsifier's atom
+    is trial 0 of a run from its seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")
-    if not directions:
-        raise ValueError("directions must name at least one direction")
     size, passing = block_size(n), []
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
-        block_directions = [directions[i % len(directions)] for i in block]
-        u, v = sample_block(n, d, range(seed + block.start, seed + block.stop),
-                            block_directions)
+        u, v = sample_block(n, d, range(seed + block.start, seed + block.stop))
         reasons, outcomes = check(u, v)
         failed = next((j for j, reason in enumerate(reasons) if reason is not None), None)
         passing += outcomes[:failed]
@@ -114,7 +113,7 @@ def run_trials(
             return passing, {
                 "trial": i,
                 "seed": seed + i,
-                "direction": block_directions[failed],
+                "direction": ("u-first", "v-first")[(seed + i) % 2],
                 "reason": reasons[failed],
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
@@ -133,14 +132,10 @@ def pattern_check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
     return reasons, outcomes
 
 
-def run_pattern_oracle(
-    trials: int,
-    seed: int = 0,
-    directions: Sequence[str] = ("u-first", "v-first"),
-) -> dict:
+def run_pattern_oracle(trials: int, seed: int = 0) -> dict:
     """Sample width-2 atoms over 2x2 cones; classify each against the six
     patterns and check val <= 7.  Stops at the first falsification."""
-    outcomes, falsifier = run_trials(2, 2, trials, seed, directions, pattern_check)
+    outcomes, falsifier = run_trials(2, 2, trials, seed, pattern_check)
     counts = sorted(Counter(pid for pid, _ in outcomes).items())
     report = {"seed": seed, "trials": trials, "passes": len(outcomes),
               "pattern_counts": dict(counts), "falsifier": falsifier}
@@ -149,15 +144,10 @@ def run_pattern_oracle(
     return report
 
 
-def run_witness_oracle(
-    d: int,
-    trials: int,
-    seed: int = 0,
-    directions: Sequence[str] = ("u-first", "v-first"),
-) -> dict:
+def run_witness_oracle(d: int, trials: int, seed: int = 0) -> dict:
     """Find the antidiagonal zero of each sampled square atom; every entry
     found must be exactly zero."""
-    rows, falsifier = run_trials(d, d, trials, seed, directions, witness_block)
+    rows, falsifier = run_trials(d, d, trials, seed, witness_block)
     report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
               "falsifier": falsifier}
     if falsifier is None:
@@ -172,7 +162,6 @@ def run_induction_oracle(
     trials: int,
     seed: int = 0,
     family: Optional[CoveringFamily] = None,
-    directions: Sequence[str] = ("u-first", "v-first"),
 ) -> dict:
     """Check val(M) <= sum_i val(M_i) over sampled atoms.  Each aggregate
     M_i of an atom vanishes on intersection-one pairs as M does (see
@@ -190,7 +179,7 @@ def run_induction_oracle(
                    for total, bound in zip(totals.tolist(), vals.sum(axis=1).tolist())]
         return reasons, totals.tolist()
 
-    totals, falsifier = run_trials(n, d, trials, seed, directions, check)
+    totals, falsifier = run_trials(n, d, trials, seed, check)
     report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
               "passes": len(totals), "falsifier": falsifier}
     if falsifier is None:
@@ -370,18 +359,17 @@ def _cmd_covering_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     """``atom sample --check patterns|antidiagonal`` and ``induction``, the one
     entry point of each oracle; ``induction`` reports under its own header."""
-    directions = ("u-first", "v-first") if args.direction == "both" else (args.direction,)
     if args.check == "patterns":
         if (args.n, args.d) != (2, 2):
             raise ValueError("pattern classification is defined for n = d = 2")
-        result = run_pattern_oracle(args.trials, args.seed, directions)
+        result = run_pattern_oracle(args.trials, args.seed)
     elif args.check == "antidiagonal":
         if args.n != args.d:
             raise ValueError("the antidiagonal witness needs n = d")
-        result = run_witness_oracle(args.d, args.trials, args.seed, directions)
+        result = run_witness_oracle(args.d, args.trials, args.seed)
     else:
         family = family_from_json(Path(args.family).read_text()) if args.family else None
-        result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family, directions)
+        result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family)
     if args.command == "induction":
         report = {"command": "induction"}
     else:
@@ -418,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--d", type=int, required=True)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--trials", type=int, default=1, help="at least 1")
-    oracle.add_argument("--direction", choices=["both", "u-first", "v-first"],
-                        default="both")
 
     p = sub.add_parser("udisj", parents=[out], help="emit UDISJ(n) and report val = 3^n")
     p.add_argument("--n", type=int, required=True)

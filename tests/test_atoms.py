@@ -59,6 +59,13 @@ def unit_columns(d: int, columns: dict[int, int]) -> np.ndarray:
     return side
 
 
+def free_side(seeds, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per trial of a sampled block, U for an even seed and V for an odd one:
+    the free side of ``sample_block(n, d, seeds)``, and with u and v swapped
+    the constrained side."""
+    return np.where((np.asarray(seeds) % 2 == 0)[:, None, None, None], u, v)
+
+
 def ones_at(pairs) -> SupportMatrix:
     """The width-2 matrix with 1.0 at the given pairs and 0 elsewhere."""
     values = np.zeros((4, 4))
@@ -131,10 +138,8 @@ class TestEvaluate:
                 assert m.value(a, b) == pytest.approx(3.0)
 
     def test_sampled_atom_pattern(self):
-        for seed in range(50):
-            for direction in ("u-first", "v-first"):
-                m = evaluate(sample_atom(2, 2, rng=seed, direction=direction))
-                assert is_atom_pattern(m)
+        for seed in range(100):
+            assert is_atom_pattern(evaluate(sample_atom(2, 2, seed)))
 
     def test_noise_suppressed_to_exact_zero(self):
         # an atom whose genuine entries all vanish must evaluate to the exact
@@ -170,45 +175,34 @@ class TestEvaluate:
     def test_matches_per_entry_reference(self, n, d, seeds):
         one = np.array([[intersection_size(a, b) == 1 for b in all_strings(n)]
                         for a in all_strings(n)])
-        for seed in range(seeds):
-            for direction in ("u-first", "v-first"):
-                f = sample_atom(n, d, rng=seed, direction=direction)
-                m, ref = evaluate(f), reference_evaluate(f)
-                assert np.array_equal(m.support(), ref > 0)
-                np.testing.assert_allclose(m.values, ref, rtol=1e-14, atol=0)
-                # the by-construction zeros are exact
-                assert not m.values[one].any() and not ref[one].any()
+        for seed in range(2 * seeds):
+            f = sample_atom(n, d, seed)
+            m, ref = evaluate(f), reference_evaluate(f)
+            assert np.array_equal(m.support(), ref > 0)
+            np.testing.assert_allclose(m.values, ref, rtol=1e-14, atol=0)
+            # the by-construction zeros are exact
+            assert not m.values[one].any() and not ref[one].any()
 
 
 class TestSampleAtom:
     def test_deterministic_per_seed(self):
-        f1 = sample_atom(3, 2, rng=42)
-        f2 = sample_atom(3, 2, rng=42)
+        f1 = sample_atom(3, 2, 42)
+        f2 = sample_atom(3, 2, 42)
         assert factorization_to_json(f1) == factorization_to_json(f2)
-        # a Generator is used as given (default_rng(gen) is gen), so it advances
-        gen = np.random.default_rng(7)
-        state = gen.bit_generator.state
-        f3 = sample_atom(2, 2, rng=gen)
-        assert gen.bit_generator.state != state
-        assert factorization_to_json(f3) == factorization_to_json(sample_atom(2, 2, rng=7))
 
     def test_d1_off_diagonal_zero(self):
         z, o = BitString(1, 0), BitString(1, 1)
         for seed in range(100):
-            m = evaluate(sample_atom(1, 1, rng=seed))
+            m = evaluate(sample_atom(1, 1, seed))
             assert m.value(z, o) == 0 or m.value(o, z) == 0
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            sample_atom(2, 2, direction="sideways")
 
     def test_numpy_integer_seed(self):
         for seed in (3, 2154):
-            assert factorization_to_json(sample_atom(2, 2, rng=np.int64(seed))) \
-                == factorization_to_json(sample_atom(2, 2, rng=seed))
+            assert factorization_to_json(sample_atom(2, 2, np.int64(seed))) \
+                == factorization_to_json(sample_atom(2, 2, seed))
 
     def test_factors_are_read_only_stacks(self):
-        f = sample_atom(3, 2, rng=1)
+        f = sample_atom(3, 2, 1)
         for side in (f.U, f.V):
             assert side.shape == (8, 2, 2) and not side.flags.writeable
 
@@ -218,20 +212,18 @@ class TestSampleBlock:
                                               (6, 3, 3), (1, 1, 40)])
     def test_each_trial_is_its_own_sample(self, n, d, trials):
         seeds = range(500, 500 + trials)
-        directions = [("u-first", "v-first")[s % 3 == 0] for s in seeds]
-        u, v = sample_block(n, d, seeds, directions)
+        u, v = sample_block(n, d, seeds)
         assert u.shape == v.shape == (trials, 1 << n, d, d)
         values = evaluate_block(u, v)
-        for t, (seed, direction) in enumerate(zip(seeds, directions)):
-            f = sample_atom(n, d, rng=seed, direction=direction)
+        for t, seed in enumerate(seeds):
+            f = sample_atom(n, d, seed)
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
             assert np.array_equal(values[t], evaluate(f).values)
 
     def test_block_checks_match_one_trial_checks(self):
         for d in (2, 3):
             seeds = range(block_size(d) + 7)
-            directions = ["u-first", "v-first"] * (len(seeds) // 2 + 1)
-            u, v = sample_block(d, d, seeds, directions[: len(seeds)])
+            u, v = sample_block(d, d, seeds)
             reasons, rows = witness_block(u, v)
             pids = pattern_block(support_block(evaluate_block(u, v))) if d == 2 else None
             for t, seed in enumerate(seeds):
@@ -266,27 +258,21 @@ class TestSampleBlock:
         # a negative width is sized as 0 and left for the sampler to reject
         assert block_size(-1) == block_size(-5) == block_size(0) == 4096
 
-    @pytest.mark.parametrize("direction", ["u-first", "v-first"])
+    @pytest.mark.parametrize("seeds", [range(0, 32, 2), range(1, 32, 2)],
+                             ids=["u-first", "v-first"])
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2)])
-    def test_supports_vary_across_seeds(self, n, d, direction):
+    def test_supports_vary_across_seeds(self, n, d, seeds):
         # a free side of rank-d factors leaves only string 0 a constrained
         # factor, so its supports differ only in whether that factor is zero
-        u, v = sample_block(n, d, range(16), [direction] * 16)
+        u, v = sample_block(n, d, seeds)
         supports = {mask.tobytes() for mask in support_block(evaluate_block(u, v))}
         assert len(supports) > 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_free_ranks_cover_0_to_d(self, d):
-        directions = ["u-first", "v-first"] * 8
-        u, v = sample_block(d, d, range(16), directions)
-        free = np.where(np.array(directions)[:, None, None, None] == "u-first", u, v)
+        u, v = sample_block(d, d, range(16))
+        free = free_side(range(16), u, v)
         assert set(np.linalg.matrix_rank(free).ravel().tolist()) == set(range(d + 1))
-
-    def test_seed_and_direction_counts_must_agree(self):
-        with pytest.raises(ValueError):
-            sample_block(2, 2, [1, 2], ["u-first"])
-        with pytest.raises(ValueError, match="sideways"):
-            sample_block(2, 2, [1, 2], ["u-first", "sideways"])
 
     @pytest.mark.parametrize("n, d, message", [
         (0, 2, "n = 0 outside [1, 8]"), (9, 2, "n = 9 outside [1, 8]"),
@@ -294,7 +280,7 @@ class TestSampleBlock:
     ], ids=["n0", "n9", "d0", "d9"])
     def test_width_and_dimension_ranges_enforced(self, n, d, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            sample_block(n, d, [1], ["u-first"])
+            sample_block(n, d, [1])
 
     def test_evaluate_block_refuses_widths_above_the_dense_cap(self):
         # a stack of no trials at width 11 holds no entries, so this needs no memory
@@ -308,7 +294,7 @@ def replayed_ranks(n: int, d: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, d + 1, size=(2, 1 << n))
 
 
-def reference_sample(n: int, d: int, seed, direction: str) -> tuple[np.ndarray, np.ndarray]:
+def reference_sample(n: int, d: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """One trial of ``sample_block`` string by string: draw the ranks and
     the normals, cut each free normal matrix to its rank, then build each
     constrained factor from its own string's null space alone, as the
@@ -327,24 +313,22 @@ def reference_sample(n: int, d: int, seed, direction: str) -> tuple[np.ndarray, 
         space, k = subspace_intersect(partners[b])
         r = ranks[1, b]
         constrained[b, :, :r] = space[:, :k] @ normals[1, b, :k, :r]
-    return (free, constrained) if direction == "u-first" else (constrained, free)
+    return (free, constrained) if seed % 2 == 0 else (constrained, free)
 
 
 DRAW_SHAPES = [(2, 2), (3, 3), (4, 2), (6, 3)]
 
 
-def draw_block_seeds(n: int) -> tuple[range, list[str]]:
-    """Seeds and alternating directions of one block at width n."""
-    seeds = range(300, 300 + max(4, block_size(n)))
-    return seeds, ["u-first", "v-first"] * (len(seeds) // 2)
+def draw_block_seeds(n: int) -> range:
+    """Seeds of one block at width n, of both parities."""
+    return range(300, 300 + max(4, block_size(n)))
 
 
-def drawn_block(n: int, d: int) -> tuple[range, list[str], np.ndarray, np.ndarray]:
-    """Seeds, directions and the free and constrained sides of a seeded block."""
-    seeds, directions = draw_block_seeds(n)
-    u, v = sample_block(n, d, seeds, directions)
-    u_first = np.array(directions)[:, None, None, None] == "u-first"
-    return seeds, directions, np.where(u_first, u, v), np.where(u_first, v, u)
+def drawn_block(n: int, d: int) -> tuple[range, np.ndarray, np.ndarray]:
+    """Seeds and the free and constrained sides of a seeded block."""
+    seeds = draw_block_seeds(n)
+    u, v = sample_block(n, d, seeds)
+    return seeds, free_side(seeds, u, v), free_side(seeds, v, u)
 
 
 class TestDraw:
@@ -352,7 +336,7 @@ class TestDraw:
 
     @pytest.mark.parametrize("n, d", DRAW_SHAPES)
     def test_free_columns_past_the_rank_are_zero(self, n, d):
-        seeds, _, free, _ = drawn_block(n, d)
+        seeds, free, _ = drawn_block(n, d)
         ranks = np.array([replayed_ranks(n, d, seed)[0] for seed in seeds])
         past = np.arange(d) >= ranks[..., None, None]
         assert not np.where(past, free, 0.0).any()
@@ -360,7 +344,7 @@ class TestDraw:
 
     @pytest.mark.parametrize("n, d", DRAW_SHAPES)
     def test_constrained_rank_is_the_smaller_of_draw_and_space(self, n, d):
-        seeds, _, free, constrained = drawn_block(n, d)
+        seeds, free, constrained = drawn_block(n, d)
         ranks = np.array([replayed_ranks(n, d, seed)[1] for seed in seeds])
         _, dims = subspace_intersect(atoms._partner_factors(free))
         assert np.array_equal(np.linalg.matrix_rank(constrained), np.minimum(ranks, dims))
@@ -373,8 +357,8 @@ class TestDraw:
         # 2 x 10^4 free-side ranks against uniform on {0, ..., d}: Pearson's
         # chi-square, d degrees of freedom, below its 0.999 quantile
         trials = 20_000 >> n
-        _, v = sample_block(n, d, range(trials), ["v-first"] * trials)
-        counts = np.bincount(np.linalg.matrix_rank(v).ravel(), minlength=d + 1)
+        free = free_side(range(trials), *sample_block(n, d, range(trials)))
+        counts = np.bincount(np.linalg.matrix_rank(free).ravel(), minlength=d + 1)
         assert counts.sum() == 20_000 and len(counts) == d + 1
         expected = 20_000 / (d + 1)
         statistic = ((counts - expected) ** 2 / expected).sum()
@@ -382,9 +366,9 @@ class TestDraw:
 
     @pytest.mark.parametrize("n, d", DRAW_SHAPES)
     def test_block_matches_per_string_reference(self, n, d):
-        seeds, directions = draw_block_seeds(n)
-        u, v = sample_block(n, d, seeds, directions)
-        ref = [reference_sample(n, d, seed, dr) for seed, dr in zip(seeds, directions)]
+        seeds = draw_block_seeds(n)
+        u, v = sample_block(n, d, seeds)
+        ref = [reference_sample(n, d, seed) for seed in seeds]
         ref_u, ref_v = (np.array(side) for side in zip(*ref))
         np.testing.assert_allclose(u, ref_u, rtol=1e-12, atol=0)
         np.testing.assert_allclose(v, ref_v, rtol=1e-12, atol=0)
@@ -409,17 +393,16 @@ class TestSeeding:
     ], ids=["7-seeds", "8-seeds", "straddling-2^64", "np.int64", "word-edges"])
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
     def test_block_matches_one_trial_sampling(self, seeds, n, d):
-        directions = [("u-first", "v-first")[t % 2] for t in range(len(seeds))]
-        u, v = sample_block(n, d, seeds, directions)
-        for t, (seed, direction) in enumerate(zip(seeds, directions)):
-            f = sample_atom(n, d, rng=seed, direction=direction)
+        u, v = sample_block(n, d, seeds)
+        for t, seed in enumerate(seeds):
+            f = sample_atom(n, d, seed)
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
 
     def test_negative_seed_rejected_as_default_rng_rejects_it(self):
         with pytest.raises(ValueError) as expected:
             np.random.default_rng(-1)
         with pytest.raises(ValueError) as raised:
-            sample_block(2, 2, [5, -1], ["u-first", "v-first"])
+            sample_block(2, 2, [5, -1])
         assert str(raised.value) == str(expected.value)
 
 
@@ -456,11 +439,9 @@ def projectors(bases: np.ndarray, dims: np.ndarray) -> np.ndarray:
 
 
 def free_sides(n: int, d: int) -> np.ndarray:
-    """Seeded free sides, (T, 2^n, d, d), alternating the sampling direction."""
+    """Seeded free sides, (T, 2^n, d, d), of U and V alike."""
     seeds = range(100, 100 + max(4, block_size(n)))
-    directions = ["u-first", "v-first"] * (len(seeds) // 2)
-    u, v = sample_block(n, d, seeds, directions)
-    return np.where(np.array(directions)[:, None, None, None] == "u-first", u, v)
+    return free_side(seeds, *sample_block(n, d, seeds))
 
 
 class TestNullSpaces:
@@ -536,11 +517,10 @@ class TestNullSpaces:
     def test_oracle_outcomes_match_reference_null_spaces(self, monkeypatch, n, d, start,
                                                          check):
         seeds = range(start, start + block_size(n))
-        directions = ["u-first", "v-first"] * (len(seeds) // 2)
-        sampled = sample_block(n, d, seeds, directions)
+        sampled = sample_block(n, d, seeds)
         monkeypatch.setattr(atoms, "_partner_factors", zero_filled_partner_factors)
         monkeypatch.setattr(atoms, "subspace_intersect", reference_intersect)
-        reference = sample_block(n, d, seeds, directions)
+        reference = sample_block(n, d, seeds)
         assert not all(map(np.array_equal, sampled, reference))
         assert check(*sampled) == check(*reference)
 
@@ -622,12 +602,12 @@ class TestAntidiagonalWitness:
 
     def test_rectangular_atom_rejected(self):
         with pytest.raises(ValueError):
-            antidiagonal_witness(sample_atom(3, 2, rng=0))
+            antidiagonal_witness(sample_atom(3, 2, 0))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_sampled_sweep(self, d):
         for seed in range(200):
-            f = sample_atom(d, d, rng=seed)
+            f = sample_atom(d, d, seed)
             a = antidiagonal_witness(f)
             m = evaluate(f)
             assert m.value(a, a.complement()) == 0
@@ -671,12 +651,11 @@ class TestClassify:
 
     def test_sampled_sweep_val_at_most_seven(self):
         seen = set()
-        for seed in range(300):
-            for direction in ("u-first", "v-first"):
-                m = evaluate(sample_atom(2, 2, rng=seed, direction=direction))
-                pid = classify_pattern_d2(m)
-                seen.add(pid)
-                assert val(m) <= 7
+        for seed in range(600):
+            m = evaluate(sample_atom(2, 2, seed))
+            pid = classify_pattern_d2(m)
+            seen.add(pid)
+            assert val(m) <= 7
         assert PatternId(1) in seen and PatternId(2) in seen
 
     def test_nearly_parallel_partners_leave_no_spurious_kernel(self):
@@ -697,7 +676,7 @@ class TestClassify:
         s10 = BitString.from_text("10")
         checked = 0
         for seed in range(400):
-            f = sample_atom(2, 2, rng=seed)
+            f = sample_atom(2, 2, seed)
             i01, i10 = image(f.V[s01.value]), image(f.V[s10.value])
             if np.allclose(i01 @ i01.T, i10 @ i10.T, rtol=0, atol=1e-9):
                 m = evaluate(f)
@@ -709,7 +688,7 @@ class TestClassify:
 
 class TestSerialization:
     def test_round_trip_exact(self):
-        f = sample_atom(2, 3, rng=9)
+        f = sample_atom(2, 3, 9)
         text = factorization_to_json(f)
         g = factorization_from_json(text)
         assert factorization_to_json(g) == text

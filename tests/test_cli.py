@@ -568,6 +568,30 @@ def test_epsilon_is_an_unknown_option(capsys, command, epsilon):
     assert f"unrecognized arguments: --epsilon {epsilon}" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["atom", "sample", "--n", "2", "--d", "2", "--check", "patterns"],
+    ["atom", "sample", "--n", "2", "--d", "2", "--check", "antidiagonal"],
+    ["induction", "--n", "2", "--d", "1"],
+])
+@pytest.mark.parametrize("direction", ["both", "u-first", "v-first"])
+def test_direction_is_an_unknown_option(capsys, command, direction):
+    # the seed alone names a sampled atom: its parity picks the free side,
+    # so no value the option once took is accepted
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--direction", direction])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --direction {direction}" in captured.err
+
+
+@pytest.mark.parametrize("function", [
+    atoms.sample_block, atoms.sample_atom, cli.run_trials, cli.run_pattern_oracle,
+    cli.run_witness_oracle, cli.run_induction_oracle,
+], ids=lambda f: f.__qualname__)
+def test_sampling_takes_no_direction(function):
+    assert not {"direction", "directions"} & set(inspect.signature(function).parameters)
+
+
 @pytest.mark.parametrize("function", [
     bitcore.support_block, SupportMatrix.support, bitcore.val, bitcore.is_atom_pattern,
     atoms.witness_block, covering.induction_block, covering.check_induction_inequality,

@@ -39,10 +39,8 @@ from liftcert.covering import (
     recursive_covering,
 )
 
-DIRECTIONS = ("u-first", "v-first")
-
-#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 5 at
-#: n = 4 its first falsifier is trial 29, the 14th of the second block of 16.
+#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 724
+#: at n = 4 its first falsifier is trial 29, the 14th of the second block of 16.
 REC2_MINUS_4 = CoveringFamily(
     2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
     label="rec2-minus-4",
@@ -54,12 +52,12 @@ def reference_trials(
     check: Callable[[PsdFactorization], Optional[str]],
 ) -> tuple[int, Optional[dict]]:
     for i in range(trials):
-        direction = DIRECTIONS[i % 2]
-        f = sample_atom(n, d, rng=seed + i, direction=direction)
+        f = sample_atom(n, d, seed + i)
         reason = check(f)
         if reason is not None:
             return i, {
-                "trial": i, "seed": seed + i, "direction": direction, "reason": reason,
+                "trial": i, "seed": seed + i,
+                "direction": "v-first" if (seed + i) % 2 else "u-first", "reason": reason,
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
             }
@@ -146,8 +144,8 @@ ORACLES = [
                  lambda t, s: reference_witness(3, t, s), id="witness-d3"),
     pytest.param(4, 31, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
                  lambda t, s: reference_induction(4, 2, t, s), id="induction-n4-d2"),
-    # seed 5 reaches the falsifier at trial 29 within 3 blocks + 5
-    pytest.param(4, 5, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
+    # seed 724 reaches the falsifier at trial 29 within 3 blocks + 5
+    pytest.param(4, 724, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
                  lambda t, s: reference_induction(4, 2, t, s, REC2_MINUS_4),
                  id="induction-n4-d2-rec2-minus-4"),
 ]
@@ -159,31 +157,18 @@ def test_reports_match_per_trial_loop(n, seed, blocked, reference):
         assert blocked(trials, seed) == reference(trials, seed), trials
 
 
-@pytest.mark.parametrize("run", [
-    lambda: cli.run_trials(2, 2, 5, 0, (), cli.pattern_check),
-    lambda: cli.run_pattern_oracle(5, directions=()),
-    lambda: cli.run_witness_oracle(3, 5, directions=[]),
-    lambda: cli.run_induction_oracle(4, 2, 5, directions=()),
-], ids=["run-trials", "patterns", "witness", "induction"])
-def test_no_directions_rejected_before_sampling(monkeypatch, run):
-    # trial i's direction is directions[i % len(directions)]: none is a config error
-    monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
-    with pytest.raises(ValueError, match="directions must name at least one direction"):
-        run()
-
-
 def test_width_below_family_width_rejected_before_sampling(monkeypatch):
     monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
     with pytest.raises(ValueError, match="^induction needs n >= d, got n = 2, d = 3$"):
         cli.run_induction_oracle(2, 3, 5)
 
 
-def corrupt_one(monkeypatch, n: int, d: int, seed: int, direction: str,
+def corrupt_one(monkeypatch, n: int, d: int, seed: int,
                 entries: Callable[[int], tuple]) -> None:
     """Make ``evaluate_block`` put the largest value of the matrix plus one at
-    ``entries(size)`` of the one sampled factorization drawn with this seed
-    and direction, in the block path and in the reference alike."""
-    target = sample_atom(n, d, rng=seed, direction=direction)
+    ``entries(size)`` of the one sampled factorization drawn with this seed,
+    in the block path and in the reference alike."""
+    target = sample_atom(n, d, seed)
     original = atoms.evaluate_block
 
     def corrupted(u, v):
@@ -204,7 +189,7 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
     # antidiagonal leaves the witness no zero to find
     entries = ((lambda size: (1, 1)) if oracle == "patterns" else
                (lambda size: (np.arange(size), np.arange(size)[::-1])))
-    corrupt_one(monkeypatch, d, d, seed + trial, DIRECTIONS[trial % 2], entries)
+    corrupt_one(monkeypatch, d, d, seed + trial, entries)
     trials = 3 * block_size(d) + 5
     if oracle == "patterns":
         got, want = cli.run_pattern_oracle(trials, seed), reference_patterns(trials, seed)
@@ -213,8 +198,8 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
     falsifier = got["falsifier"]
     assert got == want
     assert got["passes"] == falsifier["trial"] == trial
-    assert (falsifier["seed"], falsifier["direction"]) == (seed + trial, DIRECTIONS[1])
-    replay = sample_atom(d, d, rng=falsifier["seed"], direction=falsifier["direction"])
+    assert (falsifier["seed"], falsifier["direction"]) == (seed + trial, "v-first")
+    replay = sample_atom(d, d, falsifier["seed"])
     assert json.dumps(falsifier["factorization"], sort_keys=True) \
         == factorization_to_json(replay)
     if oracle == "patterns":
@@ -227,22 +212,22 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
 def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatch):
     # a positive intersection-one entry makes trial 30 a non-atom, after the
     # falsifier at trial 29 in the same block: the per-trial loop stops first
-    corrupt_one(monkeypatch, 4, 2, 35, DIRECTIONS[0], lambda size: (1, 1))
-    got = cli.run_induction_oracle(4, 2, 40, 5, REC2_MINUS_4)
-    assert got == reference_induction(4, 2, 40, 5, REC2_MINUS_4)
+    corrupt_one(monkeypatch, 4, 2, 754, lambda size: (1, 1))
+    got = cli.run_induction_oracle(4, 2, 40, 724, REC2_MINUS_4)
+    assert got == reference_induction(4, 2, 40, 724, REC2_MINUS_4)
     assert got["falsifier"]["trial"] == 29
-    assert got["falsifier"]["reason"] == "val 7 > bound 6"
+    assert got["falsifier"]["reason"] == "val 7 > bound 5"
 
 
 def test_non_atom_before_the_failing_trial_of_its_block_exits_2(monkeypatch, tmp_path,
                                                                 capsys):
     # trial 28, right before the falsifier at trial 29 in the same block
-    corrupt_one(monkeypatch, 4, 2, 33, DIRECTIONS[0], lambda size: (1, 1))
+    corrupt_one(monkeypatch, 4, 2, 752, lambda size: (1, 1))
     with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
-        reference_induction(4, 2, 40, 5, REC2_MINUS_4)
+        reference_induction(4, 2, 40, 724, REC2_MINUS_4)
     family = tmp_path / "family.json"
     family.write_text(family_to_json(REC2_MINUS_4))
-    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "5",
+    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "724",
                      "--family", str(family)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

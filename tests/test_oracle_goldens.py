@@ -13,6 +13,7 @@ configurations exit 2 with an empty stdout.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ FAMILIES = {
     "one_rect_d1": CoveringFamily(
         1, (Rectangle.from_text(1, ["0"], ["0"]),), label="one-rect-d1"
     ),
-    # recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 5
-    # falsified at trial 29, in the second block of 16 at n = 4
+    # recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed
+    # 724 falsified at trial 29 (seed 753, V first), in the second block of
+    # 16 at n = 4
     "rec2_minus_4": CoveringFamily(
         2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
         label="rec2-minus-4",
@@ -38,7 +40,7 @@ FAMILIES = {
 }
 
 
-def non_atom_sampler(n, d, seeds, directions):
+def non_atom_sampler(n, d, seeds):
     side = np.broadcast_to(np.eye(d), (len(seeds), 1 << n, d, d))
     return side, side
 
@@ -51,14 +53,13 @@ CASES = [
     ),
     pytest.param(
         "atom sample --n 3 --d 3 --trials 40 --seed 11 --check antidiagonal", None, 0,
-        "c37988fb83227e19dde05a32f5042448113e221a78bb0c5960077fca9ba78c19",
+        "8bc14edb7301ac3af661e5cc36a900c62ddfdeb82cb32b1559cd66cfceda1eb7",
         id="antidiagonal-d3",
     ),
     pytest.param(
         # V_10 = 0 and V_01 has singular values 2.52 and 9.4e-6: the chain
         # reaches the full plane and the witness row is 11
-        "atom sample --n 2 --d 2 --check antidiagonal --direction v-first"
-        " --seed 357919 --trials 1", None, 0,
+        "atom sample --n 2 --d 2 --check antidiagonal --seed 357919 --trials 1", None, 0,
         "9fd38228ad047dc0f229f1c00fd401fab8599a927f6e1c559625c107643d7b7c",
         id="antidiagonal-d2-small-singular-value",
     ),
@@ -73,25 +74,25 @@ CASES = [
         id="induction-one-rect-falsified",
     ),
     pytest.param(
-        "induction --n 4 --d 2 --trials 40 --seed 5 --family {rec2_minus_4}", None, 1,
-        "985f9008764701154efe7af6899e833f3ed88f0a3b6f47e1ca8dc18cf4e2557b",
+        "induction --n 4 --d 2 --trials 40 --seed 724 --family {rec2_minus_4}", None, 1,
+        "13849136959e1d059c6332e10eb05983439aa96ca4846d440bedc8f1d7760bc9",
         id="induction-rec2-minus-4-second-block",
     ),
     pytest.param(
         "induction --n 2 --d 1 --trials 10 --seed 3 --family {empty_d1}", None, 1,
-        "1b0127d6255ed258fbdb2355db70ee03d2f5a4043510ffccfbde0785e51229a9",
+        "2ab51ba255fc28aaab98e6305e64e7484500972836e21d11b5ad46a6bc46e1fc",
         id="induction-empty-family-falsified",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check patterns",
         non_atom_sampler, 1,
-        "b4f53d509b5cd95bc1f87301d867500a745b3c577e0d472333cf6ee8c5c86b1c",
+        "7999725804d87aa12f609975003f156e180f99a1c00ed9245f04db72126c827f",
         id="patterns-falsified",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check antidiagonal",
         non_atom_sampler, 1,
-        "9d47844933e7993de8fd49d8fabca8b7352062b8e4c01f4c821bb7ec998318e0",
+        "7aa67c1b79528d010bf8a481f448db3e693af124f4a83965ef6db52f92f82ba5",
         id="antidiagonal-falsified",
     ),
     pytest.param(
@@ -109,14 +110,13 @@ CASES = [
 ]
 
 
-def report_digest(tmp_path, capsys, invocation: str) -> tuple[int, str]:
+def run_report(tmp_path, capsys, invocation: str) -> tuple[int, str]:
     paths = {}
     for name, family in FAMILIES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(family_to_json(family))
     code = cli.main(invocation.format(**paths).split())
-    out = capsys.readouterr().out
-    return code, hashlib.sha256(out.encode()).hexdigest()
+    return code, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("invocation, sampler, exit_code, digest", CASES)
@@ -124,4 +124,21 @@ def test_oracle_report(tmp_path, capsys, monkeypatch, invocation, sampler,
                        exit_code, digest):
     if sampler is not None:
         monkeypatch.setattr(cli, "sample_block", sampler)
-    assert report_digest(tmp_path, capsys, invocation) == (exit_code, digest)
+    code, out = run_report(tmp_path, capsys, invocation)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("invocation, sampler, exit_code, digest", [
+    case for case in CASES if case.values[0].startswith("induction") and case.values[2] == 1
+])
+def test_falsifier_replays_from_its_seed(tmp_path, capsys, invocation, sampler,
+                                         exit_code, digest):
+    # the seed alone names a sampled atom, so a run of one trial from the
+    # falsifier's seed (the later options win) falsifies on the same atom
+    first = json.loads(run_report(tmp_path, capsys, invocation)[1])["falsifier"]
+    code, out = run_report(tmp_path, capsys,
+                           f"{invocation} --seed {first['seed']} --trials 1")
+    replay = json.loads(out)["falsifier"]
+    assert code == 1 and replay["trial"] == 0
+    for key in ("seed", "direction", "factorization", "matrix", "reason"):
+        assert replay[key] == first[key], key
