@@ -46,12 +46,24 @@ MUTANTS = (
     Mutant("M4", "atoms.py", "None if entry == 0 else", "None if entry <= 1e-9 else",
            ("tests/test_atoms.py::TestSampleBlock::"
             "test_any_positive_witnessed_entry_falsifies",)),
-    Mutant("M5", "cli.py",
-           "    if len({(rows.template, depth, *(id(texts) for _, texts in rows.columns))\n"
-           "            for _, rows, depth in lists}) > 1:\n"
-           '        raise ValueError("row lists of one report differ in template, depth'
-           ' or tables")\n', "",
-           ("tests/test_cli.py::test_row_lists_of_two_layouts_rejected",)),
+    Mutant("M5", "cli.py", "len(parts[2 * n + 1]) // 2 - 1", "len(parts[2 * n + 1]) // 2",
+           ("tests/test_cli.py::test_row_list_inside_a_list_renders_as_indent_encoder",)),
+    Mutant("M6", "covering.py",
+           "        check_maximal_assignments(family, "
+           "{a: r for a, r in out.items() if r is not None})\n",
+           "        pass\n",
+           ("tests/test_cli.py::test_corrupted_matched_certificate_exits_2"
+            "[maximal-repeated-index]",)),
+    Mutant("M7", "covering.py",
+           '            raise ValueError(f"certificate for pattern {int(pid)}: not an injective "\n'
+           '                             "matching of its support into the family")\n',
+           "            pass\n",
+           ("tests/test_cli.py::test_corrupted_matched_certificate_exits_2"
+            "[patterns-repeated-index]",)),
+    Mutant("M8", "covering.py",
+           "and (family._members[0, i, x] & family._members[1, i, y]).all()):", "and True):",
+           ("tests/test_cli.py::test_corrupted_matched_certificate_exits_2"
+            "[patterns-pair-outside]",)),
     Mutant("B1", "bounds.py",
            "self.rho_upper != self.k**m or self.lift_lower != Fraction(3**self.n, self.rho_upper)",
            "self.rho_upper != self.k**m",

@@ -14,17 +14,14 @@ payload (the offending factorization and its evaluated matrix); invalid
 configuration exits 2.  ``main`` parses with the one parser ``build_parser``
 builds per process.
 
-JSON reports are laid out byte for byte as ``json.dumps(report, indent=2,
-sort_keys=True)`` would, by ``_dumps``.  The long row lists (udisj entries,
+JSON reports are laid out by one ``json.dumps(report, indent=2,
+sort_keys=True)`` call in ``_dumps``.  The long row lists (udisj entries,
 certificate assignments) are held as columns of integer codes into tables
 of JSON texts (bitstring labels, rectangle indices, and distinct values
-coded by ``bitcore.value_codes``, as the dense CSV is).  A report's row
-lists share one layout, one template at one depth over the same tables
-(the 2^d certificates of ``covering verify``, one stack from construction
-on), and are rendered by one gather per column from tables folded once,
-with the text around each list folded into its first and last cells.  A
-report goes to stdout joined once, and to an ``--out`` file joined and
-written in slices of ``_WRITE_SLICE`` pieces: no report-sized text is built.
+coded by ``bitcore.value_codes``, as the dense CSV is); wherever a list
+sits, its rows are filled in by one gather per column.  A report goes to
+stdout joined once, and to an ``--out`` file joined and written in slices
+of ``_WRITE_SLICE`` pieces: no report-sized text is built.
 """
 
 from __future__ import annotations
@@ -33,10 +30,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -193,7 +192,8 @@ PAIR_ROW = '[\n  [\n    %s,\n    %s\n  ],\n  %s\n]'
 ENTRY_ROW = '[\n  %s,\n  %s,\n  %s\n]'
 
 
-class _Rows(NamedTuple):
+@dataclass(frozen=True)
+class _Rows:
     """A JSON list of rows laid out by ``template``, held as columns: slot j
     of row r is ``texts[codes[r]]`` for the j-th ``(codes, texts)`` column, an
     integer code array and the JSON texts it indexes."""
@@ -225,56 +225,48 @@ def _row_layout(template: str, depth: int) -> tuple[str, list[str], str]:
     return "[" + pad + literals[0], tails, literals[-1] + pad[:-2] + "]"
 
 
-def _walk(obj: object, depth: int, chunks: list[str], lists: list) -> None:
-    """Lay out ``obj`` at ``depth`` into ``chunks``; each non-empty _Rows list
-    is noted in ``lists`` with the number of chunks before it and its depth."""
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(obj, dict) and obj:
-        for i, key in enumerate(sorted(obj)):
-            chunks.append(("," if i else "{") + pad + json.dumps(str(key)) + ": ")
-            _walk(obj[key], depth + 1, chunks, lists)
-        chunks.append(pad[:-2] + "}")
-    elif isinstance(obj, _Rows) and len(obj.columns[0][0]):
-        lists.append((len(chunks), obj, depth))
-    elif isinstance(obj, _Rows):
-        chunks.append("[]")
-    else:
-        chunks.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad[:-2]))
+#: What ``json.dumps`` writes for a row list's stand-in; the group is the
+#: indent of the stand-in's one key, one level below the list's own depth.
+_STAND_IN = re.compile(r'\{\n( *)"\\u0000": "\\u0000"\n *\}')
 
 
 def _dumps(obj: object) -> list[str]:
     """Pieces whose join is ``json.dumps(obj, indent=2, sort_keys=True)``.
 
-    Dicts and _Rows lists are laid out here; the text outside the non-empty
-    _Rows lists goes in order into ``chunks``.  Those lists must share one
-    layout (template, depth and text tables), else ValueError.  One gather
-    per column fills their cells (a slot of a row each) from the column's
-    texts with the slot's tail folded in, so no Python code runs per row or
-    list.  The text before each list (keys, openings, ``null`` entries) is
-    folded into its first cell, and its closing text into its last."""
-    chunks: list[str] = []
-    lists: list[tuple[int, _Rows, int]] = []
-    _walk(obj, 0, chunks, lists)
-    if not lists:
-        return chunks
-    if len({(rows.template, depth, *(id(texts) for _, texts in rows.columns))
-            for _, rows, depth in lists}) > 1:
-        raise ValueError("row lists of one report differ in template, depth or tables")
-    first, depth = lists[0][1:]
-    opening, tails, last = _row_layout(first.template, depth)
-    block = np.empty((sum(len(rows.columns[0][0]) for _, rows, _ in lists), len(tails)),
-                     dtype=object)
-    for j, tail in enumerate(tails):
-        folded = np.array([text + tail for text in first.columns[j][1]], dtype=object)
-        block[:, j] = folded[np.concatenate([rows.columns[j][0] for _, rows, _ in lists])]
-    cells, done, end = block.ravel(), 0, 0
-    for before, rows, _ in lists:
-        start, end = end, end + len(rows.columns[0][0]) * len(tails)
-        cells[start] = "".join(chunks[done:before]) + opening + cells[start]
+    That one call lays out the report, with each non-empty _Rows list, at any
+    depth in a dict or a list, written as the stand-in ``{"\\u0000": "\\u0000"}``
+    and each empty one as ``[]``; any other object json cannot write raises
+    TypeError.  The stand-ins are split out of the text, and the lists' cells
+    (a slot of a row each) are filled by one gather per column from its texts
+    with the slot's tail folded in, built once per table and tail, so no Python
+    code runs per row.  The text before each list is folded into its first
+    cell and its closing text into its last."""
+    lists: list[_Rows] = []
+
+    def stand_in(rows: object) -> object:
+        if not isinstance(rows, _Rows):
+            raise TypeError(f"Object of type {type(rows).__name__} is not JSON serializable")
+        if not len(rows.columns[0][0]):
+            return []
+        lists.append(rows)
+        return {"\0": "\0"}
+
+    parts = _STAND_IN.split(json.dumps(obj, indent=2, sort_keys=True, default=stand_in))
+    if len(parts) != 2 * len(lists) + 1:  # no report key is NUL, so no dict equals it
+        raise ValueError("a report holds a dict equal to the row-list stand-in")
+    sizes = [len(rows.columns[0][0]) * len(rows.columns) for rows in lists]
+    cells, folded, end = np.empty(sum(sizes), dtype=object), {}, 0
+    for n, (rows, size) in enumerate(zip(lists, sizes)):
+        opening, tails, last = _row_layout(rows.template, len(parts[2 * n + 1]) // 2 - 1)
+        start, end = end, end + size
+        for j, ((codes, texts), tail) in enumerate(zip(rows.columns, tails)):
+            if (id(texts), tail) not in folded:
+                folded[id(texts), tail] = np.array([t + tail for t in texts], dtype=object)
+            cells[start + j:end:len(tails)] = folded[id(texts), tail][codes]
+        cells[start] = parts[2 * n] + opening + cells[start]
         cells[end - 1] = cells[end - 1][:-len(tails[-1])] + last
-        done = before
     pieces = cells.tolist()
-    pieces += chunks[done:]
+    pieces.append(parts[-1])
     return pieces
 
 

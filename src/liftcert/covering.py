@@ -4,9 +4,9 @@ A rectangle is a product set rows x cols of width-d bitstrings containing
 only disjoint pairs.  A family of k rectangles *uniformly covers* a class of
 matrices when every member admits an injective assignment of its positive
 disjoint entries to rectangles containing them.  Coverings are certified
-exactly, not by sampling: the recursive family by its own construction with
-every certificate re-validated exactly, any other family by augmenting paths
-on integer pair keys x << d | y.  Rectangles hold string values; ``BitString``
+exactly, not by sampling: the recursive family by its own construction, any
+other family by augmenting paths on integer pair keys x << d | y, and every
+certificate is re-validated exactly.  Rectangles hold string values; ``BitString``
 appears only where pairs are taken or returned as strings.
 
 Two verification modes matter here:
@@ -357,8 +357,8 @@ def check_maximal_assignments(family: CoveringFamily, assignments: Mapping) -> N
 def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray]]:
     """Per alpha value, (x, y, i) rows in lex order certifying maximal_support(d,
     alpha), or None.  The rectangles of recursive_covering(d), in order, are certified
-    by recursive_certificates and re-validated; for other families one maximum
-    matching of all disjoint keys decides the alphas to match (module docstring)."""
+    by recursive_certificates; for other families one maximum matching of all disjoint
+    keys decides the alphas to match (module docstring).  Every row set is re-validated."""
     d = family.d
     if not 1 <= d <= MAX_COVER_D:
         raise ValueError(f"family width {d} outside [1, {MAX_COVER_D}]")
@@ -377,8 +377,11 @@ def maximal_assignments(family: CoveringFamily) -> dict[int, Optional[np.ndarray
         reached |= step
         stack += step
     holes = np.searchsorted(keys, [a << d | (1 << d) - 1 - a for a in range(1 << d)])
-    return {alpha: _match(np.delete(keys, hole), family) if not uncovered or hole in reached
-            else None for alpha, hole in enumerate(holes.tolist())}
+    out = {alpha: _match(np.delete(keys, hole), family) if not uncovered or hole in reached
+           else None for alpha, hole in enumerate(holes.tolist())}
+    if any(rows is not None for rows in out.values()):  # none: no membership tables built
+        check_maximal_assignments(family, {a: r for a, r in out.items() if r is not None})
+    return out
 
 
 def maximal_certificates(
@@ -392,11 +395,18 @@ def maximal_certificates(
 
 
 def pattern_assignments(family: CoveringFamily) -> dict[PatternId, Optional[np.ndarray]]:
-    """Per admissible width-2 sparsity pattern, (x, y, i) rows in lex order
-    matching its disjoint support (``pattern_keys``) into the family, or None."""
+    """Per admissible width-2 sparsity pattern, (x, y, i) rows in lex order matching
+    its disjoint support (``pattern_keys``) into the family, re-validated, or None."""
     if family.d != 2:
         raise ValueError(f"pattern verification needs d = 2, got {family.d}")
-    return {pid: _match(pattern_keys(pid), family) for pid in PatternId}
+    out = {pid: _match(pattern_keys(pid), family) for pid in PatternId}
+    for pid, (x, y, i) in ((pid, rows.T) for pid, rows in out.items() if rows is not None):
+        if not (np.array_equal((x, y), divmod(pattern_keys(pid), 4)) and np.unique(i).size == i.size
+                and ((0 <= i) & (i < family.k)).all()  # in range before the lookup below
+                and (family._members[0, i, x] & family._members[1, i, y]).all()):
+            raise ValueError(f"certificate for pattern {int(pid)}: not an injective "
+                             "matching of its support into the family")
+    return out
 
 
 def pattern_certificates_d2(

@@ -177,6 +177,48 @@ class TestCoveringCommands:
         assert code == 2 and "rectangle indices not distinct" in err
 
 
+#: Corruptions of a matched certificate's (x, y, i) rows, each rejected with
+#: its reason as the maximal check names it.
+MATCH_CORRUPTIONS = {
+    "repeated-index": (lambda rows: rows.__setitem__((0, 2), rows[1, 2]),
+                       "rectangle indices not distinct"),
+    "pair-outside": (lambda rows: rows.__setitem__(([0, 1], 2), rows[[1, 0], 2]),
+                     "a pair lies outside its rectangle"),
+}
+
+
+@pytest.mark.parametrize("mode, corruption", [
+    ("maximal", "repeated-index"), ("maximal", "pair-outside"),
+    ("patterns-d2", "repeated-index"), ("patterns-d2", "pair-outside"),
+], ids=["maximal-repeated-index", "maximal-pair-outside", "patterns-repeated-index",
+        "patterns-pair-outside"])
+def test_corrupted_matched_certificate_exits_2(tmp_path, capsys, monkeypatch, mode,
+                                               corruption):
+    def corrupted(keys, family):
+        rows = match(keys, family)
+        if rows is not None:
+            corrupt(rows)
+        return rows
+
+    match, (corrupt, reason) = covering._match, MATCH_CORRUPTIONS[corruption]
+    monkeypatch.setattr(covering, "_match", corrupted)
+    if mode == "maximal":  # a permuted recursive family: matched, not constructed
+        rectangles = recursive_covering(3).rectangles
+        family = CoveringFamily(3, [rectangles[i] for i in
+                                    np.random.default_rng(1).permutation(len(rectangles))])
+    else:
+        family = explicit_covering_d2()
+    fam_file = tmp_path / "fam.json"
+    fam_file.write_text(family_to_json(family))
+    code, err = run_cli_error(capsys, "covering", "verify", "--family", str(fam_file),
+                              "--mode", mode)
+    assert code == 2
+    if mode == "maximal":
+        assert f"certificate for alpha = 000: {reason}" in err
+    else:
+        assert "certificate for pattern " in err
+
+
 def text_column(items: list) -> tuple[np.ndarray, list[str]]:
     """Codes of items into their distinct JSON texts, in first-seen order."""
     texts = list(dict.fromkeys(json.dumps(x) for x in items))
@@ -243,19 +285,50 @@ def test_shared_tables_fold_once_per_tail():
     assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("change", ["template", "depth", "table"])
-def test_row_lists_of_two_layouts_rejected(change):
+def test_row_lists_of_two_layouts_render_as_indent_encoder():
+    """Two templates, two depths and two sets of text tables in one report."""
     labels, indices = ['"0"', '"1"'], ["0", "1", "2"]
-    other = cert([0], [1], [2], list(labels) if change == "table" else labels, indices)
-    if change == "template":
-        other["assignment"] = other["assignment"]._replace(template=ENTRY_ROW)
-    elif change == "depth":
-        other = {"deeper": other}
-    obj = {"a": cert([0, 1], [1, 0], [2, 0], labels, indices), "b": other}
-    with pytest.raises(ValueError, match="differ in template, depth or tables"):
-        _dumps(obj)
-    for key in obj:  # each list renders alone
-        json.loads("".join(_dumps({key: obj[key]})))
+    columns = [(np.array([1]), labels), (np.array([0]), labels), (np.array([2]), indices)]
+    obj = {"a": cert([0, 1], [1, 0], [2, 0], labels, indices),
+           "b": {"deeper": cert([0], [1], [2], list(labels), indices)},
+           "c": _Rows(ENTRY_ROW, columns)}
+    plain = {"a": {"assignment": [[["0", "1"], 2], [["1", "0"], 0]]},
+             "b": {"deeper": {"assignment": [[["0", "1"], 2]]}},
+             "c": [["1", "0", 2]]}
+    assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_row_list_inside_a_list_renders_as_indent_encoder():
+    labels, indices = ['"0"', '"1"'], ["0", "1", "2"]
+    obj = {"failures": [{"hall": cert([0, 1], [1, 0], [2, 0], labels, indices)}, None,
+                        [cert([1], [0], [1], labels, indices)["assignment"]]]}
+    plain = {"failures": [{"hall": {"assignment": [[["0", "1"], 2], [["1", "0"], 0]]}}, None,
+                          [[[["1", "0"], 1]]]]}
+    assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value, error, match", [
+    ({"\0": "\0"}, ValueError, "dict equal to the row-list stand-in"),
+    (np.int64(3), TypeError, "Object of type int64 is not JSON serializable"),
+], ids=["stand-in-dict", "numpy-integer"])
+def test_stand_in_dict_and_unknown_objects_rejected(value, error, match):
+    rows = cert([0], [1], [2], ['"0"', '"1"'], ["0", "1", "2"])
+    with pytest.raises(error, match=match):
+        _dumps({"a": rows, "b": value})
+
+
+@pytest.mark.parametrize("command", [
+    "covering verify --family {family}",
+    "induction --n 3 --d 3 --trials 3 --family {family}",
+], ids=["covering-verify", "induction"])
+def test_nul_labelled_family_reports_as_indent_encoder(tmp_path, capsys, command):
+    fam_file = tmp_path / "nul.json"
+    fam_file.write_text(family_to_json(
+        CoveringFamily(3, recursive_covering(3).rectangles, label="\0")))
+    code, out = run_cli(capsys, *command.format(family=fam_file).split())
+    report = json.loads(out)
+    assert code == 0 and "\0" in (report.get("label"), report.get("family"))
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def assert_rows_render(template: str, rows: list[tuple], dtype: str, keys: list[str]):
@@ -294,37 +367,44 @@ ROW_VALUES = {
 }
 
 
-def draw_document(data, template: str, labels: list, values: list) -> tuple[dict, dict]:
-    """A dict of None, integers, nested dicts down to depth 3 and, in the dicts
-    of one drawn depth only, row lists (empty or not, all of ``template`` and
-    coded into the same label and value tables); and the same dict with the
-    lists written out."""
+def draw_document(data, labels: list, values: list) -> tuple[dict, dict]:
+    """A dict of None, integers, row lists (empty or not, each of a drawn
+    template, coded into the shared label and value tables or into copies of
+    them) and, down to depth 3, dicts and lists of the same; and the same dict
+    with the row lists written out."""
     label_texts, value_texts = [json.dumps(x) for x in labels], [json.dumps(v) for v in values]
-    rows_at = data.draw(st.integers(0, 3))
-    shape = ((lambda a, b, c: [[a, b], c]) if template == PAIR_ROW else
-             (lambda a, b, c: [a, b, c]))
 
-    def draw(depth: int) -> tuple[dict, dict]:
-        obj, plain = {}, {}
-        kinds = ["none", "int"] + ["rows"] * (depth == rows_at) + ["dict"] * (depth < 3)
-        for key in data.draw(st.lists(st.text(max_size=3), max_size=4, unique=True)):
-            kind = data.draw(st.sampled_from(kinds))
-            if kind == "rows":
-                codes = data.draw(st.lists(st.tuples(
-                    st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
-                    st.integers(0, len(values) - 1)), max_size=6))
-                x, y, v = (np.array(column, dtype=np.int64).reshape(-1)
-                           for column in (zip(*codes) if codes else ([], [], [])))
-                obj[key] = _Rows(template, [(x, label_texts), (y, label_texts),
-                                            (v, value_texts)])
-                plain[key] = [shape(labels[a], labels[b], values[c]) for a, b, c in codes]
-            elif kind == "dict":
-                obj[key], plain[key] = draw(depth + 1)
-            else:
-                obj[key] = plain[key] = None if kind == "none" else data.draw(st.integers(-9, 9))
-        return obj, plain
+    def rows() -> tuple[_Rows, list]:
+        template = data.draw(st.sampled_from([PAIR_ROW, ENTRY_ROW]))
+        shape = ((lambda a, b, c: [[a, b], c]) if template == PAIR_ROW else
+                 (lambda a, b, c: [a, b, c]))
+        codes = data.draw(st.lists(st.tuples(
+            st.integers(0, len(labels) - 1), st.integers(0, len(labels) - 1),
+            st.integers(0, len(values) - 1)), max_size=6))
+        x, y, v = (np.array(column, dtype=np.int64).reshape(-1)
+                   for column in (zip(*codes) if codes else ([], [], [])))
+        tables = ((label_texts, value_texts) if data.draw(st.booleans()) else
+                  (list(label_texts), list(value_texts)))
+        obj = _Rows(template, [(x, tables[0]), (y, tables[0]), (v, tables[1])])
+        return obj, [shape(labels[a], labels[b], values[c]) for a, b, c in codes]
 
-    return draw(0)
+    def draw(depth: int, kind: str) -> tuple[object, object]:
+        if kind == "rows":
+            return rows()
+        kinds = ["none", "int", "rows"] + ["dict", "list"] * (depth < 3)
+        if kind == "dict":
+            keys = data.draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+            items = {key: draw(depth + 1, data.draw(st.sampled_from(kinds))) for key in keys}
+            return ({key: obj for key, (obj, _) in items.items()},
+                    {key: plain for key, (_, plain) in items.items()})
+        if kind == "list":
+            items = [draw(depth + 1, data.draw(st.sampled_from(kinds)))
+                     for _ in range(data.draw(st.integers(0, 3)))]
+            return [obj for obj, _ in items], [plain for _, plain in items]
+        value = None if kind == "none" else data.draw(st.integers(-9, 9))
+        return value, value
+
+    return draw(0, "dict")
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,9 +416,9 @@ def test_random_row_lists_render_as_indent_encoder(data, template, dtype, keys):
     rows = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels),
                                         st.sampled_from(values)), max_size=12))
     assert_rows_render(template, rows, dtype, keys)
-    # several lists of one template sharing their tables, at one depth among None
-    # values, integers, empty lists and dicts
-    obj, plain = draw_document(data, template, labels, values)
+    # lists of both templates, over shared or separate tables, at any depth in
+    # dicts and lists among None values, integers, empty lists and dicts
+    obj, plain = draw_document(data, labels, values)
     assert "".join(_dumps(obj)) == json.dumps(plain, indent=2, sort_keys=True)
 
 
