@@ -118,6 +118,12 @@ MUTANTS = (
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
     Mutant("W1", "atoms.py", "d - 1 - stalled.argmax(axis=1)", "stalled[:, ::-1].argmax(axis=1)",
            ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
+    Mutant("W2", "atoms.py", "u[t, rows, None], v[t, ones ^ rows, None]",
+           "u[t, ones ^ rows, None], v[t, rows, None]",
+           ("tests/test_atoms.py::TestSampleBlock::"
+            "test_only_the_entry_at_a_and_its_complement_is_read",)),
+    Mutant("L1", "linalg.py", "proper = (rank > 0) & (rank < d)", "proper = rank < d",
+           ("tests/test_linalg.py::TestSubspaceOps::test_intersect_of_zero_factors_is_identity",)),
     Mutant("S3", "atoms.py", "gen = np.random.default_rng(seed)\n",
            "gen = np.random.default_rng(seeds[0])\n",
            ("tests/test_atoms.py::TestSeeding::test_block_matches_one_trial_sampling",)),

@@ -17,8 +17,9 @@ construction (numerically up to rounding noise, which ``evaluate_block``
 stores as exact zeros).  Each string's partners are gathered from a cached
 table of their values, and every string's space comes from the partners'
 factors placed side by side: one batched QR reduces each such d x pd slice to
-d x d, and one batched d x d SVD of the reduced factors gives the null spaces
-(Chan's R-SVD; see ``linalg``).
+d x d, whose singular values give the null spaces' dimensions and, where a
+null space is proper, whose singular vectors give its basis (Chan's R-SVD;
+see ``linalg``).
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
 draws trial t from its own ``default_rng(seeds[t])`` in two calls, exactly
@@ -114,11 +115,12 @@ def _sum_sq(x: np.ndarray) -> np.ndarray:
 def evaluate_block(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Evaluated matrices of a block of factorizations (all entries >= 0).
 
-    ``u`` and ``v`` are (T, 2^n, d, d) stacks of Gram factors; entry
+    ``u`` (T, r, d, d) and ``v`` (T, c, d, d) are stacks of Gram factors,
+    any rows against any columns (r = c = 2^n for whole matrices); entry
     [t, a, b] is ||U_a^T V_b||_F^2 of trial t, a sum of squares, and all
-    T 4^n products come from one broadcast matmul.  Entries at rounding-noise
-    level relative to their Cauchy-Schwarz bound (see NOISE_REL) are stored
-    as exact zeros.
+    T r c products come from one broadcast matmul.  Entries at
+    rounding-noise level relative to their Cauchy-Schwarz bound (see
+    NOISE_REL) are stored as exact zeros.
     """
     n = u.shape[1].bit_length() - 1
     if n > MAX_DENSE_N:
@@ -193,7 +195,7 @@ def sample_block(n: int, d: int, seeds: Sequence) -> tuple[np.ndarray, np.ndarra
     for t, seed in enumerate(seeds):
         gen = np.random.default_rng(seed)
         ranks[t] = gen.integers(0, d + 1, size=ranks.shape[1:])
-        normals[t] = gen.standard_normal(normals.shape[1:])
+        gen.standard_normal(out=normals[t])
     # a factor's columns at or past its rank are zero
     cols = np.arange(d)
     drawn = np.where(cols < ranks[..., None, None], normals, 0.0)
@@ -227,9 +229,10 @@ def witness_block(u: np.ndarray, v: np.ndarray) -> tuple[list[Optional[str]], li
     [V_{e_1} ... V_{e_i}], read for every trial and i at once.  Either F_d
     is the full space and the all-ones row is zero, or the chain stalls at a
     first p with F_p = F_{p+1} (p = 0 when V_{e_1} = 0), and the complement
-    of e_{p+1} indexes a zero entry at the antidiagonal.  Rows are given by
-    value; a positive entry would contradict the antidiagonal-zero property
-    of square atoms.
+    of e_{p+1} indexes a zero entry at the antidiagonal.  Only that entry is
+    evaluated: ``evaluate_block`` of the trials' (T, 1, d, d) pairs U_a and
+    V_{complement(a)}.  Rows are given by value; a positive entry would
+    contradict the antidiagonal-zero property of square atoms.
     """
     trials, size, d = v.shape[:3]
     n = size.bit_length() - 1
@@ -243,7 +246,8 @@ def witness_block(u: np.ndarray, v: np.ndarray) -> tuple[list[Optional[str]], li
     # the complement of e_{p+1} at the first stall p
     ones = size - 1
     rows = np.where(full, ones, ones ^ (1 << (d - 1 - stalled.argmax(axis=1))))
-    entries = evaluate_block(u, v)[np.arange(trials), rows, ones ^ rows].tolist()
+    t = np.arange(trials)
+    entries = evaluate_block(u[t, rows, None], v[t, ones ^ rows, None])[:, 0, 0].tolist()
     reasons = [None if entry == 0 else
                f"antidiagonal entry at ({BitString(d, a)}, {BitString(d, ones ^ a)}) "
                f"is {entry:.3e}, not zero"

@@ -16,7 +16,8 @@ of the factors placed side by side give the whole intersection.  A wide
 d x m slice is first reduced to d x d by a QR of its transpose, x^T = Q R:
 x x^T = R^T R, so R^T has the singular values and left singular vectors of x
 and only its d x d SVD remains (Chan's R-SVD, ACM TOMS 8(1), 1982).  A stack
-of such problems is one batched QR and one batched d x d SVD.
+of such problems is one batched QR, the singular values of every slice, and
+singular vectors only for the slices whose null space is proper.
 ``prefix_ranks`` gives a chain of image sums.
 The key fact the oracles lean on: <X, Y> = 0 for PSD X, Y exactly when the
 image of Y lies inside the kernel of X.
@@ -102,21 +103,25 @@ def prefix_ranks(factors: np.ndarray) -> np.ndarray:
 
 
 def subspace_intersect(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common kernels of stacks of PSD matrices, by one batched QR and one
-    batched d x d SVD (see ``_reduced``).
+    """Common kernels of stacks of PSD matrices, by one batched QR (see
+    ``_reduced``), the singular values of every slice, and a d x d SVD only
+    of the slices whose null space is proper.
 
     ``factors`` has shape (..., d, m): each d x m slice holds the Gram
     factors of one problem placed side by side (zero columns are allowed).
     Returns ``(bases, dims)`` with bases of shape (..., d, d) and orthonormal
     columns: the first ``dims[...]`` columns of each slice span the
-    intersection of the kernels, the left null space of the slice.  A slice
-    whose factors are all zero has the whole space, with basis exactly the
-    identity.
+    intersection of the kernels, the left null space of the slice.  Every
+    other slice (dims 0 or d) has basis exactly the identity, which spans
+    the whole space when its factors are all zero.
     """
-    u, s, rank = _svd(factors)
-    d = u.shape[-1]
+    x = _reduced(factors)
+    s = np.linalg.svd(x, compute_uv=False)
+    d, rank = x.shape[-1], _rank(s, s[..., :1])
+    bases = np.broadcast_to(np.eye(d), x.shape).copy()
+    proper = (rank > 0) & (rank < d)
     # null directions have the smallest singular values, so they come last
-    bases = np.where((s[..., :1] > 0)[..., None], u[..., ::-1], np.eye(d))
+    bases[proper] = np.linalg.svd(x[proper])[0][..., ::-1]
     return bases, d - rank
 
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from liftcert import atoms
+from liftcert import atoms, linalg
 from liftcert.atoms import (
     NOISE_REL,
     FalsificationError,
@@ -253,6 +253,54 @@ class TestSampleBlock:
         if falsified:
             assert reasons[0] == f"antidiagonal entry at (1, 0) is {square:.3e}, not zero"
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_witnessed_entries_are_the_evaluated_matrix_bit_for_bit(self, monkeypatch, d):
+        # sampled atoms, whose witnessed entries are zero, and factors of
+        # random rank, whose entries are mostly positive
+        seeds = range(300, 300 + block_size(d))
+        rng = np.random.default_rng(d)
+        shape = (len(seeds), 1 << d, d, d)
+        drawn = [rng.standard_normal(shape) * (rng.random(shape[:2] + (1, d)) < 0.7)
+                 for _ in range(2)]
+        recorded = []
+
+        def recording(u, v):
+            recorded.append(evaluate_block(u, v))
+            return recorded[-1]
+
+        monkeypatch.setattr(atoms, "evaluate_block", recording)
+        for u, v in (sample_block(d, d, seeds), drawn):
+            _, rows = witness_block(u, v)
+            a = np.array(rows)
+            want = evaluate_block(u, v)[np.arange(len(seeds)), a, (1 << d) - 1 ^ a]
+            assert recorded[-1].shape == (len(seeds), 1, 1)
+            assert recorded[-1][:, 0, 0].tobytes() == want.tobytes()
+        assert not recorded[0].any() and (recorded[1] > 0).mean() > 0.5
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_only_the_entry_at_a_and_its_complement_is_read(self, d):
+        # U_a = I makes entry (a, complement(a)) ||V_{complement(a)}||_F^2 > 0,
+        # and U_{complement(a)} = 0 makes (complement(a), a) zero; the witness
+        # chain reads V only, so it still picks a
+        seeds = range(600, 600 + block_size(d))
+        u, v = (side.copy() for side in sample_block(d, d, seeds))
+        _, rows = witness_block(u, v)
+        t, a = np.arange(len(seeds)), np.array(rows)
+        b = (1 << d) - 1 ^ a
+        corrupt = v[t, b].any(axis=(1, 2))
+        assert corrupt.sum() >= 4
+        u[t[corrupt], a[corrupt]] = np.eye(d)
+        u[t[corrupt], b[corrupt]] = 0.0
+        values = evaluate_block(u, v)
+        assert (values[t, a, b] > 0).tolist() == corrupt.tolist()
+        assert not values[t, b, a][corrupt].any()
+        reasons, again = witness_block(u, v)
+        assert again == rows
+        assert reasons == [
+            f"antidiagonal entry at ({BitString(d, x)}, {BitString(d, y)}) "
+            f"is {value:.3e}, not zero" if value else None
+            for x, y, value in zip(a.tolist(), b.tolist(), values[t, a, b].tolist())]
+
     def test_block_size_bounds_the_stacks(self):
         assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
         # a negative width is sized as 0 and left for the sampler to reject
@@ -486,6 +534,20 @@ class TestNullSpaces:
         # string 0 has no partners: its space is exactly the identity
         assert np.array_equal(bases[:, 0], np.broadcast_to(np.eye(d), (len(free), d, d)))
         assert (dims[:, 0] == d).all()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (4, 4), (6, 3)])
+    def test_proper_null_spaces_are_the_full_svd_bit_for_bit(self, n, d):
+        x = atoms._partner_factors(free_sides(n, d))
+        bases, dims = subspace_intersect(x)
+        u, s, _ = np.linalg.svd(linalg._reduced(x))
+        assert np.array_equal(dims, d - np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1))
+        proper = (0 < dims) & (dims < d)
+        # at (6, 3) every string but 0 has 6 or more partners, which span R^3 here
+        assert proper.any() == (n < 6) and (dims == 0).any() and (dims == d).any()
+        # a proper null space's basis, its first dims columns included
+        assert np.array_equal(bases[proper], u[proper][..., ::-1])
+        # no space (rank d) and the whole space (rank 0) take the identity
+        assert np.array_equal(bases[~proper], np.broadcast_to(np.eye(d), bases[~proper].shape))
 
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (4, 2), (6, 3)])
     def test_full_rank_free_side_leaves_only_string_0_a_space(self, n, d):

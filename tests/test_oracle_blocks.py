@@ -167,19 +167,33 @@ def corrupt_one(monkeypatch, n: int, d: int, seed: int,
                 entries: Callable[[int], tuple]) -> None:
     """Make ``evaluate_block`` put the largest value of the matrix plus one at
     ``entries(size)`` of the one sampled factorization drawn with this seed,
-    in the block path and in the reference alike."""
+    in the block path and in the reference alike.  ``witness_block`` hands
+    ``evaluate_block`` only the pair it reads per trial, U at the witness row
+    a and V at complement(a), and a pair of zero factors may stand in many
+    trials; so ``witness_block`` marks the target's trials of its block, and
+    the 1 x 1 matrices of their pairs are corrupted at ``entries(1)``."""
     target = sample_atom(n, d, seed)
-    original = atoms.evaluate_block
+    original, witness = atoms.evaluate_block, atoms.witness_block
+    marked = np.array([], dtype=int)
+
+    def hits(u, v):
+        return np.flatnonzero((u == target.U).all(axis=(1, 2, 3))
+                              & (v == target.V).all(axis=(1, 2, 3)))
 
     def corrupted(u, v):
         values = original(u, v)
-        hit = (u == target.U).all(axis=(1, 2, 3)) & (v == target.V).all(axis=(1, 2, 3))
-        for t in np.flatnonzero(hit):
+        for t in (marked if u.shape[1] == 1 else hits(u, v)):
             values[t][entries(u.shape[1])] = values[t].max() + 1.0
         return values
 
-    monkeypatch.setattr(atoms, "evaluate_block", corrupted)
-    monkeypatch.setattr(cli, "evaluate_block", corrupted)
+    def marking(u, v):
+        nonlocal marked
+        marked = hits(u, v)
+        return witness(u, v)
+
+    for module in (atoms, cli):
+        monkeypatch.setattr(module, "evaluate_block", corrupted)
+        monkeypatch.setattr(module, "witness_block", marking)
 
 
 @pytest.mark.parametrize("oracle, d", [("patterns", 2), ("witness", 2), ("witness", 3)])
