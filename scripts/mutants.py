@@ -124,11 +124,13 @@ MUTANTS = (
             "test_only_the_entry_at_a_and_its_complement_is_read",)),
     Mutant("L1", "linalg.py", "proper = (rank > 0) & (rank < d)", "proper = rank < d",
            ("tests/test_linalg.py::TestSubspaceOps::test_intersect_of_zero_factors_is_identity",)),
-    Mutant("S3", "atoms.py", "gen = np.random.default_rng(seed)\n",
-           "gen = np.random.default_rng(seeds[0])\n",
+    Mutant("S3", "atoms.py", "_mix64(seeds[:, None])",
+           "_mix64(np.repeat(seeds[:1, None], len(seeds), axis=0))",
            ("tests/test_atoms.py::TestSeeding::test_block_matches_one_trial_sampling",)),
-    Mutant("S4", "atoms.py", "seed % 2 == 0 for seed in seeds", "seed % 2 == 1 for seed in seeds",
+    Mutant("S4", "atoms.py", "u_first = (seeds % 2 == 0)", "u_first = (seeds % 2 == 1)",
            ("tests/test_oracle_goldens.py::test_oracle_report[antidiagonal-d3]",)),
+    Mutant("S5", "atoms.py", "2 * np.pi * unit[..., 1]", "np.pi * unit[..., 1]",
+           ("tests/test_atoms.py::TestDraw::test_normals_are_standard_normal",)),
     Mutant("Φ1", "covering.py", '"b2 d2 c1 a c2 d1 b1"', '"d2 b2 c1 a c2 d1 b1"',
            ("tests/test_covering.py::TestPhiTables::test_tables_validate_as_certificates",)),
     Mutant("V1", "covering.py",

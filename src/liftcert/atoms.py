@@ -22,11 +22,13 @@ null space is proper, whose singular vectors give its basis (Chan's R-SVD;
 see ``linalg``).
 
 The oracles run trials in blocks of ``block_size(n)``: ``sample_block``
-draws trial t from its own ``default_rng(seeds[t])`` in two calls, exactly
-as ``sample_atom`` would, and runs the rest (rank masks, null-space QR and
-SVD, one batched product for the constrained side and, through
-``evaluate_block``, the evaluation) on the block's (T, 2^n, d, d) stacks.  On
-top of the sampler sit two falsifiable oracles, pure checks of a block:
+computes every trial's own SplitMix64 stream (Steele, Lea & Flood, OOPSLA
+2014; defined word for word there, so no draw rests on NumPy's generators)
+in one array pass, exactly as ``sample_atom`` would draw it, and runs the
+rest (rank masks, null-space QR and SVD, one batched product for the
+constrained side and, through ``evaluate_block``, the evaluation) on the
+block's (T, 2^n, d, d) stacks.  On top of the sampler sit two falsifiable
+oracles, pure checks of a block:
 
 * ``witness_block`` returns per trial None or why the entry at (a,
   complement(a)) of a square atom (n = d) is not zero, where the image sums
@@ -70,7 +72,7 @@ MAX_SAMPLE_N = 8
 #: Cauchy-Schwarz bound ||U_a U_a^T||_F * ||V_b V_b^T||_F is a by-construction
 #: zero carrying only rounding noise, stored as an exact zero, so a support is
 #: the positive entries.  Measured over 81,920 seeds per d at n = d = 2..5:
-#: largest clamped ratio 7.4e-30, smallest kept 5.4e-12 (scripts/rank_margin.py).
+#: largest clamped ratio 2.9e-30, smallest kept 1.4e-13 (scripts/rank_margin.py).
 NOISE_REL = 1e-20
 
 class FalsificationError(Exception):
@@ -174,28 +176,44 @@ def _partner_factors(free: np.ndarray) -> np.ndarray:
     return stacked.swapaxes(-1, -2)
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of every word of a uint64 array, mod 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
 def sample_block(n: int, d: int, seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """U and V stacks, each (T, 2^n, d, d), of T factorizations drawn as
-    ``sample_atom(n, d, seeds[t])``.
+    ``sample_atom(n, d, seeds[t])``; every seed must lie in [0, 2^64).
 
-    Trial t makes two calls on its own ``default_rng(seeds[t])``: ranks
-    ``integers(0, d + 1, size=(2, 2^n))``, then normals
-    ``standard_normal((2, 2^n, d, d))``, row 0 of each for the free side and
-    row 1 for the constrained side.  The seed's parity names the free side:
-    U for an even seed, V for an odd one.  A factor keeps the columns of its
-    normal matrix below its rank r; a constrained one multiplies them by its
-    space's first k basis vectors, so its rank is min(k, r).
+    Trial t reads words w_j = mix64(k + (j + 1) 0x9E3779B97F4A7C15) mod 2^64
+    keyed by k = mix64(seeds[t]), mix64 being SplitMix64's finalizer.  The
+    first 2^(n+1) give ranks (2, 2^n) as w % (d + 1); each later pair (a, b)
+    gives normals r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1),
+    u1 = ((a >> 11) + 1) 2^-53 and u2 = (b >> 11) 2^-53, filling (2, 2^n,
+    d, d) in C order: row 0 of each for the free side, row 1 for the
+    constrained side.  The seed's parity names the free side: U for an even
+    seed, V for an odd one.  A factor keeps the columns of its normal matrix
+    below its rank r; a constrained one multiplies them by its space's first
+    k basis vectors, so its rank is min(k, r).
     """
     if not 1 <= n <= MAX_SAMPLE_N:
         raise ValueError(f"n = {n} outside [1, {MAX_SAMPLE_N}]")
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"d = {d} outside [1, {MAX_DIM}]")
-    ranks = np.empty((len(seeds), 2, 1 << n), dtype=np.int64)
-    normals = np.empty(ranks.shape + (d, d))
-    for t, seed in enumerate(seeds):
-        gen = np.random.default_rng(seed)
-        ranks[t] = gen.integers(0, d + 1, size=ranks.shape[1:])
-        gen.standard_normal(out=normals[t])
+    low, high = min(seeds, default=0), max(seeds, default=0)
+    if low < 0 or high >= 1 << 64:
+        raise ValueError(f"seed {low if low < 0 else high} outside [0, 2^64)")
+    seeds, size = np.array(seeds, dtype=np.uint64), 1 << n
+    steps = np.arange(1, 2 * size * (1 + d * d) + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    words = _mix64(_mix64(seeds[:, None]) + steps)
+    ranks = (words[:, :2 * size] % (d + 1)).reshape(-1, 2, size)
+    # Box-Muller on pairs of 53-bit uniforms, u1 in (0, 1] and u2 in [0, 1)
+    unit = (words[:, 2 * size:] >> 11).reshape(-1, size * d * d, 2) * 2.0**-53
+    radius, angle = np.sqrt(-2 * np.log(unit[..., 0] + 2.0**-53)), 2 * np.pi * unit[..., 1]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    normals = normals.reshape(ranks.shape + (d, d))
     # a factor's columns at or past its rank are zero
     cols = np.arange(d)
     drawn = np.where(cols < ranks[..., None, None], normals, 0.0)
@@ -203,7 +221,7 @@ def sample_block(n: int, d: int, seeds: Sequence) -> tuple[np.ndarray, np.ndarra
     # each constrained matrix spans normals drawn in its partners' common kernel
     spaces, dims = subspace_intersect(_partner_factors(free))
     constrained = np.where(cols < dims[..., None, None], spaces, 0.0) @ drawn[:, 1]
-    u_first = np.array([seed % 2 == 0 for seed in seeds])[:, None, None, None]
+    u_first = (seeds % 2 == 0)[:, None, None, None]
     return np.where(u_first, free, constrained), np.where(u_first, constrained, free)
 
 
@@ -211,8 +229,8 @@ def sample_atom(n: int, d: int, seed: int = 0) -> PsdFactorization:
     """Draw a random factorization whose evaluation vanishes on
     intersection-one pairs by construction (``sample_block`` of one trial).
 
-    Two generator calls draw every rank, uniform on {0, ..., d}, and then
-    every normal matrix, in ``sample_block``'s order.  The construction is
+    The seed's stream (see ``sample_block``) gives every rank, uniform on
+    {0, ..., d}, and then every normal matrix.  The construction is
     asymmetric, so (n, d, seed) names the atom: an even seed draws U as the
     free side and an odd seed V, and a run of consecutive seeds exercises
     the oracles in both directions.

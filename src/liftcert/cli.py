@@ -93,12 +93,14 @@ def run_trials(
     outcomes of the trials before it, and the falsifier (the trial, its seed
     and the direction that seed draws, the reason, the factorization and its
     evaluated matrix), or None when every trial passed.  The falsifier's atom
-    is trial 0 of a run from its seed.
+    is trial 0 of a run from its seed.  Every seed must lie in [0, 2^64).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")
+    if seed + trials > 1 << 64:
+        raise ValueError(f"seeds {seed} .. {seed + trials - 1} do not fit in 64 bits")
     size, passing = block_size(n), []
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))

@@ -30,7 +30,7 @@ import numpy as np
 MAX_DIM = 8
 
 #: Relative singular-value cutoff separating image from kernel.  Measured over
-#: 81,920 seeds per d at d = 2..5: smallest kept ratio 2.3e-7, largest cut
+#: 81,920 seeds per d at d = 2..5: smallest kept ratio 1.7e-6, largest cut
 #: 3.3e-16 (scripts/rank_margin.py).
 RANK_TOL = 1e-9
 

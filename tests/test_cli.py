@@ -467,6 +467,17 @@ class TestAtomSample:
                                   "--seed", "-1")
         assert code == 2 and "seed -1 must be >= 0" in err
 
+    @pytest.mark.parametrize("command", [["atom", "sample"], ["induction"]])
+    def test_seeds_past_64_bits_exit_2(self, capsys, command):
+        # 2^64 - 1 is the last seed with a stream: one trial from it runs, two do not
+        code, err = run_cli_error(capsys, *command, "--n", "2", "--d", "2",
+                                  "--seed", "18446744073709551615", "--trials", "2")
+        assert (code, err) == (2, "error: seeds 18446744073709551615 .. 18446744073709551616 "
+                                  "do not fit in 64 bits\n")
+        code, out = run_cli(capsys, *command, "--n", "2", "--d", "2",
+                            "--seed", "18446744073709551615", "--trials", "1")
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+
     def test_seed_in_report(self, capsys):
         _, out = run_cli(capsys, "atom", "sample", "--n", "2", "--d", "2",
                          "--trials", "5", "--seed", "17")

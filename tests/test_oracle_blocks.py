@@ -39,7 +39,7 @@ from liftcert.covering import (
     recursive_covering,
 )
 
-#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 724
+#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 4232
 #: at n = 4 its first falsifier is trial 29, the 14th of the second block of 16.
 REC2_MINUS_4 = CoveringFamily(
     2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
@@ -144,8 +144,8 @@ ORACLES = [
                  lambda t, s: reference_witness(3, t, s), id="witness-d3"),
     pytest.param(4, 31, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
                  lambda t, s: reference_induction(4, 2, t, s), id="induction-n4-d2"),
-    # seed 724 reaches the falsifier at trial 29 within 3 blocks + 5
-    pytest.param(4, 724, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
+    # seed 4232 reaches the falsifier at trial 29 within 3 blocks + 5
+    pytest.param(4, 4232, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
                  lambda t, s: reference_induction(4, 2, t, s, REC2_MINUS_4),
                  id="induction-n4-d2-rec2-minus-4"),
 ]
@@ -161,6 +161,13 @@ def test_width_below_family_width_rejected_before_sampling(monkeypatch):
     monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
     with pytest.raises(ValueError, match="^induction needs n >= d, got n = 2, d = 3$"):
         cli.run_induction_oracle(2, 3, 5)
+
+
+def test_seeds_past_64_bits_rejected_before_sampling(monkeypatch):
+    monkeypatch.setattr(cli, "sample_block", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=r"^seeds 18446744073709551614 \.\. "
+                                         r"18446744073709551616 do not fit in 64 bits$"):
+        cli.run_trials(2, 2, 3, 2**64 - 2, cli.pattern_check)
 
 
 def corrupt_one(monkeypatch, n: int, d: int, seed: int,
@@ -226,9 +233,9 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
 def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatch):
     # a positive intersection-one entry makes trial 30 a non-atom, after the
     # falsifier at trial 29 in the same block: the per-trial loop stops first
-    corrupt_one(monkeypatch, 4, 2, 754, lambda size: (1, 1))
-    got = cli.run_induction_oracle(4, 2, 40, 724, REC2_MINUS_4)
-    assert got == reference_induction(4, 2, 40, 724, REC2_MINUS_4)
+    corrupt_one(monkeypatch, 4, 2, 4262, lambda size: (1, 1))
+    got = cli.run_induction_oracle(4, 2, 40, 4232, REC2_MINUS_4)
+    assert got == reference_induction(4, 2, 40, 4232, REC2_MINUS_4)
     assert got["falsifier"]["trial"] == 29
     assert got["falsifier"]["reason"] == "val 7 > bound 5"
 
@@ -236,12 +243,12 @@ def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatc
 def test_non_atom_before_the_failing_trial_of_its_block_exits_2(monkeypatch, tmp_path,
                                                                 capsys):
     # trial 28, right before the falsifier at trial 29 in the same block
-    corrupt_one(monkeypatch, 4, 2, 752, lambda size: (1, 1))
+    corrupt_one(monkeypatch, 4, 2, 4260, lambda size: (1, 1))
     with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
-        reference_induction(4, 2, 40, 724, REC2_MINUS_4)
+        reference_induction(4, 2, 40, 4232, REC2_MINUS_4)
     family = tmp_path / "family.json"
     family.write_text(family_to_json(REC2_MINUS_4))
-    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "724",
+    code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "4232",
                      "--family", str(family)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

@@ -19,7 +19,10 @@ import numpy as np
 import pytest
 
 from liftcert import cli
+from liftcert.atoms import antidiagonal_witness, sample_atom
+from liftcert.bitcore import BitString
 from liftcert.covering import CoveringFamily, Rectangle, family_to_json, recursive_covering
+from liftcert.linalg import RANK_TOL
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -29,8 +32,8 @@ FAMILIES = {
         1, (Rectangle.from_text(1, ["0"], ["0"]),), label="one-rect-d1"
     ),
     # recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed
-    # 724 falsified at trial 29 (seed 753, V first), in the second block of
-    # 16 at n = 4
+    # 4232 falsified at trial 29 (seed 4261, V first), in the second block
+    # of 16 at n = 4
     "rec2_minus_4": CoveringFamily(
         2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
         label="rec2-minus-4",
@@ -38,6 +41,11 @@ FAMILIES = {
     # no rectangles: the bound is 0, so the first trial with val > 0 falsifies
     "empty_d1": CoveringFamily(1, (), label="empty-d1"),
 }
+
+
+#: The seed of the (2, 2) atom with the smallest singular-value ratio of
+#: V_01, 2.4e-5, among the seeds 0-399,999 that give V_10 = 0.
+SMALL_SINGULAR_SEED = 160903
 
 
 def non_atom_sampler(n, d, seeds):
@@ -48,39 +56,41 @@ def non_atom_sampler(n, d, seeds):
 CASES = [
     pytest.param(
         "atom sample --n 2 --d 2 --trials 200 --check patterns", None, 0,
-        "390c56c97cc5faa3d22f46667b9f7d4aa199af0e96783c838b83d77d1de62334",
+        "38104a3d0eab9bee46368bb0400e27fff4f73b8f1a3efd5b89835ffaef7a0921",
         id="patterns-200",
     ),
     pytest.param(
         "atom sample --n 3 --d 3 --trials 40 --seed 11 --check antidiagonal", None, 0,
-        "8bc14edb7301ac3af661e5cc36a900c62ddfdeb82cb32b1559cd66cfceda1eb7",
+        "e0fe7889b4b11f4ede0ca654697e2aeeccb4dd38ea3b11565638f1f329db9b4f",
         id="antidiagonal-d3",
     ),
     pytest.param(
-        # V_10 = 0 and V_01 has singular values 2.52 and 9.4e-6: the chain
-        # reaches the full plane and the witness row is 11
-        "atom sample --n 2 --d 2 --check antidiagonal --seed 357919 --trials 1", None, 0,
-        "9fd38228ad047dc0f229f1c00fd401fab8599a927f6e1c559625c107643d7b7c",
+        # V_10 = 0 and V_01 has singular values 2.20 and 5.3e-5, which
+        # RANK_TOL keeps: the chain reaches the full plane and the witness
+        # row is 11 (see test_small_singular_value_case_keeps_its_premise)
+        f"atom sample --n 2 --d 2 --check antidiagonal --seed {SMALL_SINGULAR_SEED} "
+        "--trials 1", None, 0,
+        "394fdbe2286947b165eddcc72346a64caf5b0502a729d058ad4f213d698bfa85",
         id="antidiagonal-d2-small-singular-value",
     ),
     pytest.param(
         "induction --n 4 --d 2 --trials 15 --seed 3", None, 0,
-        "30eb83d4611657e7179a1c3ea90bb934ef7c07247dda4042a092311ae32b0973",
+        "c493a2a1e78d8314b91997b0f31f803a6d2d125385d827b3035c757c09e1e96b",
         id="induction-default-family",
     ),
     pytest.param(
         "induction --n 2 --d 1 --trials 10 --family {one_rect_d1}", None, 1,
-        "4fc521d60f20e2575c0aa78074ba180620cd6f14459596e6b41bc8aad7d544b0",
+        "4d905658da531987f3797e6fafbdb9dddd2a7fda66ea36898c8c58b578277d49",
         id="induction-one-rect-falsified",
     ),
     pytest.param(
-        "induction --n 4 --d 2 --trials 40 --seed 724 --family {rec2_minus_4}", None, 1,
-        "13849136959e1d059c6332e10eb05983439aa96ca4846d440bedc8f1d7760bc9",
+        "induction --n 4 --d 2 --trials 40 --seed 4232 --family {rec2_minus_4}", None, 1,
+        "02c89ac4d135158a6ddf14390654cdcae0076fd0d138661803f3d630682ee7a3",
         id="induction-rec2-minus-4-second-block",
     ),
     pytest.param(
         "induction --n 2 --d 1 --trials 10 --seed 3 --family {empty_d1}", None, 1,
-        "2ab51ba255fc28aaab98e6305e64e7484500972836e21d11b5ad46a6bc46e1fc",
+        "a4bc44e482fc206e52a7e2f92ae93ce928f9682ae41a15d8d2643d0867bf3361",
         id="induction-empty-family-falsified",
     ),
     pytest.param(
@@ -142,3 +152,13 @@ def test_falsifier_replays_from_its_seed(tmp_path, capsys, invocation, sampler,
     assert code == 1 and replay["trial"] == 0
     for key in ("seed", "direction", "factorization", "matrix", "reason"):
         assert replay[key] == first[key], key
+
+
+def test_small_singular_value_case_keeps_its_premise():
+    # the witness chain of antidiagonal-d2-small-singular-value reads V_10
+    # first, which is zero, then V_01, whose smaller singular value is tiny
+    # but above the cutoff, so F_2 is the full plane and the row is 11
+    f = sample_atom(2, 2, SMALL_SINGULAR_SEED)
+    s = np.linalg.svd(f.V[0b01], compute_uv=False)
+    assert not f.V[0b10].any() and RANK_TOL < s[1] / s[0] < 1e-4
+    assert antidiagonal_witness(f) == BitString(2, 0b11)

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 #: sha256 of the full stdout of ``pattern_census.py --trials 500`` (seed 0).
-CENSUS_500_DIGEST = "466db1754fa338b5a945fdc0071c6da45d31c1d76f81887f07835b15bb373c8f"
+CENSUS_500_DIGEST = "8d05464da90c518ba258e566a447125d19f00b209332b05c1ffa5f4399e219a8"
 
 
 def run_script(script: str, args: list[str]) -> subprocess.CompletedProcess:
@@ -111,7 +111,7 @@ def test_mutant_list_applies_to_the_sources():
     assert [m.name for m in mutants.MUTANTS] == [
         "M1", "M2", "M4", "M5", "M6", "M7", "M8", "B1", "B2", "B3", "B4", "B5", "B6",
         "F1", "F2", "C1", "C2", "C3", "P1", "P2", "P3", "P4", "P5", "W1", "W2", "L1", "S3",
-        "S4", "Φ1", "V1", "V2", "V3", "N1", "N2", "R1", "D1", "Z1"]
+        "S4", "S5", "Φ1", "V1", "V2", "V3", "N1", "N2", "R1", "D1", "Z1"]
     assert mutants.snippet_faults() == []
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.tests
