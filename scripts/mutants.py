@@ -159,6 +159,9 @@ MUTANTS = (
     Mutant("D1", "atoms.py", "np.where(cols < dims[", "np.where(cols <= dims[",
            ("tests/test_atoms.py::TestDraw::"
             "test_constrained_rank_is_the_smaller_of_draw_and_space",)),
+    Mutant("A1", "covering.py", "out[:, i] = blocks.take(", "out[:, i] = blocks[:1].take(",
+           ("tests/test_atoms.py::TestSampleBlock::"
+            "test_four_trial_block_checks_as_four_one_trial_blocks",)),
     Mutant("Z1", "bitcore.py", "    return values > 0\n",
            "    return values > 1e-9 * values.max(axis=(-2, -1), keepdims=True)\n",
            ("tests/test_atoms.py::TestEvaluate::test_small_genuine_entry_is_in_the_support",)),

@@ -141,10 +141,11 @@ def evaluate(f: PsdFactorization) -> SupportMatrix:
 
 
 def block_size(n: int) -> int:
-    """Trials per block at width n: 2^12 / 4^n, at least 1, so that a block's
-    stacks never outgrow those of one n = 6 trial.  A negative n counts as 0,
-    so that the sampler, not the shift, rejects it."""
-    return max(1, (1 << 12) >> (2 * max(n, 0)))
+    """Trials per block at width n: 2^14 / 4^n, at least 1, so that a block's
+    stacks never outgrow those of four n = 6 trials and ``evaluate_block``'s
+    product holds at most 2^14 d^2 doubles.  A negative n counts as 0, so
+    that the sampler, not the shift, rejects it."""
+    return max(1, (1 << 14) >> (2 * max(n, 0)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,14 +5,14 @@ Every randomized suite is deterministic: trial i samples the atom
 draws U first, an odd one V), and trials are reported in index order, so
 identical configurations produce byte-identical JSON and a falsifier
 replays with ``--seed <its seed> --trials 1``.  ``run_trials`` is the one
-trial loop: it samples blocks of ``atoms.block_size(n)`` trials (256 at
-n = 2, 64 at n = 3, 1 from n = 6 on), hands each to a pure block check
-returning per-trial reasons and outcomes, stops at the first failing trial
-and returns the outcomes before it; a block changes no trial's draws and no
-report.  Negative outcomes exit with code 1 and carry a structured falsifier
-payload (the offending factorization and its evaluated matrix); invalid
-configuration exits 2.  ``main`` parses with the one parser ``build_parser``
-builds per process.
+trial loop: it samples blocks of ``atoms.block_size(n)`` trials (1,024 at
+n = 2, 256 at n = 3, 4 at n = 6, 1 from n = 7 on), hands each to a pure
+block check returning per-trial reasons and outcomes, stops at the first
+failing trial and returns the outcomes before it; a block changes no
+trial's draws and no report.  Negative outcomes exit with code 1 and carry
+a structured falsifier payload (the offending factorization and its
+evaluated matrix); invalid configuration exits 2.  ``main`` parses with
+the one parser ``build_parser`` builds per process.
 
 JSON reports are laid out by one ``json.dumps(report, indent=2,
 sort_keys=True)`` call in ``_dumps``.  The long row lists (udisj entries,

@@ -221,6 +221,21 @@ class TestSampleBlock:
             assert np.array_equal(u[t], f.U) and np.array_equal(v[t], f.V)
             assert np.array_equal(values[t], evaluate(f).values)
 
+    def test_four_trial_block_checks_as_four_one_trial_blocks(self):
+        # at (6, 3) one block holds four trials: each must evaluate and
+        # aggregate, bit for bit, as it does in a block of its own
+        seeds = range(700, 700 + block_size(6))
+        family = recursive_covering(3)
+        values = evaluate_block(*sample_block(6, 3, seeds))
+        totals, vals = induction_block(values, family)
+        assert len(seeds) == 4 and len({row.tobytes() for row in vals}) == 4
+        for t, seed in enumerate(seeds):
+            one = evaluate_block(*sample_block(6, 3, [seed]))
+            one_totals, one_vals = induction_block(one, family)
+            assert one.tobytes() == values[t:t + 1].tobytes()
+            assert one_totals.tobytes() == totals[t:t + 1].tobytes()
+            assert one_vals.tobytes() == vals[t:t + 1].tobytes()
+
     def test_block_checks_match_one_trial_checks(self):
         for d in (2, 3):
             seeds = range(block_size(d) + 7)
@@ -303,9 +318,9 @@ class TestSampleBlock:
             for x, y, value in zip(a.tolist(), b.tolist(), values[t, a, b].tolist())]
 
     def test_block_size_bounds_the_stacks(self):
-        assert [block_size(n) for n in range(1, 9)] == [1024, 256, 64, 16, 4, 1, 1, 1]
+        assert [block_size(n) for n in range(1, 9)] == [4096, 1024, 256, 64, 16, 4, 1, 1]
         # a negative width is sized as 0 and left for the sampler to reject
-        assert block_size(-1) == block_size(-5) == block_size(0) == 4096
+        assert block_size(-1) == block_size(-5) == block_size(0) == 16384
 
     @pytest.mark.parametrize("seeds", [range(0, 32, 2), range(1, 32, 2)],
                              ids=["u-first", "v-first"])
@@ -489,9 +504,11 @@ class TestSeeding:
         range(2**64 - 8, 2**64),
         [np.int64(s) for s in range(1000, 1008)],
         [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
-    ], ids=["7-seeds", "8-seeds", "below-2^64", "np.int64", "word-edges"])
-    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
+        None,  # one whole block: 1,024, 256, 64, 16 and 4 seeds
+    ], ids=["7-seeds", "8-seeds", "below-2^64", "np.int64", "word-edges", "one-block"])
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (5, 2), (6, 3)])
     def test_block_matches_one_trial_sampling(self, seeds, n, d):
+        seeds = range(1000, 1000 + block_size(n)) if seeds is None else seeds
         u, v = sample_block(n, d, seeds)
         for t, seed in enumerate(seeds):
             f = sample_atom(n, d, seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -39,8 +39,9 @@ from liftcert.covering import (
     recursive_covering,
 )
 
-#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed 4232
-#: at n = 4 its first falsifier is trial 29, the 14th of the second block of 16.
+#: recursive_covering(2) without rectangle 4, {00} x {01, 11}: at n = 4 the
+#: first falsifier from seed 200 is trial 93, the 30th of the second block of
+#: 64, and from seed 4232 trial 29, in the first block.
 REC2_MINUS_4 = CoveringFamily(
     2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
     label="rec2-minus-4",
@@ -48,85 +49,87 @@ REC2_MINUS_4 = CoveringFamily(
 
 
 def reference_trials(
-    n: int, d: int, trials: int, seed: int,
-    check: Callable[[PsdFactorization], Optional[str]],
-) -> tuple[int, Optional[dict]]:
-    for i in range(trials):
+    n: int, d: int, counts: Sequence[int], seed: int,
+    check: Callable[[PsdFactorization], tuple[Optional[str], object]],
+) -> list[tuple[list, Optional[dict]]]:
+    """Per run of each trial count: the outcomes of the trials before the
+    first reason, and the falsifier, from one loop over the largest count
+    (a shorter run's trials are a prefix of it)."""
+    outcomes: list = []
+    for i in range(max(counts)):
         f = sample_atom(n, d, seed + i)
-        reason = check(f)
+        reason, outcome = check(f)
         if reason is not None:
-            return i, {
+            falsifier = {
                 "trial": i, "seed": seed + i,
                 "direction": "v-first" if (seed + i) % 2 else "u-first", "reason": reason,
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
             }
-    return trials, None
+            return [(outcomes, falsifier) if i < trials else (outcomes[:trials], None)
+                    for trials in counts]
+        outcomes.append(outcome)
+    return [(outcomes[:trials], None) for trials in counts]
 
 
-def reference_patterns(trials: int, seed: int) -> dict:
-    counts: Counter[int] = Counter()
-    max_val = 0
-
-    def check(f: PsdFactorization) -> Optional[str]:
-        nonlocal max_val
+def reference_patterns(counts: Sequence[int], seed: int) -> list[dict]:
+    def check(f: PsdFactorization) -> tuple[Optional[str], object]:
         m = evaluate(f)
         try:
             pid = classify_pattern_d2(m)
         except NoPatternMatches:
-            return "support fits no pattern"
+            return "support fits no pattern", None
         v = val(m)
-        max_val = max(max_val, v)
-        if v > 7:
-            return f"val = {v} exceeds 7"
-        counts[int(pid)] += 1
-        return None
+        return (f"val = {v} exceeds 7" if v > 7 else None), (int(pid), v)
 
-    passes, falsifier = reference_trials(2, 2, trials, seed, check)
-    report = {"seed": seed, "trials": trials, "passes": passes,
-              "pattern_counts": dict(sorted(counts.items())), "falsifier": falsifier}
-    if falsifier is None:
-        report["max_val"] = max_val
-    return report
+    reports = []
+    for trials, (outcomes, falsifier) in zip(counts, reference_trials(2, 2, counts, seed,
+                                                                      check)):
+        counts_by_id = Counter(pid for pid, _ in outcomes)
+        report = {"seed": seed, "trials": trials, "passes": len(outcomes),
+                  "pattern_counts": dict(sorted(counts_by_id.items())),
+                  "falsifier": falsifier}
+        if falsifier is None:
+            report["max_val"] = max(v for _, v in outcomes)
+        reports.append(report)
+    return reports
 
 
-def reference_witness(d: int, trials: int, seed: int) -> dict:
-    rows: Counter[str] = Counter()
-
-    def check(f: PsdFactorization) -> Optional[str]:
+def reference_witness(d: int, counts: Sequence[int], seed: int) -> list[dict]:
+    def check(f: PsdFactorization) -> tuple[Optional[str], object]:
         try:
-            rows[str(antidiagonal_witness(f))] += 1
+            return None, str(antidiagonal_witness(f))
         except FalsificationError as exc:
-            return str(exc)
-        return None
+            return str(exc), None
 
-    passes, falsifier = reference_trials(d, d, trials, seed, check)
-    report = {"seed": seed, "d": d, "trials": trials, "passes": passes,
-              "falsifier": falsifier}
-    if falsifier is None:
-        report["witness_rows"] = dict(sorted(rows.items()))
-    return report
+    reports = []
+    for trials, (rows, falsifier) in zip(counts, reference_trials(d, d, counts, seed, check)):
+        report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
+                  "falsifier": falsifier}
+        if falsifier is None:
+            report["witness_rows"] = dict(sorted(Counter(rows).items()))
+        reports.append(report)
+    return reports
 
 
-def reference_induction(n: int, d: int, trials: int, seed: int,
-                        family: Optional[CoveringFamily] = None) -> dict:
+def reference_induction(n: int, d: int, counts: Sequence[int], seed: int,
+                        family: Optional[CoveringFamily] = None) -> list[dict]:
     family = family or recursive_covering(d)
-    max_val = 0
 
-    def check(f: PsdFactorization) -> Optional[str]:
-        nonlocal max_val
+    def check(f: PsdFactorization) -> tuple[Optional[str], object]:
         rep = check_induction_inequality(f, family)
-        max_val = max(max_val, rep.val_total)
-        if not rep.holds:
-            return f"val {rep.val_total} > bound {rep.bound}"
-        return None
+        return (None if rep.holds else f"val {rep.val_total} > bound {rep.bound}"), \
+            rep.val_total
 
-    passes, falsifier = reference_trials(n, d, trials, seed, check)
-    report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
-              "passes": passes, "falsifier": falsifier}
-    if falsifier is None:
-        report["max_val"] = max_val
-    return report
+    reports = []
+    for trials, (totals, falsifier) in zip(counts, reference_trials(n, d, counts, seed,
+                                                                    check)):
+        report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
+                  "passes": len(totals), "falsifier": falsifier}
+        if falsifier is None:
+            report["max_val"] = max(totals)
+        reports.append(report)
+    return reports
 
 
 def around_blocks(n: int) -> list[int]:
@@ -137,24 +140,26 @@ def around_blocks(n: int) -> list[int]:
 
 ORACLES = [
     pytest.param(2, 31, lambda t, s: cli.run_pattern_oracle(t, s),
-                 lambda t, s: reference_patterns(t, s), id="patterns"),
+                 lambda c, s: reference_patterns(c, s), id="patterns"),
     pytest.param(2, 31, lambda t, s: cli.run_witness_oracle(2, t, s),
-                 lambda t, s: reference_witness(2, t, s), id="witness-d2"),
+                 lambda c, s: reference_witness(2, c, s), id="witness-d2"),
     pytest.param(3, 31, lambda t, s: cli.run_witness_oracle(3, t, s),
-                 lambda t, s: reference_witness(3, t, s), id="witness-d3"),
+                 lambda c, s: reference_witness(3, c, s), id="witness-d3"),
     pytest.param(4, 31, lambda t, s: cli.run_induction_oracle(4, 2, t, s),
-                 lambda t, s: reference_induction(4, 2, t, s), id="induction-n4-d2"),
-    # seed 4232 reaches the falsifier at trial 29 within 3 blocks + 5
-    pytest.param(4, 4232, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
-                 lambda t, s: reference_induction(4, 2, t, s, REC2_MINUS_4),
+                 lambda c, s: reference_induction(4, 2, c, s), id="induction-n4-d2"),
+    # seed 200 reaches the falsifier at trial 93, in the second block, within
+    # 3 blocks + 5
+    pytest.param(4, 200, lambda t, s: cli.run_induction_oracle(4, 2, t, s, REC2_MINUS_4),
+                 lambda c, s: reference_induction(4, 2, c, s, REC2_MINUS_4),
                  id="induction-n4-d2-rec2-minus-4"),
 ]
 
 
 @pytest.mark.parametrize("n, seed, blocked, reference", ORACLES)
 def test_reports_match_per_trial_loop(n, seed, blocked, reference):
-    for trials in around_blocks(n):
-        assert blocked(trials, seed) == reference(trials, seed), trials
+    counts = around_blocks(n)
+    for trials, want in zip(counts, reference(counts, seed)):
+        assert blocked(trials, seed) == want, trials
 
 
 def test_width_below_family_width_rejected_before_sampling(monkeypatch):
@@ -213,9 +218,10 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
     corrupt_one(monkeypatch, d, d, seed + trial, entries)
     trials = 3 * block_size(d) + 5
     if oracle == "patterns":
-        got, want = cli.run_pattern_oracle(trials, seed), reference_patterns(trials, seed)
+        got, (want,) = cli.run_pattern_oracle(trials, seed), reference_patterns([trials], seed)
     else:
-        got, want = cli.run_witness_oracle(d, trials, seed), reference_witness(d, trials, seed)
+        got, (want,) = (cli.run_witness_oracle(d, trials, seed),
+                        reference_witness(d, [trials], seed))
     falsifier = got["falsifier"]
     assert got == want
     assert got["passes"] == falsifier["trial"] == trial
@@ -235,7 +241,7 @@ def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatc
     # falsifier at trial 29 in the same block: the per-trial loop stops first
     corrupt_one(monkeypatch, 4, 2, 4262, lambda size: (1, 1))
     got = cli.run_induction_oracle(4, 2, 40, 4232, REC2_MINUS_4)
-    assert got == reference_induction(4, 2, 40, 4232, REC2_MINUS_4)
+    assert [got] == reference_induction(4, 2, [40], 4232, REC2_MINUS_4)
     assert got["falsifier"]["trial"] == 29
     assert got["falsifier"]["reason"] == "val 7 > bound 5"
 
@@ -245,7 +251,7 @@ def test_non_atom_before_the_failing_trial_of_its_block_exits_2(monkeypatch, tmp
     # trial 28, right before the falsifier at trial 29 in the same block
     corrupt_one(monkeypatch, 4, 2, 4260, lambda size: (1, 1))
     with pytest.raises(ValueError, match="not zero on intersection-one pairs"):
-        reference_induction(4, 2, 40, 4232, REC2_MINUS_4)
+        reference_induction(4, 2, [40], 4232, REC2_MINUS_4)
     family = tmp_path / "family.json"
     family.write_text(family_to_json(REC2_MINUS_4))
     code = cli.main(["induction", "--n", "4", "--d", "2", "--trials", "40", "--seed", "4232",

@@ -32,8 +32,9 @@ FAMILIES = {
         1, (Rectangle.from_text(1, ["0"], ["0"]),), label="one-rect-d1"
     ),
     # recursive_covering(2) without rectangle 4, {00} x {01, 11}: from seed
-    # 4232 falsified at trial 29 (seed 4261, V first), in the second block
-    # of 16 at n = 4
+    # 4232 falsified at trial 29 (seed 4261, V first), in the first block of
+    # 64 at n = 4, and from seed 200 at trial 93 (seed 293, V first), in the
+    # second
     "rec2_minus_4": CoveringFamily(
         2, recursive_covering(2).rectangles[:4] + recursive_covering(2).rectangles[5:],
         label="rec2-minus-4",
@@ -86,6 +87,11 @@ CASES = [
     pytest.param(
         "induction --n 4 --d 2 --trials 40 --seed 4232 --family {rec2_minus_4}", None, 1,
         "02c89ac4d135158a6ddf14390654cdcae0076fd0d138661803f3d630682ee7a3",
+        id="induction-rec2-minus-4-first-block",
+    ),
+    pytest.param(
+        "induction --n 4 --d 2 --trials 128 --seed 200 --family {rec2_minus_4}", None, 1,
+        "7a82e6774d01d33d70a5e79f145411a679b96fe547bc2c5398a738358c431561",
         id="induction-rec2-minus-4-second-block",
     ),
     pytest.param(
