@@ -103,7 +103,7 @@ MUTANTS = (
            ("tests/test_covering.py::TestSerialization::test_malformed_certificate_rejected",)),
     Mutant("C3", "covering.py", "type(row[1]) is int", "isinstance(row[1], int)",
            ("tests/test_covering.py::TestSerialization::test_malformed_certificate_rejected",)),
-    Mutant("P1", "atoms.py", " or not math.isfinite(x)", "",
+    Mutant("P1", "atoms.py", " or not abs(x) <= sys.float_info.max", "",
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
     Mutant("P2", "atoms.py", "if width > d or any(", "if any(",
            ("tests/test_atoms.py::TestSerialization::test_malformed_field_named",)),
@@ -151,6 +151,11 @@ MUTANTS = (
            '        raise ValueError(f"induction needs n >= d, got n = {n}, d = {d}")\n', "",
            ("tests/test_oracle_blocks.py::"
             "test_width_below_family_width_rejected_before_sampling",)),
+    Mutant("O1", "cli.py", '"max_val": max(totals, default=None)}',
+           '**({"max_val": max(totals)} if report["falsifier"] is None else {})}',
+           ("tests/test_oracle_blocks.py::"
+            "test_falsified_induction_summary_covers_the_passing_trials"
+            "[rec2-minus-4-second-block]",)),
     Mutant("N2", "atoms.py", "(2 * max(n, 0))", "(2 * n)",
            ("tests/test_cli.py::TestAtomSample::"
             "test_negative_width_named_like_every_width_error",)),

@@ -25,7 +25,8 @@ def census(trials: int, seed: int) -> dict[str, list[tuple[int, int]]]:
     per sampling direction."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    outcomes, falsifier = run_trials(2, 2, 2 * trials, seed, pattern_check)
+    outcomes, report = run_trials(2, 2, 2 * trials, seed, pattern_check)
+    falsifier = report["falsifier"]
     if falsifier is not None:
         raise SystemExit(f"seed {falsifier['seed']} ({falsifier['direction']}): "
                          f"{falsifier['reason']}")

@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -376,7 +376,7 @@ def factorization_to_json(f: PsdFactorization) -> str:
 def factorization_from_json(text: str) -> PsdFactorization:
     """Parse a factorization; a missing or ill-typed field, a key set other
     than the width-n strings, or a factor that is not d rows of at most d
-    finite numbers raises ValueError naming it."""
+    finite numbers in the double range raises ValueError naming it."""
     obj = _json_load(text, "factorization")
     n, d = (_json_field(obj, key, int, "factorization") for key in ("n", "d"))
     if not (0 <= n <= MAX_DENSE_N and 1 <= d <= MAX_DIM):
@@ -399,7 +399,8 @@ def factorization_from_json(text: str) -> PsdFactorization:
             width = len(rows[0])
             if width > d or any(
                 len(row) != width
-                or any(type(x) not in (int, float) or not math.isfinite(x) for x in row)
+                or any(type(x) not in (int, float) or not abs(x) <= sys.float_info.max
+                       for x in row)
                 for row in rows
             ):
                 raise ValueError(f'factorization field "{name}" entry "{key}" is not '

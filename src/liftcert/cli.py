@@ -8,9 +8,11 @@ replays with ``--seed <its seed> --trials 1``.  ``run_trials`` is the one
 trial loop: it samples blocks of ``atoms.block_size(n)`` trials (1,024 at
 n = 2, 256 at n = 3, 4 at n = 6, 1 from n = 7 on), hands each to a pure
 block check returning per-trial reasons and outcomes, stops at the first
-failing trial and returns the outcomes before it; a block changes no
-trial's draws and no report.  Negative outcomes exit with code 1 and carry
-a structured falsifier payload (the offending factorization and its
+failing trial and returns the outcomes before it with the fields every
+oracle report shares; a block changes no trial's draws and no report.  Each
+oracle adds one summary of the passing trials, falsified or not, so it has
+one report shape.  Negative outcomes exit with code 1 and carry a
+structured falsifier payload (the offending factorization and its
 evaluated matrix); invalid configuration exits 2.  ``main`` parses with
 the one parser ``build_parser`` builds per process.
 
@@ -84,16 +86,18 @@ def run_trials(
     trials: int,
     seed: int,
     check: Callable[[np.ndarray, np.ndarray], tuple[list, list]],
-) -> tuple[list, Optional[dict]]:
+) -> tuple[list, dict]:
     """Trial i checks ``sample_atom(n, d, seed + i)``, in blocks of
     ``block_size(n)`` trials.
 
     ``check`` maps a block's U and V stacks to per-trial reasons (None for a
     pass) and outcomes.  The run stops at the first reason.  Returns the
-    outcomes of the trials before it, and the falsifier (the trial, its seed
-    and the direction that seed draws, the reason, the factorization and its
-    evaluated matrix), or None when every trial passed.  The falsifier's atom
-    is trial 0 of a run from its seed.  Every seed must lie in [0, 2^64).
+    outcomes of the trials before it (the passing ones) and the fields every
+    oracle report shares: n, d, seed, trials, passes and the falsifier (the
+    trial, its seed and the direction that seed draws, the reason, the
+    factorization and its evaluated matrix), None when every trial passed.
+    The falsifier's atom is trial 0 of a run from its seed.  Every seed must
+    lie in [0, 2^64).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -101,7 +105,7 @@ def run_trials(
         raise ValueError(f"seed {seed} must be >= 0")
     if seed + trials > 1 << 64:
         raise ValueError(f"seeds {seed} .. {seed + trials - 1} do not fit in 64 bits")
-    size, passing = block_size(n), []
+    size, passing, falsifier = block_size(n), [], None
     for start in range(0, trials, size):
         block = range(start, min(start + size, trials))
         u, v = sample_block(n, d, range(seed + block.start, seed + block.stop))
@@ -111,15 +115,14 @@ def run_trials(
         if failed is not None:
             i = block[failed]
             f = PsdFactorization(n, d, u[failed], v[failed])
-            return passing, {
-                "trial": i,
-                "seed": seed + i,
-                "direction": ("u-first", "v-first")[(seed + i) % 2],
-                "reason": reasons[failed],
-                "factorization": json.loads(factorization_to_json(f)),
-                "matrix": json.loads(matrix_to_json(evaluate(f))),
-            }
-    return passing, None
+            falsifier = {"trial": i, "seed": seed + i,
+                         "direction": ("u-first", "v-first")[(seed + i) % 2],
+                         "reason": reasons[failed],
+                         "factorization": json.loads(factorization_to_json(f)),
+                         "matrix": json.loads(matrix_to_json(evaluate(f)))}
+            break
+    return passing, {"n": n, "d": d, "seed": seed, "trials": trials,
+                     "passes": len(passing), "falsifier": falsifier}
 
 
 def pattern_check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
@@ -127,34 +130,25 @@ def pattern_check(u: np.ndarray, v: np.ndarray) -> tuple[list, list]:
     outcomes are (pattern id, val) pairs, with id 0 for no pattern."""
     support = support_block(evaluate_block(u, v))
     outcomes = list(zip(pattern_block(support).tolist(), val_block(support).tolist()))
-    reasons = ["support fits no pattern" if not pid else
-               f"val = {count} exceeds 7" if count > 7 else None
-               for pid, count in outcomes]
-    return reasons, outcomes
+    return [None if pid else "support fits no pattern" for pid, _ in outcomes], outcomes
 
 
 def run_pattern_oracle(trials: int, seed: int = 0) -> dict:
-    """Sample width-2 atoms over 2x2 cones; classify each against the six
-    patterns and check val <= 7.  Stops at the first falsification."""
-    outcomes, falsifier = run_trials(2, 2, trials, seed, pattern_check)
+    """Classify sampled width-2 atoms against the six patterns (val <= 7
+    follows from the fit: each pattern allows 7 disjoint pairs); reports the
+    count per pattern and the largest val over the passing trials."""
+    outcomes, report = run_trials(2, 2, trials, seed, pattern_check)
     counts = sorted(Counter(pid for pid, _ in outcomes).items())
-    report = {"seed": seed, "trials": trials, "passes": len(outcomes),
-              "pattern_counts": dict(counts), "falsifier": falsifier}
-    if falsifier is None:
-        report["max_val"] = max(count for _, count in outcomes)
-    return report
+    return {**report, "pattern_counts": dict(counts),
+            "max_val": max((count for _, count in outcomes), default=None)}
 
 
 def run_witness_oracle(d: int, trials: int, seed: int = 0) -> dict:
-    """Find the antidiagonal zero of each sampled square atom; every entry
-    found must be exactly zero."""
-    rows, falsifier = run_trials(d, d, trials, seed, witness_block)
-    report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
-              "falsifier": falsifier}
-    if falsifier is None:
-        report["witness_rows"] = {f"{a:0{d}b}": count
-                                  for a, count in sorted(Counter(rows).items())}
-    return report
+    """Find the antidiagonal zero of each sampled square atom, which must be
+    exactly zero; reports the count per witness row of the passing trials."""
+    rows, report = run_trials(d, d, trials, seed, witness_block)
+    return {**report, "witness_rows": {f"{a:0{d}b}": count
+                                       for a, count in sorted(Counter(rows).items())}}
 
 
 def run_induction_oracle(
@@ -166,7 +160,8 @@ def run_induction_oracle(
 ) -> dict:
     """Check val(M) <= sum_i val(M_i) over sampled atoms.  Each aggregate
     M_i of an atom vanishes on intersection-one pairs as M does (see
-    ``induction_block``), so that needs no check of its own."""
+    ``induction_block``), so that needs no check of its own.  Reports the
+    family's label and the largest val(M) of the passing trials."""
     if family is None:
         family = recursive_covering(d)
     if family.d != d:
@@ -180,12 +175,8 @@ def run_induction_oracle(
                    for total, bound in zip(totals.tolist(), vals.sum(axis=1).tolist())]
         return reasons, totals.tolist()
 
-    totals, falsifier = run_trials(n, d, trials, seed, check)
-    report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
-              "passes": len(totals), "falsifier": falsifier}
-    if falsifier is None:
-        report["max_val"] = max(totals)
-    return report
+    totals, report = run_trials(n, d, trials, seed, check)
+    return {**report, "family": family.label, "max_val": max(totals, default=None)}
 
 
 #: ``[[x, y], i]`` and ``[a, b, value]`` rows as indent=2 lays them out at
@@ -364,12 +355,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         family = family_from_json(Path(args.family).read_text()) if args.family else None
         result = run_induction_oracle(args.n, args.d, args.trials, args.seed, family)
-    if args.command == "induction":
-        report = {"command": "induction"}
-    else:
-        report = {"command": "atom-sample", "check": args.check, "n": args.n, "d": args.d}
-    report.update(result)
-    _emit(report, args)
+    header = ({"command": "induction"} if args.command == "induction" else
+              {"command": "atom-sample", "check": args.check})
+    _emit({**header, **result}, args)
     return EXIT_OK if result["falsifier"] is None else EXIT_FALSIFIED
 
 

@@ -39,6 +39,7 @@ from liftcert.bitcore import (
     is_atom_pattern,
     support_block,
     val,
+    val_block,
 )
 from liftcert.cli import pattern_check
 from liftcert.covering import induction_block, recursive_covering
@@ -756,6 +757,9 @@ class TestPatternTemplates:
     def test_each_template_has_seven_disjoint_slots(self):
         for pid in PatternId:
             assert len(pattern_disjoint_support(pid)) == 7
+        # a template is the largest support that fits it, so a support that
+        # fits a pattern has val <= 7 and the pattern check needs no val bound
+        assert val_block(atoms._TEMPLATE_MASKS).tolist() == [7] * 6
 
     def test_templates_allow_no_intersection_one_pair(self):
         assert not (atoms._TEMPLATE_MASKS & (intersection_table(2) == 1)).any()
@@ -865,6 +869,8 @@ class TestSerialization:
         (lambda o: o["V"].update({"1": [["1"], [0.0]]}), '"V" entry "1"'),
         (lambda o: o["V"].update({"1": [[True], [0.0]]}), '"V" entry "1"'),
         (lambda o: o["V"].update({"1": [[float("nan")], [0.0]]}), '"V" entry "1"'),
+        # an integer past the double range, which float() cannot convert
+        (lambda o: o["U"].update({"1": [[10**400], [0.0]]}), '"U" entry "1" is not 2 rows'),
         (lambda o: o["V"].update({"1": {"0": [1.0]}}), '"V" entry "1"'),
         (lambda o: o.update(n=11), "outside"),
         (lambda o: o.update(d=9), "outside"),

@@ -3,11 +3,14 @@
 The reference below samples, evaluates and checks one trial at a time with
 the one-trial functions (``sample_atom``, ``evaluate``,
 ``classify_pattern_d2``, ``antidiagonal_witness``, ``check_induction_inequality``),
-stopping at the first reason, as the oracles did before they ran in blocks.
+stopping at the first reason, as the oracles did before they ran in blocks,
+and builds the report fields from that loop, not from ``run_trials``.
 Every report of the block path, falsifier and tallies included, must equal
 the reference's, whatever the trial count is against the block size; a
 non-atom that the reference would raise on exits 2, and one after the
-reference's falsifier is never reached.
+reference's falsifier is never reached.  A falsified report has the one
+shape of its oracle: its summary covers the trials that passed, as the same
+command cut to those trials prints it.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ REC2_MINUS_4 = CoveringFamily(
 def reference_trials(
     n: int, d: int, counts: Sequence[int], seed: int,
     check: Callable[[PsdFactorization], tuple[Optional[str], object]],
-) -> list[tuple[list, Optional[dict]]]:
+) -> list[tuple[list, dict]]:
     """Per run of each trial count: the outcomes of the trials before the
-    first reason, and the falsifier, from one loop over the largest count
-    (a shorter run's trials are a prefix of it)."""
+    first reason and the fields every oracle report shares, from one loop
+    over the largest count (a shorter run's trials are a prefix of it)."""
     outcomes: list = []
+    falsifier = None
     for i in range(max(counts)):
         f = sample_atom(n, d, seed + i)
         reason, outcome = check(f)
@@ -66,33 +70,28 @@ def reference_trials(
                 "factorization": json.loads(factorization_to_json(f)),
                 "matrix": json.loads(matrix_to_json(evaluate(f))),
             }
-            return [(outcomes, falsifier) if i < trials else (outcomes[:trials], None)
-                    for trials in counts]
+            break
         outcomes.append(outcome)
-    return [(outcomes[:trials], None) for trials in counts]
+    runs = []
+    for trials in counts:
+        reached = falsifier if falsifier and falsifier["trial"] < trials else None
+        runs.append((outcomes[:trials], {"n": n, "d": d, "seed": seed, "trials": trials,
+                                         "passes": len(outcomes[:trials]),
+                                         "falsifier": reached}))
+    return runs
 
 
 def reference_patterns(counts: Sequence[int], seed: int) -> list[dict]:
     def check(f: PsdFactorization) -> tuple[Optional[str], object]:
         m = evaluate(f)
         try:
-            pid = classify_pattern_d2(m)
+            return None, (int(classify_pattern_d2(m)), val(m))
         except NoPatternMatches:
             return "support fits no pattern", None
-        v = val(m)
-        return (f"val = {v} exceeds 7" if v > 7 else None), (int(pid), v)
 
-    reports = []
-    for trials, (outcomes, falsifier) in zip(counts, reference_trials(2, 2, counts, seed,
-                                                                      check)):
-        counts_by_id = Counter(pid for pid, _ in outcomes)
-        report = {"seed": seed, "trials": trials, "passes": len(outcomes),
-                  "pattern_counts": dict(sorted(counts_by_id.items())),
-                  "falsifier": falsifier}
-        if falsifier is None:
-            report["max_val"] = max(v for _, v in outcomes)
-        reports.append(report)
-    return reports
+    return [{**report, "pattern_counts": dict(sorted(Counter(p for p, _ in outcomes).items())),
+             "max_val": max((v for _, v in outcomes), default=None)}
+            for outcomes, report in reference_trials(2, 2, counts, seed, check)]
 
 
 def reference_witness(d: int, counts: Sequence[int], seed: int) -> list[dict]:
@@ -102,14 +101,8 @@ def reference_witness(d: int, counts: Sequence[int], seed: int) -> list[dict]:
         except FalsificationError as exc:
             return str(exc), None
 
-    reports = []
-    for trials, (rows, falsifier) in zip(counts, reference_trials(d, d, counts, seed, check)):
-        report = {"seed": seed, "d": d, "trials": trials, "passes": len(rows),
-                  "falsifier": falsifier}
-        if falsifier is None:
-            report["witness_rows"] = dict(sorted(Counter(rows).items()))
-        reports.append(report)
-    return reports
+    return [{**report, "witness_rows": dict(sorted(Counter(rows).items()))}
+            for rows, report in reference_trials(d, d, counts, seed, check)]
 
 
 def reference_induction(n: int, d: int, counts: Sequence[int], seed: int,
@@ -121,15 +114,8 @@ def reference_induction(n: int, d: int, counts: Sequence[int], seed: int,
         return (None if rep.holds else f"val {rep.val_total} > bound {rep.bound}"), \
             rep.val_total
 
-    reports = []
-    for trials, (totals, falsifier) in zip(counts, reference_trials(n, d, counts, seed,
-                                                                    check)):
-        report = {"seed": seed, "n": n, "d": d, "family": family.label, "trials": trials,
-                  "passes": len(totals), "falsifier": falsifier}
-        if falsifier is None:
-            report["max_val"] = max(totals)
-        reports.append(report)
-    return reports
+    return [{**report, "family": family.label, "max_val": max(totals, default=None)}
+            for totals, report in reference_trials(n, d, counts, seed, check)]
 
 
 def around_blocks(n: int) -> list[int]:
@@ -208,15 +194,21 @@ def corrupt_one(monkeypatch, n: int, d: int, seed: int,
         monkeypatch.setattr(module, "witness_block", marking)
 
 
-@pytest.mark.parametrize("oracle, d", [("patterns", 2), ("witness", 2), ("witness", 3)])
-def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
+def corrupt_after_the_first_block(monkeypatch, oracle: str, d: int) -> tuple[int, int, int]:
+    """Make trial block + 3 of a run of 3 blocks + 5 from seed 40 fail the
+    pattern or the witness check; returns the seed, that trial and the count."""
     seed, trial = 40, block_size(d) + 3
     # a positive intersection-one entry fits no pattern; a positive
     # antidiagonal leaves the witness no zero to find
     entries = ((lambda size: (1, 1)) if oracle == "patterns" else
                (lambda size: (np.arange(size), np.arange(size)[::-1])))
     corrupt_one(monkeypatch, d, d, seed + trial, entries)
-    trials = 3 * block_size(d) + 5
+    return seed, trial, 3 * block_size(d) + 5
+
+
+@pytest.mark.parametrize("oracle, d", [("patterns", 2), ("witness", 2), ("witness", 3)])
+def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
+    seed, trial, trials = corrupt_after_the_first_block(monkeypatch, oracle, d)
     if oracle == "patterns":
         got, (want,) = cli.run_pattern_oracle(trials, seed), reference_patterns([trials], seed)
     else:
@@ -234,6 +226,65 @@ def test_falsifier_after_the_first_block(monkeypatch, oracle, d):
         assert falsifier["reason"] == "support fits no pattern"
     else:
         assert falsifier["reason"].startswith("antidiagonal entry at")
+
+
+#: The fields of every oracle report, and the summary each oracle adds.
+SHARED = {"n", "d", "seed", "trials", "passes", "falsifier"}
+SUMMARY = {"patterns": {"pattern_counts", "max_val"}, "antidiagonal": {"witness_rows"},
+           "induction": {"family", "max_val"}}
+
+#: No rectangles, so the first atom with val > 0 falsifies: at n = 2 the
+#: trials from seed 3 pass twice, and the trial from seed 5 falsifies.
+EMPTY_D1 = CoveringFamily(1, (), label="empty-d1")
+
+
+def printed(capsys, argv: list[str]) -> tuple[int, dict]:
+    code = cli.main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def falsified_report(capsys, argv: list[str], check: str) -> dict:
+    """Run a falsified oracle command and return its report, after checking
+    that it has the one shape and, when any trial passed, that its summary
+    is the one the same command prints with ``--trials <passes>``."""
+    code, got = printed(capsys, argv)
+    header = {"command", "check"} if argv[0] == "atom" else {"command"}
+    assert code == 1 and got["passes"] == got["falsifier"]["trial"]
+    assert set(got) == SHARED | SUMMARY[check] | header
+    if got["passes"]:
+        code, clean = printed(capsys, argv + ["--trials", str(got["passes"])])
+        assert (code, clean["falsifier"]) == (0, None)
+        assert all(clean[key] == got[key] for key in SUMMARY[check])
+    return got
+
+
+@pytest.mark.parametrize("check, d", [("patterns", 2), ("antidiagonal", 2),
+                                      ("antidiagonal", 3)])
+def test_falsified_oracle_summary_covers_the_passing_trials(monkeypatch, capsys, check, d):
+    seed, trial, trials = corrupt_after_the_first_block(
+        monkeypatch, "patterns" if check == "patterns" else "witness", d)
+    got = falsified_report(capsys, ["atom", "sample", "--check", check, "--n", str(d),
+                                    "--d", str(d), "--seed", str(seed),
+                                    "--trials", str(trials)], check)
+    counts = got["pattern_counts" if check == "patterns" else "witness_rows"]
+    assert got["passes"] == sum(counts.values()) == trial
+
+
+@pytest.mark.parametrize("family, n, seed, trials, passes", [
+    pytest.param(REC2_MINUS_4, 4, 200, 128, 93, id="rec2-minus-4-second-block"),
+    pytest.param(EMPTY_D1, 2, 3, 10, 2, id="empty-d1-two-passes"),
+    pytest.param(EMPTY_D1, 2, 5, 10, 0, id="empty-d1-no-pass"),
+])
+def test_falsified_induction_summary_covers_the_passing_trials(tmp_path, capsys, family, n,
+                                                                seed, trials, passes):
+    path = tmp_path / "family.json"
+    path.write_text(family_to_json(family))
+    got = falsified_report(capsys, ["induction", "--n", str(n), "--d", str(family.d),
+                                    "--seed", str(seed), "--trials", str(trials),
+                                    "--family", str(path)], "induction")
+    assert (got["passes"], got["family"]) == (passes, family.label)
+    # max_val is null exactly when no trial passed
+    assert (got["max_val"] is None) == (passes == 0)
 
 
 def test_non_atom_after_the_failing_trial_of_its_block_is_not_reached(monkeypatch):

@@ -2,7 +2,8 @@
 
 Each row is an invocation, its exit code and the sha256 of its stdout.  The
 digests pin the reports byte for byte: the trial order, the seeds, every
-report field and the falsifier payload.  ``{name}`` in an invocation is
+report field and the falsifier payload; a falsified report's summary covers
+the trials before its falsifier.  ``{name}`` in an invocation is
 replaced by the path of the family file of that name.  Rows that name the
 non-atom sampler replace the block sampler ``liftcert.cli.sample_block`` with
 one returning constant identity factorizations, which no check accepts, to
@@ -81,34 +82,34 @@ CASES = [
     ),
     pytest.param(
         "induction --n 2 --d 1 --trials 10 --family {one_rect_d1}", None, 1,
-        "4d905658da531987f3797e6fafbdb9dddd2a7fda66ea36898c8c58b578277d49",
+        "4e33edb1c52fa2d4378f308bdfab79e3c03136f41702fbd99fa16be70be26f36",
         id="induction-one-rect-falsified",
     ),
     pytest.param(
         "induction --n 4 --d 2 --trials 40 --seed 4232 --family {rec2_minus_4}", None, 1,
-        "02c89ac4d135158a6ddf14390654cdcae0076fd0d138661803f3d630682ee7a3",
+        "aee08dd78c41673a63b33793792dc6d1c4ebf41d1850ac0347a2c5fc9321d489",
         id="induction-rec2-minus-4-first-block",
     ),
     pytest.param(
         "induction --n 4 --d 2 --trials 128 --seed 200 --family {rec2_minus_4}", None, 1,
-        "7a82e6774d01d33d70a5e79f145411a679b96fe547bc2c5398a738358c431561",
+        "f03b68f985634a76eb1d7b357d4f195d5c1ac5044807726bd82983fd68cd937a",
         id="induction-rec2-minus-4-second-block",
     ),
     pytest.param(
         "induction --n 2 --d 1 --trials 10 --seed 3 --family {empty_d1}", None, 1,
-        "a4bc44e482fc206e52a7e2f92ae93ce928f9682ae41a15d8d2643d0867bf3361",
+        "acc2c563fa8961fb9e459308d226d83346fe53a9b5b62773ae395c2ad5f2c6a1",
         id="induction-empty-family-falsified",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check patterns",
         non_atom_sampler, 1,
-        "7999725804d87aa12f609975003f156e180f99a1c00ed9245f04db72126c827f",
+        "1e0807566f218287d0ae931849ca5133825fa821a5d6b967c99675cd1472ad08",
         id="patterns-falsified",
     ),
     pytest.param(
         "atom sample --n 2 --d 2 --trials 5 --seed 7 --check antidiagonal",
         non_atom_sampler, 1,
-        "7aa67c1b79528d010bf8a481f448db3e693af124f4a83965ef6db52f92f82ba5",
+        "0fad9e1b1f892ddae698cb18b00b94c40efd15f4cc154a12b047fadad05b05f0",
         id="antidiagonal-falsified",
     ),
     pytest.param(
