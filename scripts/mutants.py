@@ -167,6 +167,14 @@ MUTANTS = (
     Mutant("A1", "covering.py", "out[:, i] = blocks.take(", "out[:, i] = blocks[:1].take(",
            ("tests/test_atoms.py::TestSampleBlock::"
             "test_four_trial_block_checks_as_four_one_trial_blocks",)),
+    Mutant("E1", "atoms.py", "head = k - k % 8 if k >= 8 else 1", "head = 1",
+           ("tests/test_atoms.py::TestEvaluateKernel::"
+            "test_every_d_matches_the_broadcast_sum_bit_for_bit",)),
+    Mutant("E2", "atoms.py", "out=q).reshape(trials, rows, d * d, cols)",
+           "out=q).reshape(trials, rows, d, d, cols).swapaxes(2, 3)"
+           ".reshape(trials, rows, d * d, cols)",
+           ("tests/test_atoms.py::TestEvaluateKernel::"
+            "test_every_d_matches_the_broadcast_sum_bit_for_bit",)),
     Mutant("Z1", "bitcore.py", "    return values > 0\n",
            "    return values > 1e-9 * values.max(axis=(-2, -1), keepdims=True)\n",
            ("tests/test_atoms.py::TestEvaluate::test_small_genuine_entry_is_in_the_support",)),

@@ -7,7 +7,7 @@ exactly one position.
 
 A factorization holds each side as one (2^n, d, d) stack of Gram factors
 indexed by string value (lex order), zero-padded to d columns, so evaluation
-is one broadcast matmul and strings appear only in the JSON form.
+is one matmul per trial and strings appear only in the JSON form.
 
 The sampler constructs such factorizations directly: one side is drawn at
 random (U for an even seed, V for an odd one, so the seed alone names an
@@ -114,21 +114,44 @@ def _sum_sq(x: np.ndarray) -> np.ndarray:
     return np.square(x, out=x).sum(axis=(-2, -1))
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=2) of a (T, r, k, c) array, added in the order NumPy sums
+    a contiguous axis of at most 128 terms: in turn below 8 terms, else 8
+    running sums of every 8th term added as ((s0 + s1) + (s2 + s3)) + ((s4 +
+    s5) + (s6 + s7)), then the remaining terms in turn."""
+    k = x.shape[2]
+    head = k - k % 8 if k >= 8 else 1
+    s = x[:, :, :min(head, 8)]
+    for start in range(8, head, 8):
+        s = np.add(s, x[:, :, start:start + 8], out=s if start > 8 else None)
+    while s.shape[2] > 1:
+        s = s[:, :, 0::2] + s[:, :, 1::2]
+    s = s[:, :, 0]
+    for j in range(head, k):
+        s = np.add(s, x[:, :, j], out=s if j > head else None)
+    return s
+
+
 def evaluate_block(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Evaluated matrices of a block of factorizations (all entries >= 0).
 
     ``u`` (T, r, d, d) and ``v`` (T, c, d, d) are stacks of Gram factors,
     any rows against any columns (r = c = 2^n for whole matrices); entry
-    [t, a, b] is ||U_a^T V_b||_F^2 of trial t, a sum of squares, and all
-    T r c products come from one broadcast matmul.  Entries at
-    rounding-noise level relative to their Cauchy-Schwarz bound (see
-    NOISE_REL) are stored as exact zeros.
+    [t, a, b] is ||U_a^T V_b||_F^2 of trial t, a sum of squares.  One
+    (r d, d) x (d, d c) matmul per trial gives every U_a^T V_b at once, and
+    its d^2 squared entries per pair are summed in the order NumPy's sum
+    over the d x d product would take, so each entry is that sum bit for
+    bit.  Entries at rounding-noise level relative to their Cauchy-Schwarz
+    bound (see NOISE_REL) are stored as exact zeros.
     """
     n = u.shape[1].bit_length() - 1
     if n > MAX_DENSE_N:
         raise ValueError(f"n = {n} exceeds dense cap {MAX_DENSE_N}")
+    (trials, rows, d), cols = u.shape[:3], v.shape[1]
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    m = _sum_sq(ut[:, :, None] @ v[:, None])
+    # (U_a^T V_b)[i, j] of trial t at [t, a, i d + j, b]: one matmul per trial
+    q = ut.reshape(trials, rows * d, d) @ v.transpose(0, 2, 3, 1).reshape(trials, d, d * cols)
+    m = _pairwise_sum(np.square(q, out=q).reshape(trials, rows, d * d, cols))
     # ||U_a U_a^T||_F * ||V_b V_b^T||_F, with ||B B^T||_F^2 = ||B^T B||_F^2
     bound = np.sqrt(_sum_sq(ut @ u)[:, :, None] * _sum_sq(vt @ v)[:, None, :])
     return np.where(m > NOISE_REL * bound, m, 0.0)
@@ -143,8 +166,9 @@ def evaluate(f: PsdFactorization) -> SupportMatrix:
 def block_size(n: int) -> int:
     """Trials per block at width n: 2^14 / 4^n, at least 1, so that a block's
     stacks never outgrow those of four n = 6 trials and ``evaluate_block``'s
-    product holds at most 2^14 d^2 doubles.  A negative n counts as 0, so
-    that the sampler, not the shift, rejects it."""
+    one product temporary holds at most 2^14 d^2 doubles (one trial's 2^16
+    d^2 at n = 8).  A negative n counts as 0, so that the sampler, not the
+    shift, rejects it."""
     return max(1, (1 << 14) >> (2 * max(n, 0)))
 
 

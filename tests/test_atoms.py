@@ -186,6 +186,102 @@ class TestEvaluate:
             assert not m.values[one].any() and not ref[one].any()
 
 
+def broadcast_evaluate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``evaluate_block`` as one broadcast matmul of every d x d product
+    U_a^T V_b, squared and summed by NumPy over each product, with the same
+    NOISE_REL floor against the Cauchy-Schwarz bound."""
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    m = np.square(ut[:, :, None] @ v[:, None]).sum(axis=(-2, -1))
+    norm_u, norm_v = (np.square(x).sum(axis=(-2, -1)) for x in (ut @ u, vt @ v))
+    bound = np.sqrt(norm_u[:, :, None] * norm_v[:, None, :])
+    return np.where(m > NOISE_REL * bound, m, 0.0)
+
+
+def gaussian_factors(rng, trials: int, size: int, d: int) -> np.ndarray:
+    """A (trials, size, d, d) stack of Gaussian factors, each cut to a rank
+    drawn from 0..d as the sampler cuts its factors."""
+    cols = np.arange(d) < rng.integers(0, d + 1, (trials, size, 1, 1))
+    return np.where(cols, rng.standard_normal((trials, size, d, d)), 0.0)
+
+
+def drawn_ranks(n: int, d: int, seeds) -> np.ndarray:
+    """Each seed's (2, 2^n) drawn ranks, word % (d + 1) of the first 2^(n+1)
+    words of its stream (see ``sample_block``): row 0 of the free side, row
+    1 of the constrained side."""
+    size, seeds = 1 << n, np.array(seeds, dtype=np.uint64)
+    steps = np.arange(1, 2 * size + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    words = atoms._mix64(atoms._mix64(seeds[:, None]) + steps)
+    return (words % np.uint64(d + 1)).astype(int).reshape(-1, 2, size)
+
+
+def predicted_support(n: int, d: int, seeds) -> np.ndarray:
+    """Per seed, the support its drawn ranks predict: string y's null space
+    has dimension k_y = d - min(d, sum of its partners' free ranks), its
+    constrained factor rank min(k_y, q_y), and entry (x, y) of free string x
+    and constrained string y is positive exactly when both factors are
+    nonzero and |x & y| != 1; transposed for an odd seed, whose free side is
+    V."""
+    ranks = drawn_ranks(n, d, seeds)
+    partner = intersection_table(n) == 1
+    space = d - np.minimum(d, ranks[:, 0] @ partner)
+    nonzero = np.minimum(space, ranks[:, 1]) > 0
+    support = (ranks[:, 0, :, None] > 0) & nonzero[:, None, :] & ~partner
+    odd = (np.asarray(seeds) % 2 == 1)[:, None, None]
+    return np.where(odd, support.swapaxes(1, 2), support)
+
+
+class TestEvaluateKernel:
+    """``evaluate_block``'s one matmul per trial against the broadcast form
+    it replaced, and its zero decisions against the drawn ranks."""
+
+    def test_every_d_matches_the_broadcast_sum_bit_for_bit(self):
+        # d^2 = 1..64 squares per entry: the in-turn sum below 8 terms, else
+        # 8 running sums and a remainder of 0 (d = 4, 8), 1 (d = 3, 5, 7) or
+        # 4 (d = 6) terms
+        rng = np.random.default_rng(36)
+        for d in range(1, 9):
+            u, v = gaussian_factors(rng, 3, 4, d), gaussian_factors(rng, 3, 8, d)
+            m = evaluate_block(u, v)
+            assert m.shape == (3, 4, 8) and m.any()
+            assert np.array_equal(m, broadcast_evaluate(u, v)), d
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_witness_row_against_column_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        u, v = gaussian_factors(rng, 64, 1, d), gaussian_factors(rng, 64, 1, d)
+        assert np.array_equal(evaluate_block(u, v), broadcast_evaluate(u, v))
+
+    def test_non_contiguous_input_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        u = gaussian_factors(rng, 8, 16, 3)[::2]  # every other trial
+        v = np.asfortranarray(gaussian_factors(rng, 4, 16, 3))
+        w = gaussian_factors(rng, 4, 16, 3).swapaxes(-1, -2)  # transposed factors
+        for x, y in ((u, v), (v, w), (w, u)):
+            assert not (x.flags.c_contiguous and y.flags.c_contiguous)
+            assert np.array_equal(evaluate_block(x, y), broadcast_evaluate(x, y))
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (4, 2), (3, 5), (6, 3)])
+    def test_sampled_blocks_of_both_parities_bit_for_bit(self, n, d):
+        seeds = range(3600, 3600 + max(8, block_size(n)))
+        u, v = sample_block(n, d, seeds)
+        m = evaluate_block(u, v)
+        assert np.array_equal(m, broadcast_evaluate(u, v))
+        # the by-construction zeros, exact on both sides
+        assert not m[:, intersection_table(n) == 1].any()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (3, 3), (4, 2), (6, 3)])
+    def test_support_is_the_one_the_drawn_ranks_predict(self, n, d):
+        seeds = range(0, max(16, block_size(n)))
+        u, v = sample_block(n, d, seeds)
+        assert np.array_equal(drawn_ranks(n, d, seeds)[:, 0],
+                              np.count_nonzero(free_side(seeds, u, v).any(axis=-2), axis=-1))
+        support = evaluate_block(u, v) > 0
+        assert np.array_equal(support, predicted_support(n, d, seeds))
+        # the rule is not vacuous: supports differ, and the transpose matters
+        assert len({s.tobytes() for s in support}) > 1
+        assert not np.array_equal(support, predicted_support(n, d, seeds).swapaxes(1, 2))
+
+
 class TestSampleAtom:
     def test_deterministic_per_seed(self):
         f1 = sample_atom(3, 2, 42)

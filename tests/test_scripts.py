@@ -111,7 +111,8 @@ def test_mutant_list_applies_to_the_sources():
     assert [m.name for m in mutants.MUTANTS] == [
         "M1", "M2", "M4", "M5", "M6", "M7", "M8", "B1", "B2", "B3", "B4", "B5", "B6",
         "F1", "F2", "C1", "C2", "C3", "P1", "P2", "P3", "P4", "P5", "W1", "W2", "L1", "S3",
-        "S4", "S5", "Φ1", "V1", "V2", "V3", "N1", "O1", "N2", "R1", "D1", "A1", "Z1"]
+        "S4", "S5", "Φ1", "V1", "V2", "V3", "N1", "O1", "N2", "R1", "D1", "A1", "E1", "E2",
+        "Z1"]
     assert mutants.snippet_faults() == []
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.tests
